@@ -10,6 +10,13 @@ Conventions (normative for the whole package):
   boundary before interpolating (zero-gradient extension).
 * RMS distances average over pixels *and* components before the square root.
 * All field arithmetic is float64.
+
+Bilinear sampling, its derivative and its adjoint splat all go through
+:class:`Stencil`, which checks, clamps and indexes a point set once. One
+point set has one stencil: code that reads the same points more than once
+(registration samples and splats at ``x + u`` several times per step) builds
+the stencil once and reuses it. ``sample_values``, ``sample_values_grad`` and
+``splat_values`` are one-shot wrappers for callers with a single use.
 """
 
 from __future__ import annotations
@@ -120,72 +127,107 @@ def grid_coords(grid: Grid) -> np.ndarray:
     return np.stack([r, c], axis=-1)
 
 
-def _bilinear_weights(points, height, width):
-    """Clamp points and return corner indices plus fractional offsets.
+class Stencil:
+    """Clamped bilinear stencil of one point set on one grid.
 
-    Returns (i0, j0, fr, fc) where the 4 corners are (i0, j0) .. (i0+1, j0+1)
-    and fr, fc are the fractional weights toward the +1 corners.
+    Built once per point set, it holds what sampling, sampling with the
+    derivative and the adjoint splat all need: the fractional offsets
+    ``fr``, ``fc`` toward the +1 corners and a ``(4, ...)`` array ``k4`` of
+    flat node indices of the corners (00, 01, 10, 11).
     """
-    pr = np.clip(points[..., 0], 0.0, height - 1.0)
-    pc = np.clip(points[..., 1], 0.0, width - 1.0)
-    i0 = np.minimum(np.floor(pr), height - 2).astype(np.intp)
-    j0 = np.minimum(np.floor(pc), width - 2).astype(np.intp)
-    fr = pr - i0
-    fc = pc - j0
-    return i0, j0, fr, fc
+
+    def __init__(self, points: np.ndarray, shape):
+        if not np.all(np.isfinite(points)):
+            raise DomainError("sample points must be finite")
+        h, w = shape[:2]
+        self.shape = (h, w)
+        self.points = points
+        pr = np.clip(points[..., 0], 0.0, h - 1.0)
+        pc = np.clip(points[..., 1], 0.0, w - 1.0)
+        i0 = np.minimum(np.floor(pr), h - 2).astype(np.intp)
+        j0 = np.minimum(np.floor(pc), w - 2).astype(np.intp)
+        self.fr = pr - i0
+        self.fc = pc - j0
+        k00 = i0 * w + j0
+        self.k4 = np.stack([k00, k00 + 1, k00 + w, k00 + (w + 1)])
+
+    def _corners(self, values):
+        """Corner values (v00, v01, v10, v11) and offsets shaped to broadcast."""
+        h, w = self.shape
+        flat = values.reshape((h * w,) + values.shape[2:])
+        v = np.take(flat, self.k4, axis=0)
+        fr, fc = self.fr, self.fc
+        if values.ndim == 3:
+            fr = fr[..., None]
+            fc = fc[..., None]
+        return v[0], v[1], v[2], v[3], fr, fc
+
+    def sample(self, values: np.ndarray) -> np.ndarray:
+        """Bilinear sample of a (H, W) or (H, W, C) array at the points."""
+        v00, v01, v10, v11, fr, fc = self._corners(values)
+        top = v00 + fc * (v01 - v00)
+        bot = v10 + fc * (v11 - v10)
+        return top + fr * (bot - top)
+
+    def sample_grad(self, values: np.ndarray):
+        """Sample plus its exact derivative w.r.t. the point coordinates.
+
+        Returns (value, d/d_row, d/d_col). The derivative is zero where the
+        coordinate is clamped outside the domain.
+        """
+        h, w = self.shape
+        v00, v01, v10, v11, fr, fc = self._corners(values)
+        inside_r = (self.points[..., 0] > 0.0) & (self.points[..., 0] < h - 1.0)
+        inside_c = (self.points[..., 1] > 0.0) & (self.points[..., 1] < w - 1.0)
+        if values.ndim == 3:
+            inside_r = inside_r[..., None]
+            inside_c = inside_c[..., None]
+        top = v00 + fc * (v01 - v00)
+        bot = v10 + fc * (v11 - v10)
+        val = top + fr * (bot - top)
+        d_row = np.where(inside_r, bot - top, 0.0)
+        left = v00 + fr * (v10 - v00)
+        right = v01 + fr * (v11 - v01)
+        d_col = np.where(inside_c, right - left, 0.0)
+        return val, d_row, d_col
+
+    def splat(self, values: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`sample`: scatter per-point values onto the nodes.
+
+        ``values`` has the points' leading shape (+ channels); returns an
+        (H, W) (+ channels) array of bilinearly weighted sums. One
+        ``np.bincount`` per channel adds into each node in the order of the
+        corners 00, 01, 10, 11, then of the points.
+        """
+        h, w = self.shape
+        fr, fc = self.fr, self.fc
+        w4 = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc])
+        idx = self.k4.ravel()
+        flat = values.reshape(fr.shape + (-1,))
+        out = np.stack(
+            [
+                np.bincount(idx, (w4 * flat[..., c]).ravel(), h * w)
+                for c in range(flat.shape[-1])
+            ],
+            axis=-1,
+        )
+        return out.reshape((h, w) + values.shape[fr.ndim:])
 
 
 def sample_values(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Bilinear sample of a (H, W) or (H, W, C) array at (..., 2) points.
 
-    Coordinates are clamped to the domain before interpolation; sampling at
-    integer grid coordinates reproduces node values exactly.
+    Coordinates are clamped to the domain before interpolation. Sampling at
+    integer grid coordinates reproduces node values exactly, except on the
+    last row and column: those nodes are reached at offset 1 from the cell
+    before them, and ``v0 + 1 * (v1 - v0)`` can round away from ``v1``.
     """
-    if not np.all(np.isfinite(points)):
-        raise DomainError("sample points must be finite")
-    h, w = values.shape[:2]
-    i0, j0, fr, fc = _bilinear_weights(points, h, w)
-    if values.ndim == 3:
-        fr = fr[..., None]
-        fc = fc[..., None]
-    v00 = values[i0, j0]
-    v01 = values[i0, j0 + 1]
-    v10 = values[i0 + 1, j0]
-    v11 = values[i0 + 1, j0 + 1]
-    top = v00 + fc * (v01 - v00)
-    bot = v10 + fc * (v11 - v10)
-    return top + fr * (bot - top)
+    return Stencil(points, values.shape).sample(values)
 
 
 def sample_values_grad(values: np.ndarray, points: np.ndarray):
-    """Bilinear sample plus its exact derivative w.r.t. the point coordinates.
-
-    Returns (value, d/d_row, d/d_col). The derivative is zero where the
-    coordinate is clamped outside the domain.
-    """
-    if not np.all(np.isfinite(points)):
-        raise DomainError("sample points must be finite")
-    h, w = values.shape[:2]
-    i0, j0, fr, fc = _bilinear_weights(points, h, w)
-    inside_r = (points[..., 0] > 0.0) & (points[..., 0] < h - 1.0)
-    inside_c = (points[..., 1] > 0.0) & (points[..., 1] < w - 1.0)
-    if values.ndim == 3:
-        fr = fr[..., None]
-        fc = fc[..., None]
-        inside_r = inside_r[..., None]
-        inside_c = inside_c[..., None]
-    v00 = values[i0, j0]
-    v01 = values[i0, j0 + 1]
-    v10 = values[i0 + 1, j0]
-    v11 = values[i0 + 1, j0 + 1]
-    top = v00 + fc * (v01 - v00)
-    bot = v10 + fc * (v11 - v10)
-    val = top + fr * (bot - top)
-    d_row = np.where(inside_r, bot - top, 0.0)
-    left = v00 + fr * (v10 - v00)
-    right = v01 + fr * (v11 - v01)
-    d_col = np.where(inside_c, right - left, 0.0)
-    return val, d_row, d_col
+    """Bilinear sample plus its derivative; see :meth:`Stencil.sample_grad`."""
+    return Stencil(points, values.shape).sample_grad(values)
 
 
 def splat_values(points: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
@@ -194,22 +236,7 @@ def splat_values(points: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
     ``points`` is (..., 2), ``values`` is points.shape[:-1] (+ channels);
     returns an array of ``shape`` (+ channels) with bilinearly-weighted sums.
     """
-    h, w = shape[:2]
-    i0, j0, fr, fc = _bilinear_weights(points, h, w)
-    channels = values.shape[len(points.shape) - 1:]
-    out = np.zeros((h, w) + channels)
-    if channels:
-        fr = fr[..., None]
-        fc = fc[..., None]
-    w00 = (1 - fr) * (1 - fc)
-    w01 = (1 - fr) * fc
-    w10 = fr * (1 - fc)
-    w11 = fr * fc
-    np.add.at(out, (i0, j0), w00 * values)
-    np.add.at(out, (i0, j0 + 1), w01 * values)
-    np.add.at(out, (i0 + 1, j0), w10 * values)
-    np.add.at(out, (i0 + 1, j0 + 1), w11 * values)
-    return out
+    return Stencil(points, shape).splat(values)
 
 
 def sample_field(field: DisplacementField, point) -> tuple[float, float]:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .fields import DisplacementField, LabelImage, compose, field_rms_diff, self_compose_m
 from .lie import RootChain
+from .registration import _mean_sq_displacement
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,6 @@ def rec_loss(
     return total
 
 
-def _mean_sq_displacement(field: DisplacementField) -> float:
-    return float(np.mean(np.sum(field.u * field.u, axis=-1)))
-
-
 def inv_loss(chain_ab: RootChain, chain_ba: RootChain) -> float:
     """Per-level inverse consistency: mean-square displacement (components
     summed) of composing corresponding roots, summed over levels."""
@@ -64,7 +61,7 @@ def inv_loss(chain_ab: RootChain, chain_ba: RootChain) -> float:
         )
     total = 0.0
     for ra, rb in zip(chain_ab.roots, chain_ba.roots):
-        total += _mean_sq_displacement(compose(ra, rb))
+        total += _mean_sq_displacement(compose(ra, rb).u)
     return total
 
 

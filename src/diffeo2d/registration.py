@@ -24,14 +24,13 @@ from .fields import (
     DisplacementField,
     Grid,
     ScalarImage,
+    Stencil,
     _check_same_grid,
     compose,
     field_rms_diff,
     grid_coords,
     identity_field,
     sample_values,
-    sample_values_grad,
-    splat_values,
     warp_image,
 )
 
@@ -52,7 +51,6 @@ class RegistrationConfig:
     step_size: float = 1.0
     update_smoothing_sigma: float = 1.5
     field_smoothing_sigma: float = 0.5
-    similarity: str = "SSD"
 
     def __post_init__(self):
         if self.lambda_sim < 0 or self.lambda_reg < 0:
@@ -63,8 +61,6 @@ class RegistrationConfig:
             raise DomainError("step_size must be > 0")
         if self.update_smoothing_sigma < 0 or self.field_smoothing_sigma < 0:
             raise DomainError("smoothing sigmas must be >= 0")
-        if self.similarity != "SSD":
-            raise DomainError(f"unsupported similarity {self.similarity!r}")
 
 
 @dataclass
@@ -91,16 +87,16 @@ def sim_loss(
     return mse(a, warp_image(b, phi_ab)) + mse(b, warp_image(a, phi_ba))
 
 
-def _mean_sq_displacement(field: DisplacementField) -> float:
+def _mean_sq_displacement(u: np.ndarray) -> float:
     """Mean over pixels of the squared displacement norm (components summed)."""
-    return float(np.mean(np.sum(field.u * field.u, axis=-1)))
+    return float(np.mean(np.sum(u * u, axis=-1)))
 
 
 def icon_loss(phi_ab: DisplacementField, phi_ba: DisplacementField) -> float:
     """Inverse-consistency: mean-square displacement of both composition orders."""
     _check_same_grid(phi_ab, phi_ba)
-    return _mean_sq_displacement(compose(phi_ab, phi_ba)) + _mean_sq_displacement(
-        compose(phi_ba, phi_ab)
+    return _mean_sq_displacement(compose(phi_ab, phi_ba).u) + _mean_sq_displacement(
+        compose(phi_ba, phi_ab).u
     )
 
 
@@ -134,40 +130,56 @@ def frozen_loss_and_grad(
 
     Returns (loss, grad) with grad of shape (H, W, 2).
     """
+    x = grid_coords(a.grid)
+    shape = a.grid.shape
+    terms, grad = _frozen_terms(
+        a, b, u_var, u_other, Stencil(x + u_var, shape), Stencil(x + u_other, shape),
+        lambda_sim, lambda_reg, cross,
+    )
+    m_var, m_other, icon_1, icon_2 = terms
+    loss = lambda_sim * m_var + lambda_sim * m_other + lambda_reg * icon_1 + lambda_reg * icon_2
+    return loss, grad
+
+
+def _frozen_terms(a, b, u_var, u_other, s_var, s_other, lambda_sim, lambda_reg, cross=None):
+    """Unweighted terms of the frozen-partner objective, and its gradient.
+
+    ``s_var`` and ``s_other`` are the stencils of x + u_var and x + u_other.
+    Returns ((m_var, m_other, icon_1, icon_2), grad): the similarity of each
+    direction and the mean-square displacement of each composition order.
+    With a fresh ``cross`` these are the terms of :func:`sim_loss` and
+    :func:`icon_loss` at the current fields.
+    """
     h, w = a.values.shape
     n = h * w
-    x = grid_coords(a.grid)
     grad = np.zeros((h, w, 2))
-    loss = 0.0
 
     # Similarity: mean((B(x + u_var) - A)^2); exact bilinear derivative.
-    warped, d_row, d_col = sample_values_grad(b.values, x + u_var)
+    warped, d_row, d_col = s_var.sample_grad(b.values)
     resid = warped - a.values
-    loss += lambda_sim * float(np.mean(resid * resid))
+    m_var = float(np.mean(resid * resid))
     # Constant partner similarity term, included so the value is the full loss.
-    other_warp = sample_values(a.values, x + u_other)
-    other_resid = other_warp - b.values
-    loss += lambda_sim * float(np.mean(other_resid * other_resid))
+    other_resid = s_other.sample(a.values) - b.values
+    m_other = float(np.mean(other_resid * other_resid))
     grad[..., 0] += lambda_sim * (2.0 / n) * resid * d_row
     grad[..., 1] += lambda_sim * (2.0 / n) * resid * d_col
 
     # Consistency term 1: u_other(x) + u_var(x + u_other(x)); linear in the
     # nodes of u_var, so the gradient is the adjoint (bilinear splat).
-    pts = x + u_other
-    r1 = u_other + sample_values(u_var, pts)
-    loss += lambda_reg * float(np.mean(np.sum(r1 * r1, axis=-1)))
-    grad += lambda_reg * (2.0 / n) * splat_values(pts, r1, (h, w))
+    r1 = u_other + s_other.sample(u_var)
+    icon_1 = _mean_sq_displacement(r1)
+    grad += lambda_reg * (2.0 / n) * s_other.splat(r1)
 
     # Consistency term 2: u_var(x) + [u_other sampled at x + u_var], with the
     # sample frozen (residual pushback, no differentiation through the
     # partner's interpolation).
     if cross is None:
-        cross = sample_values(u_other, x + u_var)
+        cross = s_var.sample(u_other)
     r2 = u_var + cross
-    loss += lambda_reg * float(np.mean(np.sum(r2 * r2, axis=-1)))
+    icon_2 = _mean_sq_displacement(r2)
     grad += lambda_reg * (2.0 / n) * r2
 
-    return loss, grad
+    return (m_var, m_other, icon_1, icon_2), grad
 
 
 def _downsample(values: np.ndarray) -> np.ndarray:
@@ -186,19 +198,50 @@ def _upsample_field(u: np.ndarray, shape) -> np.ndarray:
 def _smooth_field(u: np.ndarray, sigma: float) -> np.ndarray:
     if sigma <= 0:
         return u
-    return np.stack(
-        [
-            gaussian_filter(u[..., 0], sigma, mode="nearest"),
-            gaussian_filter(u[..., 1], sigma, mode="nearest"),
-        ],
-        axis=-1,
-    )
+    return gaussian_filter(u, (sigma, sigma, 0.0), mode="nearest")
+
+
+def _field_stencil(x, u, iteration, level):
+    """Stencil of x + u for a field the optimizer just produced; a field
+    that has left the finite numbers is divergence, not bad input."""
+    try:
+        return Stencil(x + u, u.shape)
+    except DomainError:
+        raise ConvergenceError(
+            f"registration diverged at iteration {iteration} (level {level}): "
+            "non-finite displacement field",
+            residual=float("inf"),
+            iterations=iteration,
+        ) from None
+
+
+def _history_row(cfg, terms, iteration, level):
+    """(iteration, l_sim, l_reg, l_p) from the terms of :func:`_frozen_terms`
+    at the fields after ``iteration``, summed as :func:`primary_loss` does."""
+    m_ab, m_ba, icon_1, icon_2 = terms
+    l_sim = m_ab + m_ba
+    l_reg = icon_1 + icon_2
+    l_p = cfg.lambda_sim * l_sim + cfg.lambda_reg * l_reg
+    if not np.isfinite(l_p):
+        raise ConvergenceError(
+            f"registration diverged at iteration {iteration} (level {level})",
+            residual=l_p,
+            iterations=iteration,
+        )
+    return (iteration, l_sim, l_reg, l_p)
 
 
 def register_pair(
     a: ScalarImage, b: ScalarImage, cfg: RegistrationConfig = RegistrationConfig()
 ) -> RegistrationResult:
-    """Coarse-to-fine alternating descent on both direction fields."""
+    """Coarse-to-fine alternating descent on both direction fields.
+
+    Each iteration steps u_AB, then u_BA, on the frozen-partner objective.
+    ``loss_history`` row ``it`` holds (it, l_sim, l_reg, l_p) at the fields
+    after iteration ``it``. Those are the terms the next iteration's first
+    frozen evaluation computes anyway, so they are taken from there; the
+    last row of each level is evaluated once at the end of the level.
+    """
     _check_same_grid(a, b)
     pyramid = [(a.values, b.values)]
     for _ in range(cfg.pyramid_levels - 1):
@@ -220,34 +263,31 @@ def register_pair(
         grid = Grid(*va.shape)
         la = ScalarImage(grid, va)
         lb = ScalarImage(grid, vb)
-        npix = va.size
-        for _ in range(cfg.iterations_per_level):
-            _, g_ab = frozen_loss_and_grad(
-                la, lb, u_ab, u_ba, cfg.lambda_sim, cfg.lambda_reg
+        x = grid_coords(grid)
+        s_ab = _field_stencil(x, u_ab, global_it, level)
+        s_ba = _field_stencil(x, u_ba, global_it, level)
+        step = cfg.step_size * va.size
+        for i in range(cfg.iterations_per_level):
+            terms, g_ab = _frozen_terms(
+                la, lb, u_ab, u_ba, s_ab, s_ba, cfg.lambda_sim, cfg.lambda_reg
             )
-            step = cfg.step_size * npix
+            if i > 0:
+                history.append(_history_row(cfg, terms, global_it - 1, level))
             u_ab = u_ab - step * _smooth_field(g_ab, cfg.update_smoothing_sigma)
             u_ab = _smooth_field(u_ab, cfg.field_smoothing_sigma)
+            s_ab = _field_stencil(x, u_ab, global_it, level)
 
-            _, g_ba = frozen_loss_and_grad(
-                lb, la, u_ba, u_ab, cfg.lambda_sim, cfg.lambda_reg
+            _, g_ba = _frozen_terms(
+                lb, la, u_ba, u_ab, s_ba, s_ab, cfg.lambda_sim, cfg.lambda_reg
             )
             u_ba = u_ba - step * _smooth_field(g_ba, cfg.update_smoothing_sigma)
             u_ba = _smooth_field(u_ba, cfg.field_smoothing_sigma)
-
-            f_ab = DisplacementField(grid, u_ab)
-            f_ba = DisplacementField(grid, u_ba)
-            l_sim = sim_loss(la, lb, f_ab, f_ba)
-            l_reg = icon_loss(f_ab, f_ba)
-            l_p = cfg.lambda_sim * l_sim + cfg.lambda_reg * l_reg
-            if not np.isfinite(l_p):
-                raise ConvergenceError(
-                    f"registration diverged at iteration {global_it} (level {level})",
-                    residual=l_p,
-                    iterations=global_it,
-                )
-            history.append((global_it, l_sim, l_reg, l_p))
+            s_ba = _field_stencil(x, u_ba, global_it, level)
             global_it += 1
+        terms, _ = _frozen_terms(
+            la, lb, u_ab, u_ba, s_ab, s_ba, cfg.lambda_sim, cfg.lambda_reg
+        )
+        history.append(_history_row(cfg, terms, global_it - 1, level))
 
     grid = a.grid
     phi_ab = DisplacementField(grid, u_ab)

@@ -197,13 +197,8 @@ def random_log_field(spec: RandomFieldSpec) -> LogField:
     grid = spec.grid
     rng = np.random.default_rng(spec.seed)
     noise = rng.standard_normal((grid.height, grid.width, 2))
-    smooth = np.stack(
-        [
-            gaussian_filter(noise[..., 0], spec.smoothing_sigma, mode="nearest"),
-            gaussian_filter(noise[..., 1], spec.smoothing_sigma, mode="nearest"),
-        ],
-        axis=-1,
-    )
+    sigma = spec.smoothing_sigma
+    smooth = gaussian_filter(noise, (sigma, sigma, 0.0), mode="nearest")
     smooth *= _border_taper(grid)[..., None]
     max_norm = float(np.max(np.hypot(smooth[..., 0], smooth[..., 1])))
     if spec.amplitude == 0.0 or max_norm == 0.0:

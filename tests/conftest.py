@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.ndimage import gaussian_filter
 
 from diffeo2d import (
@@ -12,6 +13,11 @@ from diffeo2d import (
 )
 
 GRID64 = Grid(64, 64)
+
+# Property tests draw the same examples on every run (no example database,
+# no wall-clock deadline), so the suite is deterministic on a loaded host.
+settings.register_profile("diffeo2d", derandomize=True, deadline=None, database=None)
+settings.load_profile("diffeo2d")
 
 # Optimizer settings used for all synthetic-suite registration checks; the
 # dataclass defaults favor gentler smoothing, these favor recovery accuracy.

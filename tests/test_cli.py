@@ -116,6 +116,15 @@ class TestRegisterPipeline:
         header = (tmp_path / "loss.csv").read_text().splitlines()[0]
         assert header == "iteration,l_sim,l_reg,l_p"
 
+    def test_divergence_numerical_error(self, tmp_path):
+        data = tmp_path / "data"
+        run("synth", "--kind", "gaussian_blobs", "--seed", 2, "--subjects", 1,
+            "--out-dir", data)
+        assert run("register", "--a", data / "image.pgm",
+                   "--b", data / "subject_000_image.pgm",
+                   "--out-ab", tmp_path / "ab.mfld", "--iterations", 5,
+                   "--step-size", "1e300") == 3
+
     def test_deterministic_rerun(self, tmp_path):
         data = tmp_path / "data"
         run("synth", "--kind", "gaussian_blobs", "--seed", 2, "--subjects", 1,

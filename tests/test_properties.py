@@ -1,0 +1,121 @@
+"""Property tests of the bilinear stencil and the identity law, on inputs
+drawn by hypothesis (deterministic profile registered in conftest.py)."""
+
+import numpy as np
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from diffeo2d import DisplacementField, Grid, compose, identity_field
+from diffeo2d.fields import Stencil, sample_values, splat_values
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def values_and_points(draw, max_side=9, max_points=24):
+    """Node values on a random grid (scalar, 1- or 2-channel) and a point set
+    reaching up to 3 px outside the domain on every side."""
+    h = draw(st.integers(2, max_side))
+    w = draw(st.integers(2, max_side))
+    channels = draw(st.sampled_from([(), (1,), (2,)]))
+    values = draw(arrays(np.float64, (h, w) + channels, elements=finite))
+    n = draw(st.integers(1, max_points))
+    coord = st.floats(-3.0, max(h, w) + 2.0, allow_nan=False)
+    points = draw(arrays(np.float64, (n, 2), elements=coord))
+    return values, points
+
+
+def _reference_sample(values, points):
+    """Corner-by-corner fancy-indexing form of the bilinear sample."""
+    h, w = values.shape[:2]
+    pr = np.clip(points[..., 0], 0.0, h - 1.0)
+    pc = np.clip(points[..., 1], 0.0, w - 1.0)
+    i0 = np.minimum(np.floor(pr), h - 2).astype(np.intp)
+    j0 = np.minimum(np.floor(pc), w - 2).astype(np.intp)
+    fr, fc = pr - i0, pc - j0
+    if values.ndim == 3:
+        fr, fc = fr[..., None], fc[..., None]
+    top = values[i0, j0] + fc * (values[i0, j0 + 1] - values[i0, j0])
+    bot = values[i0 + 1, j0] + fc * (values[i0 + 1, j0 + 1] - values[i0 + 1, j0])
+    return top + fr * (bot - top), (i0, j0, fr, fc)
+
+
+def _reference_splat(points, r, shape):
+    """Four sequential ``np.add.at`` calls, one per corner."""
+    _, (i0, j0, fr, fc) = _reference_sample(np.zeros(shape[:2]), points)
+    out = np.zeros(shape)
+    if r.ndim == 2:
+        fr, fc = fr[..., None], fc[..., None]
+    np.add.at(out, (i0, j0), (1 - fr) * (1 - fc) * r)
+    np.add.at(out, (i0, j0 + 1), (1 - fr) * fc * r)
+    np.add.at(out, (i0 + 1, j0), fr * (1 - fc) * r)
+    np.add.at(out, (i0 + 1, j0 + 1), fr * fc * r)
+    return out
+
+
+@given(values_and_points(), st.data())
+def test_sample_splat_adjoint(vp, data):
+    # <sample(u, p), r> == <u, splat(p, r)> for every u and r.
+    u, p = vp
+    r = data.draw(arrays(np.float64, p.shape[:1] + u.shape[2:], elements=finite))
+    stencil = Stencil(p, u.shape)
+    lhs = float(np.sum(stencil.sample(u) * r))
+    rhs = float(np.sum(u * stencil.splat(r)))
+    scale = float(np.sum(np.abs(r))) * max(float(np.max(np.abs(u))), 1.0)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@given(values_and_points(), st.data())
+def test_stencil_matches_corner_by_corner_reference(vp, data):
+    # np.take gathers and np.bincount splats do the same float operations
+    # in the same order as fancy indexing and np.add.at.
+    u, p = vp
+    r = data.draw(arrays(np.float64, p.shape[:1] + u.shape[2:], elements=finite))
+    expected, _ = _reference_sample(u, p)
+    assert np.array_equal(sample_values(u, p), expected)
+    assert np.array_equal(splat_values(p, r, u.shape[:2]), _reference_splat(p, r, u.shape))
+
+
+@given(
+    st.integers(2, 9),
+    st.integers(2, 9),
+    st.sampled_from([(), (2,)]),
+    st.data(),
+)
+def test_sample_grad_matches_central_differences(h, w, channels, data):
+    # Away from cell edges the bilinear sample is linear along each
+    # coordinate, so a central difference is exact up to rounding.
+    u = data.draw(arrays(np.float64, (h, w) + channels, elements=finite))
+    n = data.draw(st.integers(1, 12))
+    cell = data.draw(arrays(np.int64, (n, 2), elements=st.integers(0, 7)))
+    frac = data.draw(arrays(np.float64, (n, 2), elements=st.floats(0.05, 0.95)))
+    p = np.minimum(cell, [h - 2, w - 2]) + frac
+    val, d_row, d_col = Stencil(p, u.shape).sample_grad(u)
+    assert np.array_equal(val, sample_values(u, p))
+    eps = 1e-6
+    for axis, analytic in ((0, d_row), (1, d_col)):
+        step = np.zeros(2)
+        step[axis] = eps
+        fd = (sample_values(u, p + step) - sample_values(u, p - step)) / (2 * eps)
+        assert np.allclose(analytic, fd, rtol=0.0, atol=1e-6)
+
+
+@given(st.integers(2, 9), st.integers(2, 9), st.data())
+def test_compose_with_identity(h, w, data):
+    grid = Grid(h, w)
+    u = data.draw(arrays(np.float64, (h, w, 2), elements=finite))
+    f = DisplacementField(grid, u)
+    ident = identity_field(grid)
+    assert np.array_equal(compose(ident, f).u, u)
+    right = compose(f, ident).u
+    # Interior nodes sample with zero offsets and come back exactly. The last
+    # row and column use the cell before them at offset 1, where
+    # v0 + 1 * (v1 - v0) can round away from v1.
+    assert np.array_equal(right[:-1, :-1], u[:-1, :-1])
+    assert np.allclose(right, u, rtol=0.0, atol=1e-13)
+    # Fields that vanish on the last row and column (as synth's tapered
+    # fields do) therefore compose with the identity exactly everywhere.
+    u[-1, :] = 0.0
+    u[:, -1] = 0.0
+    f = DisplacementField(grid, u)
+    assert np.array_equal(compose(f, ident).u, u)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from diffeo2d import (
     warp_image,
 )
 from diffeo2d import RandomFieldSpec
-from diffeo2d.errors import ShapeError
+from diffeo2d.errors import ConvergenceError, ShapeError
 from diffeo2d.registration import frozen_loss_and_grad, mse
 
 from conftest import GRID64, SUITE_REG_CONFIG, constant_field, suite_field, textured_image
@@ -164,18 +166,39 @@ class TestRegisterPair:
     def test_final_level_descends(self):
         a, b, _ = ground_truth_pair(7)
         res = register_pair(a, b, SUITE_REG_CONFIG)
-        # History restarts iteration numbering at each level; isolate the
-        # final level as the last run of increasing iteration indices.
+        # Iteration numbers run on across levels, one history row per
+        # iteration; the final level is the last iterations_per_level rows.
         iters = [row[0] for row in res.loss_history]
-        start = max(i for i, it in enumerate(iters) if it == 1)
-        final = [row[3] for row in res.loss_history[start:]]
+        assert iters == list(range(len(iters)))
+        final = [row[3] for row in res.loss_history[-SUITE_REG_CONFIG.iterations_per_level:]]
         assert final[-1] <= final[0]
+
+    def test_history_ends_at_returned_fields(self):
+        # The last history row equals the loss functions re-evaluated on the
+        # returned fields, bit for bit.
+        a, b, _ = ground_truth_pair(9)
+        cfg = replace(SUITE_REG_CONFIG, iterations_per_level=20, lambda_sim=0.7)
+        res = register_pair(a, b, cfg)
+        assert len(res.loss_history) == cfg.pyramid_levels * cfg.iterations_per_level
+        expected = (
+            sim_loss(a, b, res.phi_ab, res.phi_ba),
+            icon_loss(res.phi_ab, res.phi_ba),
+            primary_loss(a, b, res.phi_ab, res.phi_ba, cfg),
+        )
+        assert res.loss_history[-1][1:] == expected
+
+    def test_divergence_is_convergence_error(self):
+        # A step that overflows the fields is divergence (exit 3 in the
+        # CLI), not a domain error in the inputs.
+        a, b, _ = ground_truth_pair(10)
+        cfg = RegistrationConfig(step_size=1e300, iterations_per_level=5)
+        with pytest.raises(ConvergenceError) as info:
+            register_pair(a, b, cfg)
+        assert info.value.iterations == 0
 
     def test_icon_weight_improves_consistency(self):
         a, b, _ = ground_truth_pair(8)
         cfg_on = SUITE_REG_CONFIG
-        from dataclasses import replace
-
         cfg_off = replace(SUITE_REG_CONFIG, lambda_reg=0.0)
         on = register_pair(a, b, cfg_on)
         off = register_pair(a, b, cfg_off)
