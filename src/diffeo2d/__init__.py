@@ -71,6 +71,7 @@ from .registration import (
     icon_loss,
     primary_loss,
     register_pair,
+    register_pairs,
     sim_loss,
 )
 from .synth import (

@@ -1,10 +1,10 @@
 """Iterative atlas estimation in the linearized latent space.
 
-One step: register the current atlas to every image both ways, take logs of
-all transforms, fit (or reuse) a symmetrized basis, average the
-atlas-to-image codes, decode the negated mean, and warp the atlas by the
-resulting field. Convergence is the relative Frobenius change of the atlas
-intensities.
+One step: register the current atlas to every image both ways (all images
+in one :func:`register_pairs` loop), take logs of all transforms, fit (or
+reuse) a symmetrized basis, average the atlas-to-image codes, decode the
+negated mean, and warp the atlas by the resulting field. Convergence is the
+relative Frobenius change of the atlas intensities.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import ConvergenceError, DomainError, RankError
 from .fields import ScalarImage, warp_image
 from .latent import LogEuclideanBasis, decode_root, encode, fit_basis
 from .lie import SolverConfig, log_field
-from .registration import RegistrationConfig, register_pair
+from .registration import RegistrationConfig, register_pairs
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,12 @@ def atlas_step(
     cfg: AtlasConfig = AtlasConfig(),
     basis: LogEuclideanBasis | None = None,
 ) -> AtlasState:
-    """One outer iteration; pass ``basis`` to reuse a previously fitted one."""
+    """One outer iteration; pass ``basis`` to reuse a previously fitted one.
+
+    A registration that diverges raises ConvergenceError naming the image
+    (``index``): the lowest-index image whose registration failed, at the
+    first iteration where any did.
+    """
     if len(images) < 2:
         raise DomainError("atlas estimation needs at least 2 images")
     atlas = state.atlas
@@ -66,19 +71,18 @@ def atlas_step(
     if atlas_norm == 0.0:
         raise DomainError("degenerate input: atlas has zero intensity norm")
 
+    try:
+        regs = register_pairs([atlas] * len(images), images, cfg.reg_config)
+    except ConvergenceError as err:
+        raise _image_failed(err.index, err) from err
     logs_forward = []  # atlas -> image
     logs_backward = []
-    for idx, img in enumerate(images):
+    for idx, reg in enumerate(regs):
         try:
-            reg = register_pair(atlas, img, cfg.reg_config)
             logs_forward.append(log_field(reg.phi_ab, cfg.root_depth, cfg.solver))
             logs_backward.append(log_field(reg.phi_ba, cfg.root_depth, cfg.solver))
         except ConvergenceError as err:
-            raise ConvergenceError(
-                f"atlas step failed on image {idx}: {err}",
-                residual=err.residual,
-                iterations=err.iterations,
-            ) from err
+            raise _image_failed(idx, err) from err
 
     all_logs = logs_forward + logs_backward
     if basis is None:
@@ -102,6 +106,15 @@ def atlas_step(
         delta_history=state.delta_history + [delta],
         converged=delta < cfg.epsilon,
         basis=basis,
+    )
+
+
+def _image_failed(idx, err):
+    return ConvergenceError(
+        f"atlas step failed on image {idx}: {err}",
+        residual=err.residual,
+        iterations=err.iterations,
+        index=idx,
     )
 
 

@@ -88,13 +88,14 @@ def _add_solver_flags(p):
 
 
 def _add_reg_flags(p):
-    p.add_argument("--lambda-sim", type=float, default=1.0)
-    p.add_argument("--lambda-reg", type=float, default=1.0)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--iterations", type=int, default=300)
-    p.add_argument("--step-size", type=float, default=0.45)
-    p.add_argument("--sigma-update", type=float, default=1.0)
-    p.add_argument("--sigma-field", type=float, default=0.0)
+    d = RegistrationConfig()
+    p.add_argument("--lambda-sim", type=float, default=d.lambda_sim)
+    p.add_argument("--lambda-reg", type=float, default=d.lambda_reg)
+    p.add_argument("--levels", type=int, default=d.pyramid_levels)
+    p.add_argument("--iterations", type=int, default=d.iterations_per_level)
+    p.add_argument("--step-size", type=float, default=d.step_size)
+    p.add_argument("--sigma-update", type=float, default=d.update_smoothing_sigma)
+    p.add_argument("--sigma-field", type=float, default=d.field_smoothing_sigma)
 
 
 def _add_common(p):

@@ -10,12 +10,17 @@ class ShapeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to converge within its iteration budget."""
+    """An iterative solver failed to converge within its iteration budget.
 
-    def __init__(self, message, residual=None, iterations=None):
+    ``index`` names the failed item when the solver runs a batch of
+    independent problems (registration of several pairs in one loop).
+    """
+
+    def __init__(self, message, residual=None, iterations=None, index=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.index = index
 
 
 class RankError(ValueError):
@@ -64,3 +69,7 @@ class UnsupportedChannelsError(FieldFileError):
 
 class NonFiniteDataError(FieldFileError):
     pass
+
+
+class NonOrthonormalBasisError(FieldFileError):
+    """Basis-file components fail the orthonormality check on load."""

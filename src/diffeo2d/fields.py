@@ -17,6 +17,15 @@ point set has one stencil: code that reads the same points more than once
 (registration samples and splats at ``x + u`` several times per step) builds
 the stencil once and reuses it. ``sample_values``, ``sample_values_grad`` and
 ``splat_values`` are one-shot wrappers for callers with a single use.
+
+The stencil is planar: it takes the row and column coordinates as two
+arrays and computes on one channel plane at a time, because weights that
+broadcast over a trailing axis of length 2 cost several times more than the
+same products on a plane. Fields keep their ``(H, W, 2)`` layout outside;
+the wrappers split the points and the stencil loops over the channels. A
+stencil may also carry a leading subject axis, ``(N, H, W)``: N point sets
+on N grids of one shape, indexed into one flattened stack, so that a batch
+of registrations costs one gather and one splat per plane, not N.
 """
 
 from __future__ import annotations
@@ -128,46 +137,66 @@ def grid_coords(grid: Grid) -> np.ndarray:
 
 
 class Stencil:
-    """Clamped bilinear stencil of one point set on one grid.
+    """Clamped bilinear stencil of one point set on one grid, or of N point
+    sets on a stack of N grids of one shape.
 
-    Built once per point set, it holds what sampling, sampling with the
-    derivative and the adjoint splat all need: the fractional offsets
-    ``fr``, ``fc`` toward the +1 corners and a ``(4, ...)`` array ``k4`` of
-    flat node indices of the corners (00, 01, 10, 11).
+    ``shape`` is ``(H, W)``, or ``(N, H, W)`` with a leading subject axis.
+    ``rows`` and ``cols`` hold the point coordinates; with a subject axis
+    they lead with it too, and subject ``n``'s points read plane ``n`` only.
+    Built once per point set, the stencil keeps what sampling, sampling
+    with the derivative and the adjoint splat all need: the fractional
+    offsets ``fr``, ``fc`` toward the +1 corners and a ``(4, ...)`` array
+    ``k4`` of flat node indices of the corners (00, 01, 10, 11). Indices
+    run over the flattened stack, so subject ``n``'s are offset by
+    ``n*H*W`` and one gather or one ``np.bincount`` serves all subjects.
+
+    The methods compute on one array of ``shape`` at a time; values with a
+    trailing channel axis are handled one channel plane at a time and the
+    results stacked once at the end.
     """
 
-    def __init__(self, points: np.ndarray, shape):
-        if not np.all(np.isfinite(points)):
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
+        if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(cols))):
             raise DomainError("sample points must be finite")
-        h, w = shape[:2]
-        self.shape = (h, w)
-        self.points = points
-        pr = np.clip(points[..., 0], 0.0, h - 1.0)
-        pc = np.clip(points[..., 1], 0.0, w - 1.0)
-        i0 = np.minimum(np.floor(pr), h - 2).astype(np.intp)
-        j0 = np.minimum(np.floor(pc), w - 2).astype(np.intp)
-        self.fr = pr - i0
-        self.fc = pc - j0
-        k00 = i0 * w + j0
-        self.k4 = np.stack([k00, k00 + 1, k00 + w, k00 + (w + 1)])
-
-    def _corners(self, values):
-        """Corner values (v00, v01, v10, v11) and offsets shaped to broadcast."""
-        h, w = self.shape
-        flat = values.reshape((h * w,) + values.shape[2:])
-        v = np.take(flat, self.k4, axis=0)
-        fr, fc = self.fr, self.fc
-        if values.ndim == 3:
-            fr = fr[..., None]
-            fc = fc[..., None]
-        return v[0], v[1], v[2], v[3], fr, fc
+        self.shape = tuple(shape)
+        h, w = self.shape[-2:]
+        self.rows = rows
+        self.cols = cols
+        fr = np.clip(rows, 0.0, h - 1.0)
+        fc = np.clip(cols, 0.0, w - 1.0)
+        i0 = np.minimum(np.floor(fr), h - 2).astype(np.intp)
+        j0 = np.minimum(np.floor(fc), w - 2).astype(np.intp)
+        fr -= i0
+        fc -= j0
+        self.fr = fr
+        self.fc = fc
+        k00 = i0 * w
+        k00 += j0
+        if len(self.shape) == 3:
+            n = self.shape[0]
+            k00 += (np.arange(n) * (h * w)).reshape((n,) + (1,) * (k00.ndim - 1))
+        self.k4 = k00 + np.array([0, 1, w, w + 1]).reshape((4,) + (1,) * k00.ndim)
 
     def sample(self, values: np.ndarray) -> np.ndarray:
-        """Bilinear sample of a (H, W) or (H, W, C) array at the points."""
-        v00, v01, v10, v11, fr, fc = self._corners(values)
-        top = v00 + fc * (v01 - v00)
-        bot = v10 + fc * (v11 - v10)
-        return top + fr * (bot - top)
+        """Bilinear sample of an array of ``shape`` (+ channels) at the points."""
+        if values.ndim > len(self.shape):
+            return np.stack(
+                [self.sample(values[..., c]) for c in range(values.shape[-1])], axis=-1
+            )
+        # top = v00 + fc (v01 - v00), bot = v10 + fc (v11 - v10) and
+        # top + fr (bot - top), computed in place on the gathered corners:
+        # the same operations on the same operands, without temporaries.
+        v00, v01, v10, v11 = np.take(values.reshape(-1), self.k4)
+        top = v01 - v00
+        top *= self.fc
+        top += v00
+        v11 -= v10
+        v11 *= self.fc
+        v11 += v10
+        v11 -= top
+        v11 *= self.fr
+        top += v11
+        return top
 
     def sample_grad(self, values: np.ndarray):
         """Sample plus its exact derivative w.r.t. the point coordinates.
@@ -175,43 +204,59 @@ class Stencil:
         Returns (value, d/d_row, d/d_col). The derivative is zero where the
         coordinate is clamped outside the domain.
         """
-        h, w = self.shape
-        v00, v01, v10, v11, fr, fc = self._corners(values)
-        inside_r = (self.points[..., 0] > 0.0) & (self.points[..., 0] < h - 1.0)
-        inside_c = (self.points[..., 1] > 0.0) & (self.points[..., 1] < w - 1.0)
-        if values.ndim == 3:
-            inside_r = inside_r[..., None]
-            inside_c = inside_c[..., None]
-        top = v00 + fc * (v01 - v00)
-        bot = v10 + fc * (v11 - v10)
-        val = top + fr * (bot - top)
-        d_row = np.where(inside_r, bot - top, 0.0)
-        left = v00 + fr * (v10 - v00)
-        right = v01 + fr * (v11 - v01)
-        d_col = np.where(inside_c, right - left, 0.0)
-        return val, d_row, d_col
+        if values.ndim > len(self.shape):
+            planes = [self.sample_grad(values[..., c]) for c in range(values.shape[-1])]
+            return tuple(np.stack(out, axis=-1) for out in zip(*planes))
+        h, w = self.shape[-2:]
+        fr, fc = self.fr, self.fc
+        # As in sample, plus d_row = bot - top and d_col = right - left with
+        # left = v00 + fr (v10 - v00), right = v01 + fr (v11 - v01).
+        v00, v01, v10, v11 = np.take(values.reshape(-1), self.k4)
+        top = v01 - v00
+        top *= fc
+        top += v00
+        d_row = v11 - v10
+        d_row *= fc
+        d_row += v10
+        d_row -= top
+        val = fr * d_row
+        val += top
+        v10 -= v00
+        v10 *= fr
+        v10 += v00
+        v11 -= v01
+        v11 *= fr
+        v11 += v01
+        inside_r = (self.rows > 0.0) & (self.rows < h - 1.0)
+        inside_c = (self.cols > 0.0) & (self.cols < w - 1.0)
+        return val, np.where(inside_r, d_row, 0.0), np.where(inside_c, v11 - v10, 0.0)
 
     def splat(self, values: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`sample`: scatter per-point values onto the nodes.
 
-        ``values`` has the points' leading shape (+ channels); returns an
-        (H, W) (+ channels) array of bilinearly weighted sums. One
+        ``values`` has the points' shape (+ channels); returns an array of
+        ``shape`` (+ channels) of bilinearly weighted sums. One
         ``np.bincount`` per channel adds into each node in the order of the
         corners 00, 01, 10, 11, then of the points.
         """
-        h, w = self.shape
         fr, fc = self.fr, self.fc
         w4 = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc])
         idx = self.k4.ravel()
-        flat = values.reshape(fr.shape + (-1,))
-        out = np.stack(
-            [
-                np.bincount(idx, (w4 * flat[..., c]).ravel(), h * w)
-                for c in range(flat.shape[-1])
-            ],
-            axis=-1,
-        )
-        return out.reshape((h, w) + values.shape[fr.ndim:])
+        size = int(np.prod(self.shape))
+
+        def splat_plane(r):
+            return np.bincount(idx, (w4 * r).ravel(), size).reshape(self.shape)
+
+        if values.ndim > fr.ndim:
+            return np.stack(
+                [splat_plane(values[..., c]) for c in range(values.shape[-1])], axis=-1
+            )
+        return splat_plane(values)
+
+
+def _point_stencil(points: np.ndarray, shape) -> Stencil:
+    """Stencil of (..., 2) points on the grid of an (H, W[, C]) array."""
+    return Stencil(points[..., 0], points[..., 1], shape[:2])
 
 
 def sample_values(values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -222,12 +267,12 @@ def sample_values(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     last row and column: those nodes are reached at offset 1 from the cell
     before them, and ``v0 + 1 * (v1 - v0)`` can round away from ``v1``.
     """
-    return Stencil(points, values.shape).sample(values)
+    return _point_stencil(points, values.shape).sample(values)
 
 
 def sample_values_grad(values: np.ndarray, points: np.ndarray):
     """Bilinear sample plus its derivative; see :meth:`Stencil.sample_grad`."""
-    return Stencil(points, values.shape).sample_grad(values)
+    return _point_stencil(points, values.shape).sample_grad(values)
 
 
 def splat_values(points: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
@@ -236,7 +281,7 @@ def splat_values(points: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
     ``points`` is (..., 2), ``values`` is points.shape[:-1] (+ channels);
     returns an array of ``shape`` (+ channels) with bilinearly-weighted sums.
     """
-    return Stencil(points, shape).splat(values)
+    return _point_stencil(points, shape).splat(values)
 
 
 def sample_field(field: DisplacementField, point) -> tuple[float, float]:

@@ -23,6 +23,7 @@ from .errors import (
     BadVersionError,
     DomainError,
     NonFiniteDataError,
+    NonOrthonormalBasisError,
     PgmFormatError,
     PgmParseError,
     TruncatedPayloadError,
@@ -233,13 +234,15 @@ def read_basis(path) -> LogEuclideanBasis:
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     flat = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise NonFiniteDataError(f"{path}: payload contains non-finite values")
     grid = Grid(h, w)
     mean = flat[:n_field].reshape(h, w, 2).copy()
     comps = flat[n_field : n_field * (1 + dim)].reshape(dim, h, w, 2).copy()
     svals = flat[n_field * (1 + dim) :].copy()
     gram = comps.reshape(dim, -1) @ comps.reshape(dim, -1).T
     if not np.allclose(gram, np.eye(dim), atol=_ORTHO_TOL):
-        raise NonFiniteDataError(f"{path}: components are not orthonormal on load")
+        raise NonOrthonormalBasisError(f"{path}: components are not orthonormal on load")
     return LogEuclideanBasis(
         grid=grid,
         mean=LogField(grid, mean),

@@ -10,6 +10,10 @@ moved by the stepped field is linearized by freezing that sample. The
 gradient is exact for that frozen objective (including the bilinear
 interpolation of the moving image), which is what the finite-difference
 check certifies.
+
+:func:`register_pairs` runs any number of same-grid pairs through one
+optimizer loop, with a leading subject axis on every array and stencil;
+:func:`register_pair` is that loop on one pair.
 """
 
 from __future__ import annotations
@@ -22,35 +26,33 @@ from scipy.ndimage import gaussian_filter
 from .errors import ConvergenceError, DomainError
 from .fields import (
     DisplacementField,
-    Grid,
     ScalarImage,
     Stencil,
     _check_same_grid,
     compose,
     field_rms_diff,
-    grid_coords,
     identity_field,
-    sample_values,
     warp_image,
 )
 
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    """Optimizer and loss weights for :func:`register_pair`.
+    """Optimizer and loss weights for :func:`register_pairs`.
 
     ``step_size`` is in pixels per unit of per-pixel gradient; smoothing
     sigmas are in pixels, applied to the update and to the field itself
-    (demons-style regularization).
+    (demons-style regularization). The defaults are the CLI's: they recover
+    the synthetic suite's 64x64 deformations (acceptance criterion 4).
     """
 
     lambda_sim: float = 1.0
     lambda_reg: float = 1.0
     pyramid_levels: int = 3
-    iterations_per_level: int = 100
-    step_size: float = 1.0
-    update_smoothing_sigma: float = 1.5
-    field_smoothing_sigma: float = 0.5
+    iterations_per_level: int = 300
+    step_size: float = 0.45
+    update_smoothing_sigma: float = 1.0
+    field_smoothing_sigma: float = 0.0
 
     def __post_init__(self):
         if self.lambda_sim < 0 or self.lambda_reg < 0:
@@ -88,8 +90,9 @@ def sim_loss(
 
 
 def _mean_sq_displacement(u: np.ndarray) -> float:
-    """Mean over pixels of the squared displacement norm (components summed)."""
-    return float(np.mean(np.sum(u * u, axis=-1)))
+    """Mean over pixels of the squared displacement norm (components summed)
+    of an (H, W, 2) field."""
+    return float(_mean_sq_planes(np.moveaxis(u, -1, 0)))
 
 
 def icon_loss(phi_ab: DisplacementField, phi_ba: DisplacementField) -> float:
@@ -130,171 +133,257 @@ def frozen_loss_and_grad(
 
     Returns (loss, grad) with grad of shape (H, W, 2).
     """
-    x = grid_coords(a.grid)
-    shape = a.grid.shape
-    terms, grad = _frozen_terms(
-        a, b, u_var, u_other, Stencil(x + u_var, shape), Stencil(x + u_other, shape),
-        lambda_sim, lambda_reg, cross,
-    )
-    m_var, m_other, icon_1, icon_2 = terms
-    loss = lambda_sim * m_var + lambda_sim * m_other + lambda_reg * icon_1 + lambda_reg * icon_2
-    return loss, grad
-
-
-def _frozen_terms(a, b, u_var, u_other, s_var, s_other, lambda_sim, lambda_reg, cross=None):
-    """Unweighted terms of the frozen-partner objective, and its gradient.
-
-    ``s_var`` and ``s_other`` are the stencils of x + u_var and x + u_other.
-    Returns ((m_var, m_other, icon_1, icon_2), grad): the similarity of each
-    direction and the mean-square displacement of each composition order.
-    With a fresh ``cross`` these are the terms of :func:`sim_loss` and
-    :func:`icon_loss` at the current fields.
-    """
-    h, w = a.values.shape
-    n = h * w
-    grad = np.zeros((h, w, 2))
-
-    # Similarity: mean((B(x + u_var) - A)^2); exact bilinear derivative.
+    xr, xc = np.indices(a.grid.shape, dtype=np.float64)
+    u_var = np.moveaxis(u_var, -1, 0)
+    u_other = np.moveaxis(u_other, -1, 0)
+    s_var = Stencil(xr + u_var[0], xc + u_var[1], a.grid.shape)
+    s_other = Stencil(xr + u_other[0], xc + u_other[1], a.grid.shape)
+    if cross is not None:
+        cross = np.moveaxis(cross, -1, 0)
     warped, d_row, d_col = s_var.sample_grad(b.values)
     resid = warped - a.values
-    m_var = float(np.mean(resid * resid))
     # Constant partner similarity term, included so the value is the full loss.
     other_resid = s_other.sample(a.values) - b.values
-    m_other = float(np.mean(other_resid * other_resid))
-    grad[..., 0] += lambda_sim * (2.0 / n) * resid * d_row
-    grad[..., 1] += lambda_sim * (2.0 / n) * resid * d_col
+    r1, r2 = _icon_residuals(u_var, u_other, s_var, s_other, cross)
+    grad = _frozen_grad(resid, d_row, d_col, r1, r2, s_other, lambda_sim, lambda_reg)
+    loss = (
+        lambda_sim * _mean_sq(resid)
+        + lambda_sim * _mean_sq(other_resid)
+        + lambda_reg * _mean_sq_planes(r1)
+        + lambda_reg * _mean_sq_planes(r2)
+    )
+    return float(loss), np.moveaxis(grad, 0, -1)
 
-    # Consistency term 1: u_other(x) + u_var(x + u_other(x)); linear in the
-    # nodes of u_var, so the gradient is the adjoint (bilinear splat).
-    r1 = u_other + s_other.sample(u_var)
-    icon_1 = _mean_sq_displacement(r1)
-    grad += lambda_reg * (2.0 / n) * s_other.splat(r1)
 
-    # Consistency term 2: u_var(x) + [u_other sampled at x + u_var], with the
-    # sample frozen (residual pushback, no differentiation through the
-    # partner's interpolation).
+# The optimizer works on planar fields: a (2, ...) array of the row and the
+# column displacement planes, each of the stencil's shape, so that every
+# product is taken on whole planes (see the ``fields`` module docstring).
+
+
+def _mean_sq(r: np.ndarray) -> np.ndarray:
+    """Mean square over the last two (grid) axes."""
+    return np.mean(r * r, axis=(-2, -1))
+
+
+def _mean_sq_planes(u: np.ndarray) -> np.ndarray:
+    """Mean squared displacement norm of a planar field, per subject."""
+    return np.mean(u[0] * u[0] + u[1] * u[1], axis=(-2, -1))
+
+
+def _plus_sampled(base: np.ndarray, stencil: Stencil, u: np.ndarray) -> np.ndarray:
+    """``base`` plus the planar field ``u`` sampled at the stencil's points."""
+    out = base.copy()
+    for plane, u_plane in zip(out, u):
+        plane += stencil.sample(u_plane)
+    return out
+
+
+def _icon_residuals(u_var, u_other, s_var, s_other, cross=None):
+    """Residuals of the two consistency terms of the frozen-partner objective.
+
+    ``s_var`` and ``s_other`` are the stencils of x + u_var and x + u_other.
+    r1 = u_other(x) + u_var(x + u_other(x)) is linear in the nodes of
+    u_var, so its gradient is the adjoint (bilinear splat). r2 = u_var(x) +
+    [u_other sampled at x + u_var], with that sample (``cross``) frozen:
+    residual pushback, no differentiation through the partner's
+    interpolation.
+    """
+    r1 = _plus_sampled(u_other, s_other, u_var)
     if cross is None:
-        cross = s_var.sample(u_other)
-    r2 = u_var + cross
-    icon_2 = _mean_sq_displacement(r2)
-    grad += lambda_reg * (2.0 / n) * r2
+        return r1, _plus_sampled(u_var, s_var, u_other)
+    return r1, u_var + cross
 
-    return (m_var, m_other, icon_1, icon_2), grad
+
+def _frozen_grad(resid, d_row, d_col, r1, r2, s_other, lambda_sim, lambda_reg):
+    """Exact gradient of the frozen-partner objective w.r.t. the stepped
+    field, from the similarity residual B(x + u_var) - A with its image
+    derivative, and the consistency residuals of :func:`_icon_residuals`."""
+    n = resid.shape[-2] * resid.shape[-1]
+    grad = np.zeros(r2.shape)
+    grad[0] += lambda_sim * (2.0 / n) * resid * d_row
+    grad[1] += lambda_sim * (2.0 / n) * resid * d_col
+    # One splat call for both planes shares the corner weights between them.
+    splat = np.moveaxis(s_other.splat(np.moveaxis(r1, 0, -1)), -1, 0)
+    grad += lambda_reg * (2.0 / n) * splat
+    grad += lambda_reg * (2.0 / n) * r2
+    return grad
+
+
+def _descend(u_var, resid, d_row, d_col, r1, r2, s_other, step, cfg):
+    """One smoothed gradient step of ``u_var`` on the frozen-partner objective."""
+    grad = _frozen_grad(
+        resid, d_row, d_col, r1, r2, s_other, cfg.lambda_sim, cfg.lambda_reg
+    )
+    u_var = u_var - step * _smooth_field(grad, cfg.update_smoothing_sigma)
+    return _smooth_field(u_var, cfg.field_smoothing_sigma)
 
 
 def _downsample(values: np.ndarray) -> np.ndarray:
-    return gaussian_filter(values, 1.0, mode="nearest")[::2, ::2]
+    """Halve a stack of (N, H, W) images after a σ=1 blur of each."""
+    return gaussian_filter(values, (0.0, 1.0, 1.0), mode="nearest")[:, ::2, ::2]
 
 
 def _upsample_field(u: np.ndarray, shape) -> np.ndarray:
-    """Bilinear upsample of a coarse field to ``shape``, displacements x2."""
-    h, w = shape
-    r = np.arange(h, dtype=np.float64) / 2.0
-    c = np.arange(w, dtype=np.float64) / 2.0
-    pts = np.stack(np.meshgrid(r, c, indexing="ij"), axis=-1)
-    return 2.0 * sample_values(u, pts)
+    """Bilinear upsample of planar fields to grids of ``shape`` (N, H, W),
+    displacements x2."""
+    _, h, w = shape
+    rows = np.broadcast_to((np.arange(h, dtype=np.float64) / 2.0)[:, None], shape)
+    cols = np.broadcast_to(np.arange(w, dtype=np.float64) / 2.0, shape)
+    stencil = Stencil(rows, cols, u.shape[1:])
+    return 2.0 * np.stack([stencil.sample(plane) for plane in u])
 
 
 def _smooth_field(u: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of each plane of a planar (2, N, H, W) field."""
     if sigma <= 0:
         return u
-    return gaussian_filter(u, (sigma, sigma, 0.0), mode="nearest")
+    return gaussian_filter(u, (0.0, 0.0, sigma, sigma), mode="nearest")
 
 
-def _field_stencil(x, u, iteration, level):
-    """Stencil of x + u for a field the optimizer just produced; a field
-    that has left the finite numbers is divergence, not bad input."""
-    try:
-        return Stencil(x + u, u.shape)
-    except DomainError:
-        raise ConvergenceError(
-            f"registration diverged at iteration {iteration} (level {level}): "
-            "non-finite displacement field",
-            residual=float("inf"),
-            iterations=iteration,
-        ) from None
+def _diverged(index, residual, reason, iteration, level):
+    return ConvergenceError(
+        f"registration diverged at iteration {iteration} (level {level}): {reason}",
+        residual=float(residual),
+        iterations=iteration,
+        index=index,
+    )
 
 
-def _history_row(cfg, terms, iteration, level):
-    """(iteration, l_sim, l_reg, l_p) from the terms of :func:`_frozen_terms`
-    at the fields after ``iteration``, summed as :func:`primary_loss` does."""
-    m_ab, m_ba, icon_1, icon_2 = terms
-    l_sim = m_ab + m_ba
-    l_reg = icon_1 + icon_2
-    l_p = cfg.lambda_sim * l_sim + cfg.lambda_reg * l_reg
-    if not np.isfinite(l_p):
-        raise ConvergenceError(
-            f"registration diverged at iteration {iteration} (level {level})",
-            residual=l_p,
-            iterations=iteration,
+def _field_stencil(xr, xc, u, iteration, level):
+    """Stencil of x + u for planar fields the optimizer just produced.
+
+    A displacement longer than the grid diagonal maps every point off the
+    grid: that is divergence, whether or not the field is still finite. The
+    comparison is false for NaN and inf as well.
+    """
+    h, w = u.shape[-2:]
+    diagonal = np.hypot(h - 1, w - 1)
+    with np.errstate(over="ignore"):  # an overflow to inf is divergence too
+        longest = np.sqrt(np.max(u[0] * u[0] + u[1] * u[1], axis=(-2, -1)))
+    within = longest <= diagonal
+    if not within.all():
+        n = int(np.argmin(within))
+        raise _diverged(
+            n, longest[n],
+            f"a displacement of {longest[n]:.4g} px exceeds the grid diagonal "
+            f"({diagonal:.4g} px)",
+            iteration, level,
         )
-    return (iteration, l_sim, l_reg, l_p)
+    return Stencil(xr + u[0], xc + u[1], u.shape[1:])
+
+
+def _history_terms(cfg, res_ab, res_ba, r1, r2, iteration, level):
+    """Per-pair (l_sim, l_reg, l_p) from the residuals of the first
+    half-step at the fields after ``iteration``, summed as
+    :func:`primary_loss` does."""
+    l_sim = _mean_sq(res_ab) + _mean_sq(res_ba)
+    l_reg = _mean_sq_planes(r1) + _mean_sq_planes(r2)
+    l_p = cfg.lambda_sim * l_sim + cfg.lambda_reg * l_reg
+    finite = np.isfinite(l_p)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise _diverged(n, l_p[n], "non-finite loss", iteration, level)
+    return l_sim, l_reg, l_p
+
+
+def register_pairs(
+    fixed: list[ScalarImage],
+    moving: list[ScalarImage],
+    cfg: RegistrationConfig = RegistrationConfig(),
+) -> list[RegistrationResult]:
+    """Register ``moving[n]`` and ``fixed[n]`` both ways, all pairs in one loop.
+
+    Pair n plays (a, b) = (fixed[n], moving[n]) of :func:`register_pair`.
+    All images share one grid. The pairs share the loop, the stencils and
+    the smoothing calls, one subject-batch of arrays per half-step, but no
+    values: each result is bit for bit the one the pair gives alone.
+
+    Coarse-to-fine alternating descent on both direction fields: each
+    iteration steps u_AB, then u_BA, on the frozen-partner objective.
+    ``loss_history`` row ``it`` holds (it, l_sim, l_reg, l_p) at the fields
+    after iteration ``it``. Those are the terms the next iteration's first
+    half-step computes anyway, so they are taken from there; the last row
+    of each level is evaluated once at the end of the level.
+
+    Raises ConvergenceError, with ``index`` set to the pair, when a stepped
+    field has a displacement longer than the grid diagonal or a loss is not
+    finite: at the first check any pair fails, for the lowest such pair.
+    """
+    if not fixed or len(fixed) != len(moving):
+        raise DomainError("register_pairs needs as many moving as fixed images, at least one")
+    for a, b in zip(fixed, moving):
+        _check_same_grid(fixed[0], a)
+        _check_same_grid(a, b)
+    pyramid = [(np.stack([a.values for a in fixed]), np.stack([b.values for b in moving]))]
+    for _ in range(cfg.pyramid_levels - 1):
+        pa, pb = pyramid[-1]
+        if min(pa.shape[1:]) < 8:
+            break
+        pyramid.append((_downsample(pa), _downsample(pb)))
+    pyramid.reverse()  # coarse -> fine
+
+    u_ab = np.zeros((2,) + pyramid[0][0].shape)
+    u_ba = np.zeros_like(u_ab)
+    iterations: list[int] = []
+    terms: list[tuple] = []
+    global_it = 0
+
+    for level, (va, vb) in enumerate(pyramid):
+        if u_ab.shape[1:] != va.shape:
+            u_ab = _upsample_field(u_ab, va.shape)
+            u_ba = _upsample_field(u_ba, va.shape)
+        xr, xc = np.indices(va.shape[1:], dtype=np.float64)
+        s_ab = _field_stencil(xr, xc, u_ab, global_it, level)
+        s_ba = _field_stencil(xr, xc, u_ba, global_it, level)
+        step = cfg.step_size * xr.size
+        for i in range(cfg.iterations_per_level):
+            # Step u_AB with u_BA frozen. The sample of A at x + u_BA serves
+            # this half-step's loss terms and the next one's gradient.
+            res_ab, db_row, db_col = s_ab.sample_grad(vb)
+            res_ab -= va
+            res_ba, da_row, da_col = s_ba.sample_grad(va)
+            res_ba -= vb
+            r1, r2 = _icon_residuals(u_ab, u_ba, s_ab, s_ba)
+            if i > 0:
+                iterations.append(global_it - 1)
+                terms.append(_history_terms(cfg, res_ab, res_ba, r1, r2, global_it - 1, level))
+            u_ab = _descend(u_ab, res_ab, db_row, db_col, r1, r2, s_ba, step, cfg)
+            # Free the old field's arrays before its successor's stencil is
+            # built, so that one batch of temporaries is alive at a time.
+            del res_ab, db_row, db_col, r1, r2, s_ab
+            s_ab = _field_stencil(xr, xc, u_ab, global_it, level)
+
+            # Step u_BA with the new u_AB frozen; no loss terms are needed.
+            r1, r2 = _icon_residuals(u_ba, u_ab, s_ba, s_ab)
+            u_ba = _descend(u_ba, res_ba, da_row, da_col, r1, r2, s_ab, step, cfg)
+            del res_ba, da_row, da_col, r1, r2, s_ba
+            s_ba = _field_stencil(xr, xc, u_ba, global_it, level)
+            global_it += 1
+        res_ab = s_ab.sample(vb) - va
+        res_ba = s_ba.sample(va) - vb
+        r1, r2 = _icon_residuals(u_ab, u_ba, s_ab, s_ba)
+        iterations.append(global_it - 1)
+        terms.append(_history_terms(cfg, res_ab, res_ba, r1, r2, global_it - 1, level))
+
+    grid = fixed[0].grid
+    ident = identity_field(grid)
+    per_pair = np.array(terms).transpose(2, 0, 1).tolist()  # (pair, row, term)
+    results = []
+    for n, rows in enumerate(per_pair):
+        phi_ab = DisplacementField(grid, np.stack([u_ab[0, n], u_ab[1, n]], axis=-1))
+        phi_ba = DisplacementField(grid, np.stack([u_ba[0, n], u_ba[1, n]], axis=-1))
+        final_ic = max(
+            field_rms_diff(compose(phi_ab, phi_ba), ident),
+            field_rms_diff(compose(phi_ba, phi_ab), ident),
+        )
+        history = [(it, *row) for it, row in zip(iterations, rows)]
+        results.append(RegistrationResult(phi_ab, phi_ba, history, final_ic))
+    return results
 
 
 def register_pair(
     a: ScalarImage, b: ScalarImage, cfg: RegistrationConfig = RegistrationConfig()
 ) -> RegistrationResult:
-    """Coarse-to-fine alternating descent on both direction fields.
-
-    Each iteration steps u_AB, then u_BA, on the frozen-partner objective.
-    ``loss_history`` row ``it`` holds (it, l_sim, l_reg, l_p) at the fields
-    after iteration ``it``. Those are the terms the next iteration's first
-    frozen evaluation computes anyway, so they are taken from there; the
-    last row of each level is evaluated once at the end of the level.
-    """
-    _check_same_grid(a, b)
-    pyramid = [(a.values, b.values)]
-    for _ in range(cfg.pyramid_levels - 1):
-        pa, pb = pyramid[-1]
-        if min(pa.shape) < 8:
-            break
-        pyramid.append((_downsample(pa), _downsample(pb)))
-    pyramid.reverse()  # coarse -> fine
-
-    u_ab = np.zeros(pyramid[0][0].shape + (2,))
-    u_ba = np.zeros_like(u_ab)
-    history: list[tuple[int, float, float, float]] = []
-    global_it = 0
-
-    for level, (va, vb) in enumerate(pyramid):
-        if u_ab.shape[:2] != va.shape:
-            u_ab = _upsample_field(u_ab, va.shape)
-            u_ba = _upsample_field(u_ba, va.shape)
-        grid = Grid(*va.shape)
-        la = ScalarImage(grid, va)
-        lb = ScalarImage(grid, vb)
-        x = grid_coords(grid)
-        s_ab = _field_stencil(x, u_ab, global_it, level)
-        s_ba = _field_stencil(x, u_ba, global_it, level)
-        step = cfg.step_size * va.size
-        for i in range(cfg.iterations_per_level):
-            terms, g_ab = _frozen_terms(
-                la, lb, u_ab, u_ba, s_ab, s_ba, cfg.lambda_sim, cfg.lambda_reg
-            )
-            if i > 0:
-                history.append(_history_row(cfg, terms, global_it - 1, level))
-            u_ab = u_ab - step * _smooth_field(g_ab, cfg.update_smoothing_sigma)
-            u_ab = _smooth_field(u_ab, cfg.field_smoothing_sigma)
-            s_ab = _field_stencil(x, u_ab, global_it, level)
-
-            _, g_ba = _frozen_terms(
-                lb, la, u_ba, u_ab, s_ba, s_ab, cfg.lambda_sim, cfg.lambda_reg
-            )
-            u_ba = u_ba - step * _smooth_field(g_ba, cfg.update_smoothing_sigma)
-            u_ba = _smooth_field(u_ba, cfg.field_smoothing_sigma)
-            s_ba = _field_stencil(x, u_ba, global_it, level)
-            global_it += 1
-        terms, _ = _frozen_terms(
-            la, lb, u_ab, u_ba, s_ab, s_ba, cfg.lambda_sim, cfg.lambda_reg
-        )
-        history.append(_history_row(cfg, terms, global_it - 1, level))
-
-    grid = a.grid
-    phi_ab = DisplacementField(grid, u_ab)
-    phi_ba = DisplacementField(grid, u_ba)
-    ident = identity_field(grid)
-    final_ic = max(
-        field_rms_diff(compose(phi_ab, phi_ba), ident),
-        field_rms_diff(compose(phi_ba, phi_ab), ident),
-    )
-    return RegistrationResult(phi_ab, phi_ba, history, final_ic)
+    """Register ``b`` to ``a`` and ``a`` to ``b``: :func:`register_pairs`
+    on the one pair. ``phi_ab`` pulls ``b`` back onto ``a``."""
+    return register_pairs([a], [b], cfg)[0]

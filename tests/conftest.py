@@ -19,8 +19,9 @@ GRID64 = Grid(64, 64)
 settings.register_profile("diffeo2d", derandomize=True, deadline=None, database=None)
 settings.load_profile("diffeo2d")
 
-# Optimizer settings used for all synthetic-suite registration checks; the
-# dataclass defaults favor gentler smoothing, these favor recovery accuracy.
+# Optimizer settings used for all synthetic-suite registration checks. They
+# equal the RegistrationConfig defaults (and the CLI's), spelled out so that
+# the suite's settings do not move if the defaults ever do.
 SUITE_REG_CONFIG = RegistrationConfig(
     step_size=0.45,
     iterations_per_level=300,

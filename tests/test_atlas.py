@@ -14,7 +14,7 @@ from diffeo2d import (
     pixelwise_mean_atlas,
     warp_image,
 )
-from diffeo2d.errors import DomainError
+from diffeo2d.errors import ConvergenceError, DomainError
 
 from conftest import GRID64, constant_field
 
@@ -83,6 +83,17 @@ class TestAtlasStep:
         state = AtlasState(atlas=ScalarImage(GRID64, np.zeros((64, 64))))
         with pytest.raises(DomainError):
             atlas_step(state, [img, img], FAST_ATLAS_CFG)
+
+    def test_divergence_names_the_image(self):
+        # Image 0 equals the constant atlas and never moves; image 1's
+        # registration diverges at the first step.
+        flat = ScalarImage(GRID64, np.full((64, 64), 0.5))
+        state = AtlasState(atlas=flat)
+        cfg = AtlasConfig(reg_config=RegistrationConfig(step_size=1e300, iterations_per_level=5))
+        with pytest.raises(ConvergenceError, match="failed on image 1") as info:
+            atlas_step(state, [flat, blob_image(), blob_image(1)], cfg)
+        assert info.value.index == 1
+        assert info.value.iterations == 0
 
     def test_delta_history_accumulates(self):
         img = blob_image()

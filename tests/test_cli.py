@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -166,6 +167,21 @@ class TestLatentPipeline:
         assert run("modes", "--basis", basis, "--mode", 1, "--scale", 1.0,
                    "--out", mode) == 0
         assert read_field(mode).u.shape == (64, 64, 2)
+
+    def test_non_orthonormal_basis_io_error(self, tmp_path):
+        v, _ = suite_field(0)
+        log = tmp_path / "log.mfld"
+        write_field(log, v)
+        basis = tmp_path / "basis.mleb"
+        assert run("fit-basis", "--logs", log, log, "--dim", 1, "--out", basis) == 0
+        data = bytearray(basis.read_bytes())
+        # The last 8 bytes are the singular value; the 8 before them end the
+        # component block.
+        (val,) = struct.unpack_from("<d", data, len(data) - 16)
+        struct.pack_into("<d", data, len(data) - 16, val + 0.5)
+        basis.write_bytes(bytes(data))
+        assert run("encode", "--basis", basis, "--log", log,
+                   "--out-csv", tmp_path / "z.csv") == 2
 
     def test_losses_command(self, tmp_path, capsys):
         _, phi = suite_field(1)

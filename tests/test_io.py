@@ -23,6 +23,7 @@ from diffeo2d.errors import (
     BadMagicError,
     BadVersionError,
     NonFiniteDataError,
+    NonOrthonormalBasisError,
     PgmFormatError,
     PgmParseError,
     TruncatedPayloadError,
@@ -206,7 +207,19 @@ class TestBasisFile:
         (val,) = struct.unpack_from("<d", data, off)
         struct.pack_into("<d", data, off, val + 0.5)
         p.write_bytes(bytes(data))
-        with pytest.raises(Exception):
+        with pytest.raises(NonOrthonormalBasisError):
+            read_basis(p)
+
+    def test_non_finite_basis_rejected(self, tmp_path):
+        import struct
+
+        basis = self.make_basis()
+        p = tmp_path / "b.mleb"
+        write_basis(p, basis)
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<d", data, len(data) - 8, float("nan"))
+        p.write_bytes(bytes(data))
+        with pytest.raises(NonFiniteDataError):
             read_basis(p)
 
 

@@ -58,7 +58,7 @@ def test_sample_splat_adjoint(vp, data):
     # <sample(u, p), r> == <u, splat(p, r)> for every u and r.
     u, p = vp
     r = data.draw(arrays(np.float64, p.shape[:1] + u.shape[2:], elements=finite))
-    stencil = Stencil(p, u.shape)
+    stencil = Stencil(p[..., 0], p[..., 1], u.shape[:2])
     lhs = float(np.sum(stencil.sample(u) * r))
     rhs = float(np.sum(u * stencil.splat(r)))
     scale = float(np.sum(np.abs(r))) * max(float(np.max(np.abs(u))), 1.0)
@@ -90,7 +90,7 @@ def test_sample_grad_matches_central_differences(h, w, channels, data):
     cell = data.draw(arrays(np.int64, (n, 2), elements=st.integers(0, 7)))
     frac = data.draw(arrays(np.float64, (n, 2), elements=st.floats(0.05, 0.95)))
     p = np.minimum(cell, [h - 2, w - 2]) + frac
-    val, d_row, d_col = Stencil(p, u.shape).sample_grad(u)
+    val, d_row, d_col = Stencil(p[..., 0], p[..., 1], u.shape[:2]).sample_grad(u)
     assert np.array_equal(val, sample_values(u, p))
     eps = 1e-6
     for axis, analytic in ((0, d_row), (1, d_col)):
@@ -98,6 +98,34 @@ def test_sample_grad_matches_central_differences(h, w, channels, data):
         step[axis] = eps
         fd = (sample_values(u, p + step) - sample_values(u, p - step)) / (2 * eps)
         assert np.allclose(analytic, fd, rtol=0.0, atol=1e-6)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(2, 9),
+    st.integers(2, 9),
+    st.sampled_from([(), (2,)]),
+    st.data(),
+)
+def test_subject_axis_matches_per_subject_stencils(n, h, w, channels, data):
+    # A stencil over N stacked grids gives, bit for bit, what N stencils of
+    # one grid give: sample, sample_grad and splat.
+    values = data.draw(arrays(np.float64, (n, h, w) + channels, elements=finite))
+    k = data.draw(st.integers(1, 12))
+    coord = st.floats(-3.0, max(h, w) + 2.0, allow_nan=False)
+    rows = data.draw(arrays(np.float64, (n, k), elements=coord))
+    cols = data.draw(arrays(np.float64, (n, k), elements=coord))
+    r = data.draw(arrays(np.float64, (n, k) + channels, elements=finite))
+    batch = Stencil(rows, cols, (n, h, w))
+    sampled = batch.sample(values)
+    grads = batch.sample_grad(values)
+    splatted = batch.splat(r)
+    for i in range(n):
+        one = Stencil(rows[i], cols[i], (h, w))
+        assert np.array_equal(sampled[i], one.sample(values[i]))
+        for got, want in zip(grads, one.sample_grad(values[i])):
+            assert np.array_equal(got[i], want)
+        assert np.array_equal(splatted[i], one.splat(r[i]))
 
 
 @given(st.integers(2, 9), st.integers(2, 9), st.data())

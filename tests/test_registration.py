@@ -16,11 +16,12 @@ from diffeo2d import (
     primary_loss,
     random_log_field,
     register_pair,
+    register_pairs,
     sim_loss,
     warp_image,
 )
 from diffeo2d import RandomFieldSpec
-from diffeo2d.errors import ConvergenceError, ShapeError
+from diffeo2d.errors import ConvergenceError, DomainError, ShapeError
 from diffeo2d.registration import frozen_loss_and_grad, mse
 
 from conftest import GRID64, SUITE_REG_CONFIG, constant_field, suite_field, textured_image
@@ -146,8 +147,11 @@ class TestRegisterPair:
         assert field_rms_diff(res.phi_ba, ident) <= 0.05
 
     def test_ground_truth_recovery(self):
+        # The defaults are the suite settings, and they recover the pair
+        # rather than diverge.
+        assert RegistrationConfig() == SUITE_REG_CONFIG
         a, b, phi = ground_truth_pair(5)
-        res = register_pair(a, b, SUITE_REG_CONFIG)
+        res = register_pair(a, b)
         # phi_ab pulls b back onto a, so its ground truth is the inverse of
         # the generating field; phi_ba matches the field itself.
         assert median_epe(res.phi_ab, invert(phi).field) <= 0.5
@@ -196,6 +200,21 @@ class TestRegisterPair:
             register_pair(a, b, cfg)
         assert info.value.iterations == 0
 
+    def test_huge_finite_field_is_divergence(self):
+        # These settings blow the fields up to ~1e129 px while they stay
+        # finite; a displacement longer than the grid diagonal is divergence.
+        a, b, _ = ground_truth_pair(5)
+        cfg = RegistrationConfig(
+            step_size=1.0, lambda_sim=0.7, lambda_reg=1.3, pyramid_levels=2,
+            iterations_per_level=20, update_smoothing_sigma=1.5,
+            field_smoothing_sigma=0.5,
+        )
+        with pytest.raises(ConvergenceError) as info:
+            register_pair(a, b, cfg)
+        assert info.value.residual > np.hypot(31, 31)
+        assert info.value.iterations < cfg.iterations_per_level
+        assert info.value.index == 0
+
     def test_icon_weight_improves_consistency(self):
         a, b, _ = ground_truth_pair(8)
         cfg_on = SUITE_REG_CONFIG
@@ -209,6 +228,49 @@ class TestRegisterPair:
         small = ScalarImage(Grid(32, 32), np.zeros((32, 32)))
         with pytest.raises(ShapeError):
             register_pair(a, small, SUITE_REG_CONFIG)
+
+
+class TestRegisterPairs:
+    def test_batch_equals_single_pairs(self):
+        # Pairs share the loop, not values: each result is bit for bit the
+        # one its pair gives alone.
+        grid = Grid(24, 20)
+        cfg = replace(SUITE_REG_CONFIG, iterations_per_level=25, field_smoothing_sigma=0.5)
+        fixed, moving = [], []
+        for seed in range(3):
+            a = textured_image(30 + seed, grid)
+            _, phi = suite_field(130 + seed, amplitude=2.0, grid=grid)
+            fixed.append(a)
+            moving.append(warp_image(a, phi))
+        batch = register_pairs(fixed, moving, cfg)
+        assert len(batch) == 3
+        for a, b, res in zip(fixed, moving, batch):
+            one = register_pair(a, b, cfg)
+            assert np.array_equal(res.phi_ab.u, one.phi_ab.u)
+            assert np.array_equal(res.phi_ba.u, one.phi_ba.u)
+            assert res.loss_history == one.loss_history
+            assert res.final_inverse_consistency == one.final_inverse_consistency
+
+    def test_diverging_pair_is_named(self):
+        # A pair of constant images has zero gradient and never moves; the
+        # other pair diverges at the first step.
+        flat = ScalarImage(GRID64, np.full((64, 64), 0.5))
+        a, b, _ = ground_truth_pair(11)
+        cfg = RegistrationConfig(step_size=1e300, iterations_per_level=5)
+        with pytest.raises(ConvergenceError) as info:
+            register_pairs([flat, a], [flat, b], cfg)
+        assert info.value.index == 1
+        assert info.value.iterations == 0
+
+    def test_rejects_mismatched_inputs(self):
+        a = textured_image(0)
+        small = ScalarImage(Grid(32, 32), np.zeros((32, 32)))
+        with pytest.raises(DomainError):
+            register_pairs([], [])
+        with pytest.raises(DomainError):
+            register_pairs([a, a], [a])
+        with pytest.raises(ShapeError):
+            register_pairs([a, small], [a, small])
 
 
 def test_mse_basic():
