@@ -1,8 +1,8 @@
 """Iterative atlas estimation in the linearized latent space.
 
 One step: register the current atlas to every image both ways (all images
-in one :func:`register_pairs` loop), take logs of all transforms, fit (or
-reuse) a symmetrized basis, average the atlas-to-image codes, decode the
+in one :func:`register_pairs` loop), take logs of all transforms, fit a
+symmetrized basis, average the atlas-to-image codes, decode the
 negated mean, and warp the atlas by the resulting field. Convergence is the
 relative Frobenius change of the atlas intensities.
 """
@@ -28,7 +28,6 @@ class AtlasConfig:
     solver: SolverConfig = dc_field(default_factory=SolverConfig)
     basis_dim: int = 8
     root_depth: int = 6
-    refit_basis_each_iter: bool = True
 
     def __post_init__(self):
         if not (self.epsilon > 0):
@@ -53,9 +52,8 @@ def atlas_step(
     state: AtlasState,
     images: list[ScalarImage],
     cfg: AtlasConfig = AtlasConfig(),
-    basis: LogEuclideanBasis | None = None,
 ) -> AtlasState:
-    """One outer iteration; pass ``basis`` to reuse a previously fitted one.
+    """One outer iteration.
 
     A registration that diverges raises ConvergenceError naming the image
     (``index``): the lowest-index image whose registration failed, at the
@@ -84,10 +82,7 @@ def atlas_step(
         except ConvergenceError as err:
             raise _image_failed(idx, err) from err
 
-    all_logs = logs_forward + logs_backward
-    if basis is None:
-        basis = _fit_population_basis(all_logs, cfg.basis_dim)
-
+    basis = _fit_population_basis(logs_forward + logs_backward, cfg.basis_dim)
     if basis is None:
         # Degenerate population (all logs numerically zero): identity update.
         mean_z = np.zeros(1)
@@ -156,12 +151,9 @@ def estimate_atlas(
     init = images[init_index]
     state = AtlasState(atlas=ScalarImage(init.grid, init.values.copy()))
     history = [state]
-    basis = None
     for _ in range(cfg.max_outer_iterations):
-        state = atlas_step(state, images, cfg, basis=basis)
+        state = atlas_step(state, images, cfg)
         history.append(state)
-        if not cfg.refit_basis_each_iter and basis is None:
-            basis = state.basis  # freeze the first fitted basis
         if state.converged:
             break
     return state.atlas, history

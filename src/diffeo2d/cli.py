@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -98,16 +99,24 @@ def _add_reg_flags(p):
     p.add_argument("--sigma-field", type=float, default=d.field_smoothing_sigma)
 
 
-def _add_common(p):
+def _add_common(p, run):
     p.add_argument("--json-summary", type=Path, default=None, help="write a run manifest")
     p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; results are thread-count-invariant")
+    p.set_defaults(run=run)
 
 
-def _summary(args, command, inputs, config, metrics):
+def _code(text):
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated code: {text!r}") from None
+
+
+def _summary(args, inputs, config, metrics):
     if args.json_summary is None:
         return
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "inputs": inputs,
         "config": config,
@@ -132,7 +141,7 @@ def build_parser() -> _Parser:
     p.add_argument("--smoothing", type=float, default=4.0)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--out-dir", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, _cmd_synth)
 
     p = sub.add_parser("register", help="inverse-consistent pairwise registration")
     p.add_argument("--a", type=Path, required=True)
@@ -144,36 +153,37 @@ def build_parser() -> _Parser:
                    help="ground-truth field mapping a to b; adds median "
                         "endpoint error to the summary")
     _add_reg_flags(p)
-    _add_common(p)
+    _add_common(p, _cmd_register)
 
-    for name, help_text in [
-        ("invert", "numerical inverse of a field"),
-        ("sqrt", "square root of a field"),
+    for name, solve, help_text in [
+        ("invert", invert, "numerical inverse of a field"),
+        ("sqrt", sqrt_field, "square root of a field"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--field", type=Path, required=True)
         p.add_argument("--out", type=Path, required=True)
         _add_solver_flags(p)
-        _add_common(p)
+        _add_common(p, _cmd_solve)
+        p.set_defaults(solve=solve)
 
     p = sub.add_parser("log", help="logarithm map via inverse scaling and squaring")
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--n", type=int, default=6)
     _add_solver_flags(p)
-    _add_common(p)
+    _add_common(p, _cmd_log)
 
     p = sub.add_parser("exp", help="exponential map via scaling and squaring")
     p.add_argument("--log", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--n", type=int, default=6)
-    _add_common(p)
+    _add_common(p, _cmd_exp)
 
     p = sub.add_parser("compose", help="compose two fields (outer o inner)")
     p.add_argument("--outer", type=Path, required=True)
     p.add_argument("--inner", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, _cmd_compose)
 
     p = sub.add_parser("roots", help="chain of successive square roots")
     p.add_argument("--field", type=Path, required=True)
@@ -181,12 +191,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--residual-csv", type=Path, default=None)
     _add_solver_flags(p)
-    _add_common(p)
+    _add_common(p, _cmd_roots)
 
     p = sub.add_parser("jacobian", help="Jacobian determinant map and folding fraction")
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_jacobian)
 
     p = sub.add_parser("fit-basis", help="fit a PCA basis over log fields")
     p.add_argument("--logs", type=Path, nargs="+", required=True)
@@ -194,21 +204,21 @@ def build_parser() -> _Parser:
     p.add_argument("--no-symmetrize", action="store_true")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--variance-csv", type=Path, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_fit_basis)
 
     p = sub.add_parser("encode", help="project a log field onto a basis")
     p.add_argument("--basis", type=Path, required=True)
     p.add_argument("--log", type=Path, required=True)
     p.add_argument("--out-csv", type=Path, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_encode)
 
     p = sub.add_parser("decode", help="reconstruct a log field (or root) from a code")
     p.add_argument("--basis", type=Path, required=True)
-    p.add_argument("--z", type=str, required=True, help="comma-separated code")
+    p.add_argument("--z", type=_code, required=True, help="comma-separated code")
     p.add_argument("--m", type=int, default=None,
                    help="power-of-two root: emit the deformation exp(decode(z)/m)")
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, _cmd_decode)
 
     p = sub.add_parser("modes", help="deformation at c std devs along a PCA mode")
     p.add_argument("--basis", type=Path, required=True)
@@ -216,7 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, _cmd_modes)
 
     p = sub.add_parser("losses", help="loss functionals for a pair of fields")
     p.add_argument("--phi-ab", type=Path, required=True)
@@ -227,7 +237,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--out-csv", type=Path, default=None)
     _add_solver_flags(p)
-    _add_common(p)
+    _add_common(p, _cmd_losses)
 
     p = sub.add_parser("atlas", help="iterative atlas estimation")
     p.add_argument("--images", type=Path, required=True, help="directory of PGM images")
@@ -239,20 +249,20 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_reg_flags(p)
-    _add_common(p)
+    _add_common(p, _cmd_atlas)
 
     p = sub.add_parser("warp", help="warp an image or label map by a field")
     p.add_argument("--image", type=Path, required=True)
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--labels", action="store_true")
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
+    _add_common(p, _cmd_warp)
 
     p = sub.add_parser("dice", help="per-label Dice between two label images")
     p.add_argument("--a", type=Path, required=True)
     p.add_argument("--b", type=Path, required=True)
     p.add_argument("--out-csv", type=Path, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_dice)
 
     p = sub.add_parser("validate", help="root-chain, negation, and latent consistency checks")
     p.add_argument("--seed", type=int, default=0)
@@ -264,13 +274,14 @@ def build_parser() -> _Parser:
     p.add_argument("--basis-dim", type=int, default=4)
     p.add_argument("--out-csv", type=Path, required=True)
     _add_solver_flags(p)
-    _add_common(p)
+    _add_common(p, _cmd_validate)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies. Each returns the (inputs, config, metrics) of its run
+# manifest, which main writes once the command has succeeded.
 
 
 def _cmd_synth(args):
@@ -296,13 +307,10 @@ def _cmd_synth(args):
         write_pgm(f"{stem}_labels.pgm", subj.labels)
         write_field(f"{stem}_field.mfld", subj.field)
         write_field(f"{stem}_log.mfld", subj.log)
-    _summary(
-        args, "synth",
-        {"kind": args.kind},
-        {"seed": args.seed, "subjects": args.subjects, "amplitude": args.amplitude},
-        {},
-    )
-    return 0
+    config = {"seed": args.seed, "subjects": args.subjects, "amplitude": args.amplitude,
+              "height": args.height, "width": args.width, "smoothing": args.smoothing,
+              "depth": args.depth}
+    return {"kind": args.kind}, config, {}
 
 
 def _cmd_register(args):
@@ -336,56 +344,43 @@ def _cmd_register(args):
         metrics["median_endpoint_error_px"] = float(
             np.median(np.hypot(d[..., 0], d[..., 1]))
         )
-    _summary(args, "register", {"a": str(args.a), "b": str(args.b)},
-             vars_config(cfg), metrics)
-    return 0
+    return {"a": str(args.a), "b": str(args.b)}, asdict(cfg), metrics
 
 
-def vars_config(cfg):
-    return {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-
-
-def _cmd_invert(args):
-    sol = invert(read_field(args.field), _solver_cfg(args))
-    write_field(args.out, sol.field)
-    _summary(args, "invert", {"field": str(args.field)}, vars_config(_solver_cfg(args)),
-             {"residual_px": sol.residual, "iterations": sol.iterations})
-    return 0
-
-
-def _cmd_sqrt(args):
-    sol = sqrt_field(read_field(args.field), _solver_cfg(args))
+def _cmd_solve(args):
+    """invert or sqrt; only sqrt_field ever sets a warning."""
+    cfg = _solver_cfg(args)
+    sol = args.solve(read_field(args.field), cfg)
     if sol.warning:
         print(f"warning: {sol.warning}", file=sys.stderr)
     write_field(args.out, sol.field)
-    _summary(args, "sqrt", {"field": str(args.field)}, vars_config(_solver_cfg(args)),
-             {"residual_px": sol.residual, "iterations": sol.iterations})
-    return 0
+    return ({"field": str(args.field)}, asdict(cfg),
+            {"residual_px": sol.residual, "iterations": sol.iterations})
 
 
 def _cmd_log(args):
-    lf = log_field(read_field(args.field), args.n, _solver_cfg(args))
+    cfg = _solver_cfg(args)
+    lf = log_field(read_field(args.field), args.n, cfg)
     write_field(args.out, lf)
-    _summary(args, "log", {"field": str(args.field)}, {"n": args.n}, {})
-    return 0
+    return {"field": str(args.field)}, {"n": args.n, **asdict(cfg)}, {}
 
 
 def _cmd_exp(args):
     field = exp_field(read_field(args.log, as_log=True), args.n)
     write_field(args.out, field)
-    _summary(args, "exp", {"log": str(args.log)}, {"n": args.n}, {})
-    return 0
+    return {"log": str(args.log)}, {"n": args.n}, {}
 
 
 def _cmd_compose(args):
     result = compose(read_field(args.outer), read_field(args.inner))
     write_field(args.out, result)
-    return 0
+    return {"outer": str(args.outer), "inner": str(args.inner)}, {}, {}
 
 
 def _cmd_roots(args):
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    chain = root_chain(read_field(args.field), args.n, _solver_cfg(args))
+    cfg = _solver_cfg(args)
+    chain = root_chain(read_field(args.field), args.n, cfg)
     for n, root in enumerate(chain.roots):
         write_field(args.out_dir / f"root_{n:02d}.mfld", root)
     if args.residual_csv:
@@ -394,9 +389,8 @@ def _cmd_roots(args):
             ["level", "solver_residual_px"],
             [(n, r) for n, r in enumerate(chain.residuals)],
         )
-    _summary(args, "roots", {"field": str(args.field)}, {"n": args.n},
-             {"residuals_px": chain.residuals})
-    return 0
+    return ({"field": str(args.field)}, {"n": args.n, **asdict(cfg)},
+            {"residuals_px": chain.residuals})
 
 
 def _cmd_jacobian(args):
@@ -406,9 +400,8 @@ def _cmd_jacobian(args):
     if args.out:
         write_field(args.out, det)
     print(f"neg_jacobian_fraction_pct,{frac!r}")
-    _summary(args, "jacobian", {"field": str(args.field)}, {},
-             {"neg_jacobian_fraction_pct": frac, "det_min": float(det.values.min())})
-    return 0
+    return ({"field": str(args.field)}, {},
+            {"neg_jacobian_fraction_pct": frac, "det_min": float(det.values.min())})
 
 
 def _cmd_fit_basis(args):
@@ -419,10 +412,9 @@ def _cmd_fit_basis(args):
     if args.variance_csv:
         write_csv(args.variance_csv, ["mode", "explained_variance"],
                   [(k + 1, v) for k, v in enumerate(ev)])
-    _summary(args, "fit-basis", {"logs": [str(p) for p in args.logs]},
-             {"dim": args.dim, "symmetrize": not args.no_symmetrize},
-             {"explained_variance": ev})
-    return 0
+    return ({"logs": [str(p) for p in args.logs]},
+            {"dim": args.dim, "symmetrize": not args.no_symmetrize},
+            {"explained_variance": ev})
 
 
 def _cmd_encode(args):
@@ -432,23 +424,24 @@ def _cmd_encode(args):
     print(line)
     if args.out_csv:
         write_csv(args.out_csv, [f"z{k+1}" for k in range(len(z))], [tuple(z)])
-    return 0
+    return {"basis": str(args.basis), "log": str(args.log)}, {}, {"z": z.tolist()}
 
 
 def _cmd_decode(args):
     basis = read_basis(args.basis)
-    z = np.array([float(tok) for tok in args.z.split(",")])
+    z = np.array(args.z)
     if args.m is not None:
         write_field(args.out, decode_root(basis, z, args.m))
     else:
         write_field(args.out, decode(basis, z))
-    return 0
+    return {"basis": str(args.basis)}, {"z": args.z, "m": args.m}, {}
 
 
 def _cmd_modes(args):
     basis = read_basis(args.basis)
     write_field(args.out, pca_mode_field(basis, args.mode, args.scale, args.n))
-    return 0
+    return ({"basis": str(args.basis)},
+            {"mode": args.mode, "scale": args.scale, "n": args.n}, {})
 
 
 def _cmd_losses(args):
@@ -476,9 +469,8 @@ def _cmd_losses(args):
         write_csv(args.out_csv, list(metrics.keys()), rows)
     for key, value in metrics.items():
         print(f"{key},{value!r}")
-    _summary(args, "losses", {"phi_ab": str(args.phi_ab), "phi_ba": str(args.phi_ba)},
-             {"n": args.n}, metrics)
-    return 0
+    return ({"phi_ab": str(args.phi_ab), "phi_ba": str(args.phi_ba)},
+            {"n": args.n, **asdict(cfg)}, metrics)
 
 
 def _cmd_atlas(args):
@@ -503,11 +495,10 @@ def _cmd_atlas(args):
         ["iteration", "delta"],
         [(k + 1, d) for k, d in enumerate(final.delta_history)],
     )
-    _summary(args, "atlas", {"images": [str(p) for p in paths]},
-             {"epsilon": args.epsilon, "init": args.init, "seed": args.seed},
-             {"iterations": final.iteration, "converged": final.converged,
-              "delta_history": final.delta_history})
-    return 0
+    return ({"images": [str(p) for p in paths]},
+            {"init": args.init, "seed": args.seed, **asdict(cfg)},
+            {"iterations": final.iteration, "converged": final.converged,
+             "delta_history": final.delta_history})
 
 
 def _cmd_warp(args):
@@ -517,7 +508,7 @@ def _cmd_warp(args):
     else:
         out = warp_image(read_pgm(args.image), field)
     write_pgm(args.out, out)
-    return 0
+    return {"image": str(args.image), "field": str(args.field)}, {"labels": args.labels}, {}
 
 
 def _cmd_dice(args):
@@ -527,7 +518,8 @@ def _cmd_dice(args):
         write_csv(args.out_csv, ["label", "dice"], rows)
     for lab, score in rows:
         print(f"{lab},{score!r}")
-    return 0
+    return ({"a": str(args.a), "b": str(args.b)}, {},
+            {"dice": {str(lab): score for lab, score in per_label.items()}, "mean_dice": mean})
 
 
 def _cmd_validate(args):
@@ -581,44 +573,20 @@ def _cmd_validate(args):
         "max_latent_negation_norm": max(r[4] for r in rows),
         "max_decoded_negation_vs_inverse_rms_px": max(r[5] for r in rows),
     }
-    _summary(args, "validate", {}, {"seed": args.seed, "count": args.count,
-                                    "amplitude": args.amplitude, "n": args.n}, worst)
     for key, value in worst.items():
         print(f"{key},{value!r}")
-    return 0
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "register": _cmd_register,
-    "invert": _cmd_invert,
-    "sqrt": _cmd_sqrt,
-    "log": _cmd_log,
-    "exp": _cmd_exp,
-    "compose": _cmd_compose,
-    "roots": _cmd_roots,
-    "jacobian": _cmd_jacobian,
-    "fit-basis": _cmd_fit_basis,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "modes": _cmd_modes,
-    "losses": _cmd_losses,
-    "atlas": _cmd_atlas,
-    "warp": _cmd_warp,
-    "dice": _cmd_dice,
-    "validate": _cmd_validate,
-}
+    config = {"seed": args.seed, "count": args.count, "amplitude": args.amplitude,
+              "n": args.n, "height": args.height, "width": args.width,
+              "basis_dim": args.basis_dim, **asdict(cfg)}
+    return {}, config, worst
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    except (DomainError, ShapeError, RankError) as err:
+        _summary(args, *args.run(args))
+    except (UsageError, DomainError, ShapeError, RankError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (FileFormatError, OSError) as err:
@@ -627,6 +595,7 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .errors import (
     BadMagicError,
     BadVersionError,
     DomainError,
+    FieldFileError,
     NonFiniteDataError,
     NonOrthonormalBasisError,
     PgmFormatError,
@@ -64,8 +65,8 @@ def _read_pgm_tokens(data: bytes, count: int, start: int):
         while pos < n and not data[pos : pos + 1].isspace():
             pos += 1
         tok = data[tok_start:pos]
-        if not tok.isdigit():
-            raise PgmParseError(f"expected integer, got {tok!r}", offset=tok_start)
+        if not tok.isdigit() or len(tok) > 18:
+            raise PgmParseError(f"expected integer, got {tok[:24]!r}", offset=tok_start)
         tokens.append(int(tok))
     return tokens, pos
 
@@ -77,6 +78,8 @@ def _parse_pgm(data: bytes):
     (width, height, maxval), pos = _read_pgm_tokens(data, 3, 2)
     if maxval <= 0 or maxval > 65535:
         raise PgmParseError(f"maxval {maxval} out of range 1..65535", offset=pos)
+    if height < 2 or width < 2:
+        raise PgmParseError(f"image must be at least 2x2, got {height}x{width}", offset=pos)
     if magic == b"P5":
         pos += 1  # exactly one whitespace byte after maxval
         n_bytes = width * height * (2 if maxval > 255 else 1)
@@ -171,6 +174,8 @@ def _read_mfld(data: bytes, path=""):
     values = np.frombuffer(payload, dtype="<f8").reshape(h, w, channels).copy()
     if not np.all(np.isfinite(values)):
         raise NonFiniteDataError(f"{path}: payload contains non-finite values")
+    if h < 2 or w < 2:
+        raise FieldFileError(f"{path}: grid must be at least 2x2, got {h}x{w}")
     return values
 
 
@@ -236,13 +241,20 @@ def read_basis(path) -> LogEuclideanBasis:
     flat = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(flat)):
         raise NonFiniteDataError(f"{path}: payload contains non-finite values")
+    if h < 2 or w < 2:
+        raise FieldFileError(f"{path}: grid must be at least 2x2, got {h}x{w}")
+    if dim < 1:
+        raise FieldFileError(f"{path}: basis dimension must be >= 1")
     grid = Grid(h, w)
     mean = flat[:n_field].reshape(h, w, 2).copy()
     comps = flat[n_field : n_field * (1 + dim)].reshape(dim, h, w, 2).copy()
     svals = flat[n_field * (1 + dim) :].copy()
-    gram = comps.reshape(dim, -1) @ comps.reshape(dim, -1).T
+    with np.errstate(over="ignore"):  # huge components overflow to inf and fail below
+        gram = comps.reshape(dim, -1) @ comps.reshape(dim, -1).T
     if not np.allclose(gram, np.eye(dim), atol=_ORTHO_TOL):
         raise NonOrthonormalBasisError(f"{path}: components are not orthonormal on load")
+    if np.any(np.diff(svals) > 0):
+        raise FieldFileError(f"{path}: singular values are not descending")
     return LogEuclideanBasis(
         grid=grid,
         mean=LogField(grid, mean),

@@ -1,11 +1,13 @@
+import argparse
 import json
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 from diffeo2d import read_field, read_pgm, write_field
-from diffeo2d.cli import main
+from diffeo2d.cli import build_parser, main
 
 from conftest import suite_field
 
@@ -89,6 +91,11 @@ class TestFieldCommands:
         assert run("invert", "--field", tmp_path / "missing.mfld",
                    "--out", tmp_path / "o.mfld") == 2
 
+    def test_degenerate_grid_io_error(self, tmp_path):
+        p = tmp_path / "one.mfld"
+        p.write_bytes(struct.pack("<4sHIIB2d", b"MFLD", 1, 1, 1, 2, 0.0, 0.0))
+        assert run("jacobian", "--field", p) == 2
+
     def test_nonconvergence_numerical_error(self, tmp_path, field_file):
         assert run("invert", "--field", field_file, "--out",
                    tmp_path / "o.mfld", "--max-iterations", 1) == 3
@@ -168,6 +175,11 @@ class TestLatentPipeline:
                    "--out", mode) == 0
         assert read_field(mode).u.shape == (64, 64, 2)
 
+    def test_bad_code_usage_error(self, tmp_path, capsys):
+        assert run("decode", "--basis", tmp_path / "b.mleb", "--z=abc",
+                   "--out", tmp_path / "o.mfld") == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --z")
+
     def test_non_orthonormal_basis_io_error(self, tmp_path):
         v, _ = suite_field(0)
         log = tmp_path / "log.mfld"
@@ -229,3 +241,58 @@ class TestWarpDiceValidate:
         assert worst["max_root_reconstruction_rms_px"] <= 5e-3
         assert worst["max_negation_vs_inverse_rms_px"] <= 2e-2
         assert worst["max_decoded_negation_vs_inverse_rms_px"] <= 2e-2
+
+
+# Arguments that run each subcommand on the small inputs below; {d} is the
+# input directory and {out} the test's own.
+MANIFEST_ARGS = {
+    "synth": "--height 32 --width 32 --out-dir {out}",
+    "register": "--a {d}/image.pgm --b {d}/subject_000_image.pgm --levels 1 --iterations 2",
+    "invert": "--field {d}/subject_000_field.mfld --out {out}/f.mfld",
+    "sqrt": "--field {d}/subject_000_field.mfld --out {out}/f.mfld",
+    "log": "--field {d}/subject_000_field.mfld --n 3 --out {out}/f.mfld",
+    "exp": "--log {d}/subject_000_log.mfld --n 3 --out {out}/f.mfld",
+    "compose": "--outer {d}/subject_000_field.mfld --inner {d}/subject_001_field.mfld "
+               "--out {out}/f.mfld",
+    "roots": "--field {d}/subject_000_field.mfld --n 2 --out-dir {out}",
+    "jacobian": "--field {d}/subject_000_field.mfld",
+    "fit-basis": "--logs {d}/subject_000_log.mfld {d}/subject_001_log.mfld --dim 1 "
+                 "--out {out}/b.mleb",
+    "encode": "--basis {d}/basis.mleb --log {d}/subject_000_log.mfld",
+    "decode": "--basis {d}/basis.mleb --z=0.5 --out {out}/f.mfld",
+    "modes": "--basis {d}/basis.mleb --mode 1 --n 3 --out {out}/f.mfld",
+    "losses": "--phi-ab {d}/subject_000_field.mfld --phi-ba {d}/subject_001_field.mfld --n 2",
+    "atlas": "--images {d}/images --max-iter 1 --levels 1 --iterations 2 --depth 3 "
+             "--basis-dim 1 --out-dir {out}",
+    "warp": "--image {d}/labels.pgm --field {d}/subject_000_field.mfld --labels "
+            "--out {out}/w.pgm",
+    "dice": "--a {d}/labels.pgm --b {d}/subject_000_labels.pgm",
+    "validate": "--count 2 --height 16 --width 16 --amplitude 1.0 --n 3 --basis-dim 1 "
+                "--out-csv {out}/v.csv",
+}
+
+(SUBCOMMANDS,) = [a.choices for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    assert run("synth", "--kind", "four_label_phantom", "--height", 32, "--width", 32,
+               "--subjects", 2, "--amplitude", 1.0, "--smoothing", 2.0, "--out-dir", d) == 0
+    (d / "images").mkdir()
+    for i in range(2):
+        shutil.copy(d / f"subject_{i:03d}_image.pgm", d / "images")
+    assert run("fit-basis", "--logs", d / "subject_000_log.mfld", d / "subject_001_log.mfld",
+               "--dim", 1, "--out", d / "basis.mleb") == 0
+    return d
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_every_subcommand_writes_a_manifest(tmp_path, small_inputs, command):
+    summary = tmp_path / "run.json"
+    argv = [tok.format(d=small_inputs, out=tmp_path) for tok in MANIFEST_ARGS[command].split()]
+    assert run(command, *argv, "--json-summary", summary) == 0
+    manifest = json.loads(summary.read_text())
+    assert set(manifest) == {"command", "version", "inputs", "config", "metrics"}
+    assert manifest["command"] == command

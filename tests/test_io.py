@@ -22,6 +22,7 @@ from diffeo2d import (
 from diffeo2d.errors import (
     BadMagicError,
     BadVersionError,
+    FieldFileError,
     NonFiniteDataError,
     NonOrthonormalBasisError,
     PgmFormatError,
@@ -98,6 +99,21 @@ class TestPgm:
             read_pgm(p)
         assert exc.value.offset >= 0
 
+    @pytest.mark.parametrize("data", [b"P5\n1 1\n255\n\x00", b"P2\n0 0\n255\n",
+                                      b"P5\n3 1\n255\n\x00\x00\x00"])
+    def test_degenerate_grid_is_parse_error(self, tmp_path, data):
+        p = tmp_path / "d.pgm"
+        p.write_bytes(data)
+        for read in (read_pgm, read_pgm_labels):
+            with pytest.raises(PgmParseError):
+                read(p)
+
+    def test_overlong_integer_is_parse_error(self, tmp_path):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(b"P2\n" + b"9" * 5000 + b" 2\n255\n")
+        with pytest.raises(PgmParseError):
+            read_pgm(p)
+
 
 class TestMfld:
     def test_field_roundtrip_bit_exact(self, tmp_path):
@@ -168,6 +184,16 @@ class TestMfld:
         with pytest.raises(NonFiniteDataError):
             read_field(p)
 
+    @pytest.mark.parametrize("h, w, channels", [(1, 1, 2), (0, 0, 2), (1, 5, 1)])
+    def test_degenerate_grid_rejected(self, tmp_path, h, w, channels):
+        import struct
+
+        p = tmp_path / "d.mfld"
+        n = h * w * channels
+        p.write_bytes(struct.pack("<4sHIIB", b"MFLD", 1, h, w, channels) + bytes(8 * n))
+        with pytest.raises(FieldFileError):
+            read_field(p)
+
 
 class TestBasisFile:
     def make_basis(self):
@@ -220,6 +246,27 @@ class TestBasisFile:
         struct.pack_into("<d", data, len(data) - 8, float("nan"))
         p.write_bytes(bytes(data))
         with pytest.raises(NonFiniteDataError):
+            read_basis(p)
+
+    @pytest.mark.parametrize("h, w, dim", [(1, 1, 1), (0, 3, 1), (4, 4, 0)])
+    def test_degenerate_shape_rejected(self, tmp_path, h, w, dim):
+        import struct
+
+        p = tmp_path / "d.mleb"
+        header = struct.pack("<4sHIIHBBd", b"MLEB", 1, h, w, dim, 1, 1, 0.0)
+        p.write_bytes(header + bytes(8 * (h * w * 2 * (1 + dim) + dim)))
+        with pytest.raises(FieldFileError):
+            read_basis(p)
+
+    def test_ascending_singular_values_rejected(self, tmp_path):
+        basis = self.make_basis()
+        p = tmp_path / "b.mleb"
+        write_basis(p, basis)
+        data = p.read_bytes()
+        # The singular values are the last 3*8 bytes; store them ascending.
+        svals = np.frombuffer(data[-24:], dtype="<f8")[::-1]
+        p.write_bytes(data[:-24] + svals.tobytes())
+        with pytest.raises(FieldFileError):
             read_basis(p)
 
 

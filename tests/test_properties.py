@@ -1,11 +1,25 @@
-"""Property tests of the bilinear stencil and the identity law, on inputs
-drawn by hypothesis (deterministic profile registered in conftest.py)."""
+"""Property tests of the bilinear stencil, the identity law and the file
+parsers, on inputs drawn by hypothesis (deterministic profile registered in
+conftest.py)."""
+
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diffeo2d import DisplacementField, Grid, compose, identity_field
+from diffeo2d import (
+    DisplacementField,
+    Grid,
+    compose,
+    identity_field,
+    read_basis,
+    read_field,
+    read_pgm,
+    read_pgm_labels,
+)
+from diffeo2d.errors import FileFormatError
 from diffeo2d.fields import Stencil, sample_values, splat_values
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -147,3 +161,70 @@ def test_compose_with_identity(h, w, data):
     u[:, -1] = 0.0
     f = DisplacementField(grid, u)
     assert np.array_equal(compose(f, ident).u, u)
+
+
+# ---------------------------------------------------------------------------
+# Parsers: whatever the bytes, nothing but a FileFormatError escapes.
+
+FIELD_READERS = [read_field, lambda p: read_field(p, as_log=True)]
+READERS = [read_pgm, read_pgm_labels, *FIELD_READERS, read_basis]
+side = st.integers(0, 4)
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+# Payloads are mostly of the size the header implies and all finite, so that
+# the checks after the size and finiteness tests are reached too.
+payload_error = st.one_of(st.just(0), st.integers(-8, 8))
+payload_value = st.sampled_from([finite, finite, any_float])
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def _read_or_reject(read, path, data):
+    path.write_bytes(data)
+    try:
+        read(path)
+    except FileFormatError:
+        pass
+
+
+@given(st.sampled_from([b"", b"P2", b"P5", b"MFLD", b"MLEB"]), st.binary(max_size=96))
+def test_parsers_on_arbitrary_bytes(input_file, magic, tail):
+    for read in READERS:
+        _read_or_reject(read, input_file, magic + tail)
+
+
+@given(
+    st.sampled_from([b"P2", b"P5"]),
+    side,
+    side,
+    st.sampled_from([0, 1, 255, 256, 65535, 65536]),
+    st.data(),
+)
+def test_pgm_with_random_header(input_file, magic, w, h, maxval, data):
+    header = magic + f"\n{w} {h}\n{maxval}\n".encode()
+    if magic == b"P2":
+        pixels = data.draw(st.lists(st.integers(0, 70000), max_size=20))
+        payload = " ".join(map(str, pixels)).encode()
+    else:
+        payload = data.draw(st.binary(max_size=40))
+    for read in (read_pgm, read_pgm_labels):
+        _read_or_reject(read, input_file, header + payload)
+
+
+@given(side, side, st.integers(0, 3), payload_error, st.data())
+def test_mfld_with_random_header(input_file, h, w, channels, extra, data):
+    n = max(h * w * channels + extra, 0)
+    values = data.draw(st.lists(data.draw(payload_value), min_size=n, max_size=n))
+    blob = struct.pack("<4sHIIB", b"MFLD", 1, h, w, channels) + struct.pack(f"<{n}d", *values)
+    for read in FIELD_READERS:
+        _read_or_reject(read, input_file, blob)
+
+
+@given(side, side, st.integers(0, 3), payload_error, st.data())
+def test_basis_with_random_header(input_file, h, w, dim, extra, data):
+    n = max(h * w * 2 * (1 + dim) + dim + extra, 0)
+    values = data.draw(st.lists(data.draw(payload_value), min_size=n, max_size=n))
+    header = struct.pack("<4sHIIHBBd", b"MLEB", 1, h, w, dim, 1, 1, data.draw(any_float))
+    _read_or_reject(read_basis, input_file, header + struct.pack(f"<{n}d", *values))
