@@ -25,6 +25,7 @@ from .fields import (
     DisplacementField,
     Grid,
     LabelImage,
+    LogField,
     ScalarImage,
     compose,
     field_rms_diff,
@@ -47,7 +48,6 @@ from .latent import (
 )
 from .lie import (
     FieldSolution,
-    LogField,
     RootChain,
     SolverConfig,
     exp_field,

@@ -27,9 +27,9 @@ from .errors import (
 from .fields import (
     DisplacementField,
     Grid,
+    LogField,
     compose,
     field_rms_diff,
-    identity_field,
     jacobian_determinant,
     neg_jacobian_fraction,
     self_compose_m,
@@ -47,7 +47,7 @@ from .fileio import (
     write_pgm,
 )
 from .latent import decode, decode_root, encode, explained_variance, fit_basis, pca_mode_field
-from .lie import LogField, SolverConfig, exp_field, invert, log_field, root_chain, sqrt_field
+from .lie import SolverConfig, exp_field, invert, log_field, root_chain, sqrt_field
 from .metrics import dice_report, inv_loss, latent_inv_loss, rec_loss
 from .registration import RegistrationConfig, icon_loss, register_pair, sim_loss
 from .synth import PhantomSpec, RandomFieldSpec, make_phantom, make_subject, random_log_field
@@ -83,9 +83,10 @@ def _reg_cfg(args) -> RegistrationConfig:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--damping", type=float, default=0.5)
+    d = SolverConfig()
+    p.add_argument("--tolerance", type=float, default=d.tolerance)
+    p.add_argument("--max-iterations", type=int, default=d.max_iterations)
+    p.add_argument("--damping", type=float, default=d.damping)
 
 
 def _add_reg_flags(p):
@@ -239,14 +240,15 @@ def build_parser() -> _Parser:
     _add_solver_flags(p)
     _add_common(p, _cmd_losses)
 
+    d = AtlasConfig()
     p = sub.add_parser("atlas", help="iterative atlas estimation")
     p.add_argument("--images", type=Path, required=True, help="directory of PGM images")
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=20)
+    p.add_argument("--epsilon", type=float, default=d.epsilon)
+    p.add_argument("--max-iter", type=int, default=d.max_outer_iterations)
     p.add_argument("--init", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--basis-dim", type=int, default=8)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--basis-dim", type=int, default=d.basis_dim)
+    p.add_argument("--depth", type=int, default=d.root_depth)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_reg_flags(p)
     _add_common(p, _cmd_atlas)
@@ -448,18 +450,18 @@ def _cmd_losses(args):
     phi_ab = read_field(args.phi_ab)
     phi_ba = read_field(args.phi_ba)
     cfg = _solver_cfg(args)
-    rows = []
+    inputs = {"phi_ab": str(args.phi_ab), "phi_ba": str(args.phi_ba)}
     metrics = {}
     metrics["icon_loss"] = icon_loss(phi_ab, phi_ba)
     if args.a and args.b:
-        a = read_pgm(args.a)
-        b = read_pgm(args.b)
-        metrics["sim_loss"] = sim_loss(a, b, phi_ab, phi_ba)
+        inputs.update(a=str(args.a), b=str(args.b))
+        metrics["sim_loss"] = sim_loss(read_pgm(args.a), read_pgm(args.b), phi_ab, phi_ba)
     chain_ab = root_chain(phi_ab, args.n, cfg)
     chain_ba = root_chain(phi_ba, args.n, cfg)
     metrics["rec_loss"] = rec_loss(chain_ab, phi_ab, chain_ba, phi_ba)
     metrics["inv_loss"] = inv_loss(chain_ab, chain_ba)
     if args.basis:
+        inputs["basis"] = str(args.basis)
         basis = read_basis(args.basis)
         z_ab = encode(basis, log_field(phi_ab, args.n, cfg))
         z_ba = encode(basis, log_field(phi_ba, args.n, cfg))
@@ -469,8 +471,7 @@ def _cmd_losses(args):
         write_csv(args.out_csv, list(metrics.keys()), rows)
     for key, value in metrics.items():
         print(f"{key},{value!r}")
-    return ({"phi_ab": str(args.phi_ab), "phi_ba": str(args.phi_ba)},
-            {"n": args.n, **asdict(cfg)}, metrics)
+    return inputs, {"n": args.n, **asdict(cfg)}, metrics
 
 
 def _cmd_atlas(args):
@@ -539,7 +540,6 @@ def _cmd_validate(args):
     basis = fit_basis(logs, min(args.basis_dim, len(logs)), symmetrize=True)
 
     rows = []
-    ident = identity_field(grid)
     for i, phi in enumerate(fields):
         chain = root_chain(phi, args.n, cfg)
         inv = invert(phi, cfg).field

@@ -1,5 +1,11 @@
-"""Grid-based images and displacement fields: sampling, composition, warping,
-and Jacobian analysis.
+"""Grid-based images and fields: sampling, composition, warping, and
+Jacobian analysis.
+
+Grid types: :class:`ScalarImage`, :class:`LabelImage`,
+:class:`DisplacementField` and :class:`LogField` (v with exp(v) = phi). The
+float types check their arrays in one place, ``_grid_array``. ``LogField``
+is not a ``DisplacementField``, so ``compose`` and ``warp_image`` cannot
+take it.
 
 Conventions (normative for the whole package):
 
@@ -64,6 +70,16 @@ def _check_same_grid(a, b):
         raise ShapeError(f"grid mismatch: {a.grid} vs {b.grid}")
 
 
+def _grid_array(values, shape, what) -> np.ndarray:
+    """``values`` as float64, checked to have ``shape`` and finite entries."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != shape:
+        raise ShapeError(f"{what} shape {values.shape} != {shape}")
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} contains non-finite values")
+    return values
+
+
 @dataclass
 class ScalarImage:
     """Real-valued image on a grid."""
@@ -72,13 +88,7 @@ class ScalarImage:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
-            raise ShapeError(
-                f"image shape {self.values.shape} != grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("image contains non-finite values")
+        self.values = _grid_array(self.values, self.grid.shape, "image")
 
 
 @dataclass
@@ -112,13 +122,18 @@ class DisplacementField:
     u: np.ndarray
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
-        if self.u.shape != (self.grid.height, self.grid.width, 2):
-            raise ShapeError(
-                f"field shape {self.u.shape} != {(self.grid.height, self.grid.width, 2)}"
-            )
-        if not np.all(np.isfinite(self.u)):
-            raise DomainError("displacement field contains non-finite values")
+        self.u = _grid_array(self.u, self.grid.shape + (2,), "displacement field")
+
+
+@dataclass
+class LogField:
+    """Tangent-space vector field v with exp(v) = phi, shape (H, W, 2)."""
+
+    grid: Grid
+    v: np.ndarray
+
+    def __post_init__(self):
+        self.v = _grid_array(self.v, self.grid.shape + (2,), "log field")
 
 
 def identity_field(grid: Grid) -> DisplacementField:

@@ -30,9 +30,8 @@ from .errors import (
     TruncatedPayloadError,
     UnsupportedChannelsError,
 )
-from .fields import DisplacementField, Grid, LabelImage, ScalarImage
+from .fields import DisplacementField, Grid, LabelImage, LogField, ScalarImage
 from .latent import LogEuclideanBasis
-from .lie import LogField
 
 _MFLD_MAGIC = b"MFLD"
 _MFLD_VERSION = 1

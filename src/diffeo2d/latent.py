@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RankError, ShapeError
-from .fields import DisplacementField, Grid
-from .lie import LogField, exp_field
+from .fields import DisplacementField, Grid, LogField
+from .lie import exp_field
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Group operations beyond composition: inversion, square roots, root chains,
 and the log/exp maps.
 
-All solvers are damped fixed-point (Picard) iterations on displacement
-fields. They are exact for constant translations and first-order accurate in
-general; achieved residuals are returned as first-class outputs so callers
-can assert them.
+``invert`` and ``sqrt_field`` are damped fixed-point (Picard) iterations on
+displacement fields, both run by one loop, ``_fixed_point``; they differ
+only in the gap they drive to zero. They are exact for constant translations
+and first-order accurate in general; achieved residuals are returned as
+first-class outputs so callers can assert them. ``exp_field`` is scaling and
+squaring on :func:`fields.self_compose_m`.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .fields import (
     DisplacementField,
-    Grid,
-    ShapeError,
+    LogField,
     compose,
+    field_rms,
     field_rms_diff,
     grid_coords,
-    identity_field,
     neg_jacobian_fraction,
     sample_values,
     self_compose_m,
@@ -46,23 +47,6 @@ class SolverConfig:
 
 
 @dataclass
-class LogField:
-    """Tangent-space vector field v with exp(v) = phi, shape (H, W, 2)."""
-
-    grid: Grid
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=np.float64)
-        if self.v.shape != (self.grid.height, self.grid.width, 2):
-            raise ShapeError(
-                f"log field shape {self.v.shape} != {(self.grid.height, self.grid.width, 2)}"
-            )
-        if not np.all(np.isfinite(self.v)):
-            raise DomainError("log field contains non-finite values")
-
-
-@dataclass
 class FieldSolution:
     """A solved field plus the residual the solver achieved."""
 
@@ -84,6 +68,31 @@ class RootChain:
         return len(self.roots)
 
 
+def _fixed_point(gap, w0, cfg: SolverConfig):
+    """Damped Picard iteration w <- w + damping * gap(w), starting at w0.
+
+    Stops once the RMS update falls below the tolerance. Returns
+    ``(w, iterations)``, with ``iterations`` None if that did not happen
+    within ``max_iterations``.
+    """
+    w = w0
+    for it in range(1, cfg.max_iterations + 1):
+        update = cfg.damping * gap(w)
+        w = w + update
+        if np.sqrt(np.mean(update * update)) < cfg.tolerance:
+            return w, it
+    return w, None
+
+
+def _not_converged(what, residual, cfg: SolverConfig) -> ConvergenceError:
+    return ConvergenceError(
+        f"{what} did not converge in {cfg.max_iterations} iterations "
+        f"(residual {residual:.3e} px)",
+        residual=residual,
+        iterations=cfg.max_iterations,
+    )
+
+
 def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> FieldSolution:
     """Numerical inverse via the fixed point w(x) = -u(x + w(x)).
 
@@ -92,26 +101,11 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
     """
     x = grid_coords(field.grid)
     u = field.u
-    w = -u
-    iterations = 0
-    converged = False
-    for it in range(1, cfg.max_iterations + 1):
-        target = -sample_values(u, x + w)
-        update = cfg.damping * (target - w)
-        w = w + update
-        iterations = it
-        if np.sqrt(np.mean(update * update)) < cfg.tolerance:
-            converged = True
-            break
+    w, iterations = _fixed_point(lambda w: -sample_values(u, x + w) - w, -u, cfg)
     inv = DisplacementField(field.grid, w)
-    residual = field_rms_diff(compose(field, inv), identity_field(field.grid))
-    if not converged:
-        raise ConvergenceError(
-            f"inversion did not converge in {cfg.max_iterations} iterations "
-            f"(residual {residual:.3e} px)",
-            residual=residual,
-            iterations=cfg.max_iterations,
-        )
+    residual = field_rms(compose(field, inv))
+    if iterations is None:
+        raise _not_converged("inversion", residual, cfg)
     return FieldSolution(inv, residual, iterations)
 
 
@@ -127,26 +121,11 @@ def sqrt_field(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> 
         warning = "input field has non-positive Jacobian pixels; root may be inaccurate"
     x = grid_coords(field.grid)
     u = field.u
-    w = 0.5 * u
-    iterations = 0
-    converged = False
-    for it in range(1, cfg.max_iterations + 1):
-        f_w = w + sample_values(w, x + w)
-        update = cfg.damping * (u - f_w)
-        w = w + update
-        iterations = it
-        if np.sqrt(np.mean(update * update)) < cfg.tolerance:
-            converged = True
-            break
+    w, iterations = _fixed_point(lambda w: u - (w + sample_values(w, x + w)), 0.5 * u, cfg)
     root = DisplacementField(field.grid, w)
     residual = field_rms_diff(self_compose_m(root, 2), field)
-    if not converged:
-        raise ConvergenceError(
-            f"square root did not converge in {cfg.max_iterations} iterations "
-            f"(residual {residual:.3e} px)",
-            residual=residual,
-            iterations=cfg.max_iterations,
-        )
+    if iterations is None:
+        raise _not_converged("square root", residual, cfg)
     return FieldSolution(root, residual, iterations, warning=warning)
 
 
@@ -187,7 +166,4 @@ def exp_field(v: LogField, n_levels: int = 6) -> DisplacementField:
     times."""
     if n_levels < 1:
         raise DomainError(f"exp depth must be >= 1, got {n_levels}")
-    result = DisplacementField(v.grid, v.v / (2.0 ** n_levels))
-    for _ in range(n_levels):
-        result = compose(result, result)
-    return result
+    return self_compose_m(DisplacementField(v.grid, v.v / 2.0**n_levels), 2**n_levels)

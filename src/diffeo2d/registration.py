@@ -30,8 +30,7 @@ from .fields import (
     Stencil,
     _check_same_grid,
     compose,
-    field_rms_diff,
-    identity_field,
+    field_rms,
     warp_image,
 )
 
@@ -366,16 +365,12 @@ def register_pairs(
         terms.append(_history_terms(cfg, res_ab, res_ba, r1, r2, global_it - 1, level))
 
     grid = fixed[0].grid
-    ident = identity_field(grid)
     per_pair = np.array(terms).transpose(2, 0, 1).tolist()  # (pair, row, term)
     results = []
     for n, rows in enumerate(per_pair):
         phi_ab = DisplacementField(grid, np.stack([u_ab[0, n], u_ab[1, n]], axis=-1))
         phi_ba = DisplacementField(grid, np.stack([u_ba[0, n], u_ba[1, n]], axis=-1))
-        final_ic = max(
-            field_rms_diff(compose(phi_ab, phi_ba), ident),
-            field_rms_diff(compose(phi_ba, phi_ab), ident),
-        )
+        final_ic = max(field_rms(compose(phi_ab, phi_ba)), field_rms(compose(phi_ba, phi_ab)))
         history = [(it, *row) for it, row in zip(iterations, rows)]
         results.append(RegistrationResult(phi_ab, phi_ba, history, final_ic))
     return results

@@ -20,11 +20,13 @@ from .fields import (
     DisplacementField,
     Grid,
     LabelImage,
+    LogField,
     ScalarImage,
+    grid_coords,
     warp_image,
     warp_labels,
 )
-from .lie import LogField, exp_field
+from .lie import exp_field
 
 PHANTOM_KINDS = ("ring_with_bump", "four_label_phantom", "gaussian_blobs")
 
@@ -151,14 +153,7 @@ def _blob_geometry(spec: PhantomSpec, rng):
 def make_phantom(spec: PhantomSpec) -> tuple[ScalarImage, LabelImage]:
     """Deterministic image in [0, 1] plus a consistent label partition."""
     grid = spec.grid
-    coords = np.stack(
-        np.meshgrid(
-            np.arange(grid.height, dtype=np.float64),
-            np.arange(grid.width, dtype=np.float64),
-            indexing="ij",
-        ),
-        axis=-1,
-    )
+    coords = grid_coords(grid)
     cr, cc = spec.center
     dr = coords[..., 0] - cr
     dc = coords[..., 1] - cc

@@ -296,3 +296,15 @@ def test_every_subcommand_writes_a_manifest(tmp_path, small_inputs, command):
     manifest = json.loads(summary.read_text())
     assert set(manifest) == {"command", "version", "inputs", "config", "metrics"}
     assert manifest["command"] == command
+
+
+def test_losses_manifest_names_every_input(tmp_path, small_inputs):
+    d = small_inputs
+    files = {"phi_ab": d / "subject_000_field.mfld", "phi_ba": d / "subject_001_field.mfld",
+             "a": d / "image.pgm", "b": d / "subject_000_image.pgm", "basis": d / "basis.mleb"}
+    flags = [tok for key, path in files.items() for tok in (f"--{key.replace('_', '-')}", path)]
+    summary = tmp_path / "run.json"
+    assert run("losses", *flags, "--n", 2, "--json-summary", summary) == 0
+    manifest = json.loads(summary.read_text())
+    assert manifest["inputs"] == {key: str(path) for key, path in files.items()}
+    assert {"sim_loss", "latent_inv_loss"} <= set(manifest["metrics"])

@@ -5,6 +5,7 @@ from diffeo2d import (
     DisplacementField,
     Grid,
     LabelImage,
+    LogField,
     ScalarImage,
     compose,
     field_rms_diff,
@@ -241,3 +242,30 @@ def test_sampling_exact_on_linear_fields():
         axis=-1,
     )
     assert np.allclose(vals, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "grid_type, attr, trailing",
+    [(ScalarImage, "values", ()), (DisplacementField, "u", (2,)), (LogField, "v", (2,))],
+)
+class TestGridArrayValidation:
+    """Every float grid type casts, shape-checks and finiteness-checks its
+    array the same way."""
+
+    def test_ints_cast_to_float64(self, grid_type, attr, trailing):
+        obj = grid_type(Grid(3, 4), np.ones((3, 4) + trailing, dtype=np.int32))
+        arr = getattr(obj, attr)
+        assert arr.dtype == np.float64
+        assert np.all(arr == 1.0)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4, 3), (3, 4, 1, 2), (12,)])
+    def test_wrong_shape(self, grid_type, attr, trailing, shape):
+        with pytest.raises(ShapeError):
+            grid_type(Grid(3, 4), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, grid_type, attr, trailing, bad):
+        values = np.zeros((3, 4) + trailing)
+        values[1, 2] = bad
+        with pytest.raises(DomainError):
+            grid_type(Grid(3, 4), values)

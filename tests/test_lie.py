@@ -16,7 +16,7 @@ from diffeo2d import (
     self_compose_m,
     sqrt_field,
 )
-from diffeo2d.errors import DomainError
+from diffeo2d.errors import ConvergenceError, DomainError
 
 from conftest import constant_field, suite_field
 
@@ -155,3 +155,27 @@ class TestLogExp:
             neg = exp_field(LogField(phi.grid, -lf.v), 6)
             inv = invert(phi).field
             assert field_rms_diff(neg, inv) <= 2e-2
+
+
+class TestNonConvergence:
+    """One iteration cannot meet the tolerance on a suite field: each solver
+    raises ConvergenceError with the achieved residual and its budget."""
+
+    @pytest.mark.parametrize(
+        "solve, name",
+        [
+            (invert, "inversion"),
+            (sqrt_field, "square root"),
+            (lambda phi, cfg: root_chain(phi, 3, cfg), "root chain failed at level 0: square root"),
+        ],
+    )
+    def test_error_carries_residual_and_budget(self, solve, name):
+        _, phi = suite_field(0)
+        cfg = SolverConfig(max_iterations=1)
+        with pytest.raises(ConvergenceError) as info:
+            solve(phi, cfg)
+        err = info.value
+        assert str(err).startswith(f"{name} did not converge in 1 iterations")
+        assert err.iterations == cfg.max_iterations
+        assert np.isfinite(err.residual) and err.residual > 0
+        assert f"(residual {err.residual:.3e} px)" in str(err)

@@ -1,26 +1,32 @@
-"""Property tests of the bilinear stencil, the identity law and the file
-parsers, on inputs drawn by hypothesis (deterministic profile registered in
-conftest.py)."""
+"""Property tests of the bilinear stencil, the identity law, inversion and
+the file parsers, on inputs drawn by hypothesis (deterministic profile
+registered in conftest.py)."""
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diffeo2d import (
     DisplacementField,
     Grid,
+    RandomFieldSpec,
+    SolverConfig,
     compose,
+    exp_field,
     identity_field,
+    invert,
+    neg_jacobian_fraction,
     read_basis,
     read_field,
     read_pgm,
     read_pgm_labels,
+    random_log_field,
 )
 from diffeo2d.errors import FileFormatError
-from diffeo2d.fields import Stencil, sample_values, splat_values
+from diffeo2d.fields import Stencil, field_rms, sample_values, splat_values
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -161,6 +167,24 @@ def test_compose_with_identity(h, w, data):
     u[:, -1] = 0.0
     f = DisplacementField(grid, u)
     assert np.array_equal(compose(f, ident).u, u)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 4.0),  # up to synth's limit of min(grid) / 8
+    st.floats(4.0, 8.0),  # synth's default smoothing and smoother
+)
+def test_invert_is_right_inverse_on_synth_fields(seed, amplitude, sigma):
+    """On fold-free 32x32 synth fields, phi o invert(phi) is the identity to
+    within ten times the solver tolerance."""
+    spec = RandomFieldSpec(Grid(32, 32), seed=seed, amplitude=amplitude, smoothing_sigma=sigma)
+    phi = exp_field(random_log_field(spec))
+    assume(neg_jacobian_fraction(phi) == 0.0)
+    cfg = SolverConfig()
+    sol = invert(phi, cfg)
+    residual = field_rms(compose(phi, sol.field))
+    assert residual <= 10 * cfg.tolerance
+    assert sol.residual == residual
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,21 @@
+"""Checks that the benchmark's tooling still fits the library it measures."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_perfbench_target_resolves(monkeypatch):
+    """The tracer rebinds each ``perfbench/layers.py`` target by module and
+    name and fails on a missing one, so a function that moves between
+    modules must move in the target list too."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # layers.py imports tracer
+    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TARGETS
+    for target in layers.TARGETS:
+        module = importlib.import_module(target.module)
+        assert callable(getattr(module, target.attr, None)), target.name
