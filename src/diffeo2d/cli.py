@@ -62,42 +62,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _solver_cfg(args) -> SolverConfig:
-    return SolverConfig(
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-        damping=args.damping,
-    )
+# One (flag, field) table per config drives both the parser, whose defaults
+# and types come from the config's own defaults, and the config built from
+# the parsed arguments.
+_SOLVER_FLAGS = (
+    ("--tolerance", "tolerance"),
+    ("--max-iterations", "max_iterations"),
+    ("--damping", "damping"),
+)
+_REG_FLAGS = (
+    ("--lambda-sim", "lambda_sim"),
+    ("--lambda-reg", "lambda_reg"),
+    ("--levels", "pyramid_levels"),
+    ("--iterations", "iterations_per_level"),
+    ("--step-size", "step_size"),
+    ("--sigma-update", "update_smoothing_sigma"),
+    ("--sigma-field", "field_smoothing_sigma"),
+)
+_ATLAS_FLAGS = (
+    ("--epsilon", "epsilon"),
+    ("--max-iter", "max_outer_iterations"),
+    ("--basis-dim", "basis_dim"),
+    ("--depth", "root_depth"),
+)
 
 
-def _reg_cfg(args) -> RegistrationConfig:
-    return RegistrationConfig(
-        lambda_sim=args.lambda_sim,
-        lambda_reg=args.lambda_reg,
-        pyramid_levels=args.levels,
-        iterations_per_level=args.iterations,
-        step_size=args.step_size,
-        update_smoothing_sigma=args.sigma_update,
-        field_smoothing_sigma=args.sigma_field,
-    )
+def _add_flags(p, cls, table):
+    defaults = cls()
+    for flag, name in table:
+        default = getattr(defaults, name)
+        p.add_argument(flag, type=type(default), default=default)
 
 
-def _add_solver_flags(p):
-    d = SolverConfig()
-    p.add_argument("--tolerance", type=float, default=d.tolerance)
-    p.add_argument("--max-iterations", type=int, default=d.max_iterations)
-    p.add_argument("--damping", type=float, default=d.damping)
-
-
-def _add_reg_flags(p):
-    d = RegistrationConfig()
-    p.add_argument("--lambda-sim", type=float, default=d.lambda_sim)
-    p.add_argument("--lambda-reg", type=float, default=d.lambda_reg)
-    p.add_argument("--levels", type=int, default=d.pyramid_levels)
-    p.add_argument("--iterations", type=int, default=d.iterations_per_level)
-    p.add_argument("--step-size", type=float, default=d.step_size)
-    p.add_argument("--sigma-update", type=float, default=d.update_smoothing_sigma)
-    p.add_argument("--sigma-field", type=float, default=d.field_smoothing_sigma)
+def _config(args, cls, table, **fixed):
+    """``cls`` built from the parsed values of the flags in ``table``."""
+    values = {name: getattr(args, flag[2:].replace("-", "_")) for flag, name in table}
+    return cls(**values, **fixed)
 
 
 def _add_common(p, run):
@@ -153,7 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt-field", type=Path, default=None,
                    help="ground-truth field mapping a to b; adds median "
                         "endpoint error to the summary")
-    _add_reg_flags(p)
+    _add_flags(p, RegistrationConfig, _REG_FLAGS)
     _add_common(p, _cmd_register)
 
     for name, solve, help_text in [
@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--field", type=Path, required=True)
         p.add_argument("--out", type=Path, required=True)
-        _add_solver_flags(p)
+        _add_flags(p, SolverConfig, _SOLVER_FLAGS)
         _add_common(p, _cmd_solve)
         p.set_defaults(solve=solve)
 
@@ -171,7 +171,7 @@ def build_parser() -> _Parser:
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--n", type=int, default=6)
-    _add_solver_flags(p)
+    _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_log)
 
     p = sub.add_parser("exp", help="exponential map via scaling and squaring")
@@ -191,7 +191,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--residual-csv", type=Path, default=None)
-    _add_solver_flags(p)
+    _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_roots)
 
     p = sub.add_parser("jacobian", help="Jacobian determinant map and folding fraction")
@@ -237,20 +237,18 @@ def build_parser() -> _Parser:
     p.add_argument("--basis", type=Path, default=None)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--out-csv", type=Path, default=None)
-    _add_solver_flags(p)
+    _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_losses)
 
-    d = AtlasConfig()
     p = sub.add_parser("atlas", help="iterative atlas estimation")
     p.add_argument("--images", type=Path, required=True, help="directory of PGM images")
-    p.add_argument("--epsilon", type=float, default=d.epsilon)
-    p.add_argument("--max-iter", type=int, default=d.max_outer_iterations)
+    # --init and --seed sit between the atlas flags, as --help lists them.
+    _add_flags(p, AtlasConfig, _ATLAS_FLAGS[:2])
     p.add_argument("--init", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--basis-dim", type=int, default=d.basis_dim)
-    p.add_argument("--depth", type=int, default=d.root_depth)
+    _add_flags(p, AtlasConfig, _ATLAS_FLAGS[2:])
     p.add_argument("--out-dir", type=Path, required=True)
-    _add_reg_flags(p)
+    _add_flags(p, RegistrationConfig, _REG_FLAGS)
     _add_common(p, _cmd_atlas)
 
     p = sub.add_parser("warp", help="warp an image or label map by a field")
@@ -275,7 +273,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--basis-dim", type=int, default=4)
     p.add_argument("--out-csv", type=Path, required=True)
-    _add_solver_flags(p)
+    _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_validate)
 
     return parser
@@ -318,7 +316,7 @@ def _cmd_synth(args):
 def _cmd_register(args):
     a = read_pgm(args.a)
     b = read_pgm(args.b)
-    cfg = _reg_cfg(args)
+    cfg = _config(args, RegistrationConfig, _REG_FLAGS)
     result = register_pair(a, b, cfg)
     if args.out_ab:
         write_field(args.out_ab, result.phi_ab)
@@ -339,19 +337,21 @@ def _cmd_register(args):
         "neg_jacobian_ab_pct": neg_jacobian_fraction(result.phi_ab),
         "neg_jacobian_ba_pct": neg_jacobian_fraction(result.phi_ba),
     }
+    inputs = {"a": str(args.a), "b": str(args.b)}
     if args.gt_field:
+        inputs["gt_field"] = str(args.gt_field)
         gt = read_field(args.gt_field)
         # gt maps a onto b, so phi_ba recovers gt and phi_ab its inverse.
         d = result.phi_ba.u - gt.u
         metrics["median_endpoint_error_px"] = float(
             np.median(np.hypot(d[..., 0], d[..., 1]))
         )
-    return {"a": str(args.a), "b": str(args.b)}, asdict(cfg), metrics
+    return inputs, asdict(cfg), metrics
 
 
 def _cmd_solve(args):
     """invert or sqrt; only sqrt_field ever sets a warning."""
-    cfg = _solver_cfg(args)
+    cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     sol = args.solve(read_field(args.field), cfg)
     if sol.warning:
         print(f"warning: {sol.warning}", file=sys.stderr)
@@ -361,7 +361,7 @@ def _cmd_solve(args):
 
 
 def _cmd_log(args):
-    cfg = _solver_cfg(args)
+    cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     lf = log_field(read_field(args.field), args.n, cfg)
     write_field(args.out, lf)
     return {"field": str(args.field)}, {"n": args.n, **asdict(cfg)}, {}
@@ -381,7 +381,7 @@ def _cmd_compose(args):
 
 def _cmd_roots(args):
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _solver_cfg(args)
+    cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     chain = root_chain(read_field(args.field), args.n, cfg)
     for n, root in enumerate(chain.roots):
         write_field(args.out_dir / f"root_{n:02d}.mfld", root)
@@ -449,7 +449,7 @@ def _cmd_modes(args):
 def _cmd_losses(args):
     phi_ab = read_field(args.phi_ab)
     phi_ba = read_field(args.phi_ba)
-    cfg = _solver_cfg(args)
+    cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     inputs = {"phi_ab": str(args.phi_ab), "phi_ba": str(args.phi_ba)}
     metrics = {}
     metrics["icon_loss"] = icon_loss(phi_ab, phi_ba)
@@ -479,13 +479,8 @@ def _cmd_atlas(args):
     if len(paths) < 2:
         raise UsageError(f"need at least 2 PGM images in {args.images}")
     images = [read_pgm(p) for p in paths]
-    cfg = AtlasConfig(
-        epsilon=args.epsilon,
-        max_outer_iterations=args.max_iter,
-        reg_config=_reg_cfg(args),
-        basis_dim=args.basis_dim,
-        root_depth=args.depth,
-    )
+    reg_config = _config(args, RegistrationConfig, _REG_FLAGS)
+    cfg = _config(args, AtlasConfig, _ATLAS_FLAGS, reg_config=reg_config)
     atlas, history = estimate_atlas(images, cfg, init_index=args.init, seed=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(args.out_dir / "atlas.pgm", atlas)
@@ -527,7 +522,7 @@ def _cmd_validate(args):
     """Consistency checks on seeded synthetic fields: per-level root-chain
     reconstruction, field negation vs inversion, and latent negation."""
     grid = Grid(args.height, args.width)
-    cfg = _solver_cfg(args)
+    cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     fields = []
     logs = []
     for i in range(args.count):

@@ -25,13 +25,16 @@ the stencil once and reuses it. ``sample_values``, ``sample_values_grad`` and
 ``splat_values`` are one-shot wrappers for callers with a single use.
 
 The stencil is planar: it takes the row and column coordinates as two
-arrays and computes on one channel plane at a time, because weights that
-broadcast over a trailing axis of length 2 cost several times more than the
-same products on a plane. Fields keep their ``(H, W, 2)`` layout outside;
-the wrappers split the points and the stencil loops over the channels. A
-stencil may also carry a leading subject axis, ``(N, H, W)``: N point sets
-on N grids of one shape, indexed into one flattened stack, so that a batch
-of registrations costs one gather and one splat per plane, not N.
+arrays and values channel-first, ``(*lead, H, W)`` with any leading channel
+axes, because weights that broadcast over a trailing axis of length 2 cost
+several times more than the same products on a plane. One gather reads the
+corners of every plane and the weights broadcast over the leading axes.
+Fields keep their ``(H, W, 2)`` layout outside; ``sample_values``,
+``sample_values_grad`` and ``splat_values`` are the only code that moves
+the channel axis, to the front and back. A stencil may also carry a leading
+subject axis, ``(N, H, W)``: N point sets on N grids of one shape, indexed
+into one flattened stack, so that a batch of registrations costs one gather
+and one splat per plane, not N.
 """
 
 from __future__ import annotations
@@ -165,9 +168,11 @@ class Stencil:
     run over the flattened stack, so subject ``n``'s are offset by
     ``n*H*W`` and one gather or one ``np.bincount`` serves all subjects.
 
-    The methods compute on one array of ``shape`` at a time; values with a
-    trailing channel axis are handled one channel plane at a time and the
-    results stacked once at the end.
+    The methods take channel-first values, ``(*lead, *shape)`` for sampling
+    and ``(*lead, *points)`` for the splat, with any leading channel axes,
+    and compute all planes at once: one ``np.take`` gathers the corners of
+    every plane, ``fr`` and ``fc`` broadcast over the leading axes, and the
+    splat runs one ``np.bincount`` per leading plane into one output array.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
@@ -192,16 +197,22 @@ class Stencil:
             k00 += (np.arange(n) * (h * w)).reshape((n,) + (1,) * (k00.ndim - 1))
         self.k4 = k00 + np.array([0, 1, w, w + 1]).reshape((4,) + (1,) * k00.ndim)
 
+    def _corners(self, values: np.ndarray):
+        """The four corner values 00, 01, 10, 11 of every point, each of
+        shape ``(*lead, *points)``, from one gather over ``(*lead, *shape)``
+        values."""
+        lead = values.shape[: values.ndim - len(self.shape)]
+        corners = np.take(values.reshape(lead + (-1,)), self.k4, axis=-1)
+        # The view np.moveaxis(corners, len(lead), 0) gives, at a quarter of
+        # its call overhead: registration gathers six times an iteration.
+        return np.rollaxis(corners, len(lead))
+
     def sample(self, values: np.ndarray) -> np.ndarray:
-        """Bilinear sample of an array of ``shape`` (+ channels) at the points."""
-        if values.ndim > len(self.shape):
-            return np.stack(
-                [self.sample(values[..., c]) for c in range(values.shape[-1])], axis=-1
-            )
+        """Bilinear sample of ``(*lead, *shape)`` values at the points."""
         # top = v00 + fc (v01 - v00), bot = v10 + fc (v11 - v10) and
         # top + fr (bot - top), computed in place on the gathered corners:
         # the same operations on the same operands, without temporaries.
-        v00, v01, v10, v11 = np.take(values.reshape(-1), self.k4)
+        v00, v01, v10, v11 = self._corners(values)
         top = v01 - v00
         top *= self.fc
         top += v00
@@ -219,14 +230,11 @@ class Stencil:
         Returns (value, d/d_row, d/d_col). The derivative is zero where the
         coordinate is clamped outside the domain.
         """
-        if values.ndim > len(self.shape):
-            planes = [self.sample_grad(values[..., c]) for c in range(values.shape[-1])]
-            return tuple(np.stack(out, axis=-1) for out in zip(*planes))
         h, w = self.shape[-2:]
         fr, fc = self.fr, self.fc
         # As in sample, plus d_row = bot - top and d_col = right - left with
         # left = v00 + fr (v10 - v00), right = v01 + fr (v11 - v01).
-        v00, v01, v10, v11 = np.take(values.reshape(-1), self.k4)
+        v00, v01, v10, v11 = self._corners(values)
         top = v01 - v00
         top *= fc
         top += v00
@@ -249,29 +257,35 @@ class Stencil:
     def splat(self, values: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`sample`: scatter per-point values onto the nodes.
 
-        ``values`` has the points' shape (+ channels); returns an array of
-        ``shape`` (+ channels) of bilinearly weighted sums. One
-        ``np.bincount`` per channel adds into each node in the order of the
-        corners 00, 01, 10, 11, then of the points.
+        ``values`` has shape ``(*lead, *points)``; returns ``(*lead, *shape)``
+        bilinearly weighted sums. One ``np.bincount`` per leading plane adds
+        into each node in the order of the corners 00, 01, 10, 11, then of
+        the points.
         """
         fr, fc = self.fr, self.fc
         w4 = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc])
         idx = self.k4.ravel()
         size = int(np.prod(self.shape))
-
-        def splat_plane(r):
-            return np.bincount(idx, (w4 * r).ravel(), size).reshape(self.shape)
-
-        if values.ndim > fr.ndim:
-            return np.stack(
-                [splat_plane(values[..., c]) for c in range(values.shape[-1])], axis=-1
-            )
-        return splat_plane(values)
+        lead = values.shape[: values.ndim - fr.ndim]
+        out = np.empty(lead + (size,))
+        for plane, r in zip(out.reshape(-1, size), values.reshape((-1,) + fr.shape)):
+            plane[:] = np.bincount(idx, (w4 * r).ravel(), size)
+        return out.reshape(lead + self.shape)
 
 
 def _point_stencil(points: np.ndarray, shape) -> Stencil:
     """Stencil of (..., 2) points on the grid of an (H, W[, C]) array."""
     return Stencil(points[..., 0], points[..., 1], shape[:2])
+
+
+def _channels_first(values: np.ndarray, channels: bool) -> np.ndarray:
+    """``(C, ...)`` view of a ``(..., C)`` array; without channels, as is."""
+    return np.moveaxis(values, -1, 0) if channels else values
+
+
+def _channels_last(values: np.ndarray, channels: bool) -> np.ndarray:
+    """Inverse of :func:`_channels_first`."""
+    return np.moveaxis(values, 0, -1) if channels else values
 
 
 def sample_values(values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -282,12 +296,17 @@ def sample_values(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     last row and column: those nodes are reached at offset 1 from the cell
     before them, and ``v0 + 1 * (v1 - v0)`` can round away from ``v1``.
     """
-    return _point_stencil(points, values.shape).sample(values)
+    channels = values.ndim == 3
+    out = _point_stencil(points, values.shape).sample(_channels_first(values, channels))
+    return _channels_last(out, channels)
 
 
 def sample_values_grad(values: np.ndarray, points: np.ndarray):
     """Bilinear sample plus its derivative; see :meth:`Stencil.sample_grad`."""
-    return _point_stencil(points, values.shape).sample_grad(values)
+    channels = values.ndim == 3
+    stencil = _point_stencil(points, values.shape)
+    outs = stencil.sample_grad(_channels_first(values, channels))
+    return tuple(_channels_last(out, channels) for out in outs)
 
 
 def splat_values(points: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
@@ -296,7 +315,9 @@ def splat_values(points: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
     ``points`` is (..., 2), ``values`` is points.shape[:-1] (+ channels);
     returns an array of ``shape`` (+ channels) with bilinearly-weighted sums.
     """
-    return _point_stencil(points, shape).splat(values)
+    channels = values.ndim == points.ndim
+    out = _point_stencil(points, shape).splat(_channels_first(values, channels))
+    return _channels_last(out, channels)
 
 
 def sample_field(field: DisplacementField, point) -> tuple[float, float]:
@@ -320,23 +341,14 @@ def compose(outer: DisplacementField, inner: DisplacementField) -> DisplacementF
 
 
 def self_compose_m(field: DisplacementField, m: int) -> DisplacementField:
-    """Compose a field with itself m times (m=1 returns the input).
-
-    Powers of two use repeated squaring; other m fold sequentially.
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if m == 1:
-        return field
-    if m & (m - 1) == 0:
-        result = field
-        while m > 1:
-            result = compose(result, result)
-            m //= 2
-        return result
+    """Compose a field with itself m times, m a power of two, by repeated
+    squaring (m=1 returns the input)."""
+    if m < 1 or (m & (m - 1)) != 0:
+        raise DomainError(f"m must be a positive power of two, got {m}")
     result = field
-    for _ in range(m - 1):
-        result = compose(field, result)
+    while m > 1:
+        result = compose(result, result)
+        m //= 2
     return result
 
 

@@ -169,14 +169,6 @@ def _mean_sq_planes(u: np.ndarray) -> np.ndarray:
     return np.mean(u[0] * u[0] + u[1] * u[1], axis=(-2, -1))
 
 
-def _plus_sampled(base: np.ndarray, stencil: Stencil, u: np.ndarray) -> np.ndarray:
-    """``base`` plus the planar field ``u`` sampled at the stencil's points."""
-    out = base.copy()
-    for plane, u_plane in zip(out, u):
-        plane += stencil.sample(u_plane)
-    return out
-
-
 def _icon_residuals(u_var, u_other, s_var, s_other, cross=None):
     """Residuals of the two consistency terms of the frozen-partner objective.
 
@@ -187,9 +179,9 @@ def _icon_residuals(u_var, u_other, s_var, s_other, cross=None):
     residual pushback, no differentiation through the partner's
     interpolation.
     """
-    r1 = _plus_sampled(u_other, s_other, u_var)
+    r1 = u_other + s_other.sample(u_var)
     if cross is None:
-        return r1, _plus_sampled(u_var, s_var, u_other)
+        return r1, u_var + s_var.sample(u_other)
     return r1, u_var + cross
 
 
@@ -202,8 +194,7 @@ def _frozen_grad(resid, d_row, d_col, r1, r2, s_other, lambda_sim, lambda_reg):
     grad[0] += lambda_sim * (2.0 / n) * resid * d_row
     grad[1] += lambda_sim * (2.0 / n) * resid * d_col
     # One splat call for both planes shares the corner weights between them.
-    splat = np.moveaxis(s_other.splat(np.moveaxis(r1, 0, -1)), -1, 0)
-    grad += lambda_reg * (2.0 / n) * splat
+    grad += lambda_reg * (2.0 / n) * s_other.splat(r1)
     grad += lambda_reg * (2.0 / n) * r2
     return grad
 
@@ -229,7 +220,7 @@ def _upsample_field(u: np.ndarray, shape) -> np.ndarray:
     rows = np.broadcast_to((np.arange(h, dtype=np.float64) / 2.0)[:, None], shape)
     cols = np.broadcast_to(np.arange(w, dtype=np.float64) / 2.0, shape)
     stencil = Stencil(rows, cols, u.shape[1:])
-    return 2.0 * np.stack([stencil.sample(plane) for plane in u])
+    return 2.0 * stencil.sample(u)
 
 
 def _smooth_field(u: np.ndarray, sigma: float) -> np.ndarray:
@@ -368,8 +359,8 @@ def register_pairs(
     per_pair = np.array(terms).transpose(2, 0, 1).tolist()  # (pair, row, term)
     results = []
     for n, rows in enumerate(per_pair):
-        phi_ab = DisplacementField(grid, np.stack([u_ab[0, n], u_ab[1, n]], axis=-1))
-        phi_ba = DisplacementField(grid, np.stack([u_ba[0, n], u_ba[1, n]], axis=-1))
+        phi_ab = DisplacementField(grid, np.stack(u_ab[:, n], axis=-1))
+        phi_ba = DisplacementField(grid, np.stack(u_ba[:, n], axis=-1))
         final_ic = max(field_rms(compose(phi_ab, phi_ba)), field_rms(compose(phi_ba, phi_ab)))
         history = [(it, *row) for it, row in zip(iterations, rows)]
         results.append(RegistrationResult(phi_ab, phi_ba, history, final_ic))

@@ -117,7 +117,13 @@ class TestRegisterPipeline:
             "--gt-field", data / "subject_000_field.mfld",
             "--json-summary", summary,
         ) == 0
-        metrics = json.loads(summary.read_text())["metrics"]
+        manifest = json.loads(summary.read_text())
+        assert manifest["inputs"] == {
+            "a": str(data / "image.pgm"),
+            "b": str(data / "subject_000_image.pgm"),
+            "gt_field": str(data / "subject_000_field.mfld"),
+        }
+        metrics = manifest["metrics"]
         assert metrics["median_endpoint_error_px"] <= 0.5
         assert metrics["final_inverse_consistency_px"] <= 0.1
         assert metrics["neg_jacobian_ab_pct"] == 0.0

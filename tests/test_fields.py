@@ -129,6 +129,10 @@ class TestSelfCompose:
         with pytest.raises(DomainError):
             self_compose_m(identity_field(Grid(4, 4)), 0)
 
+    def test_m_not_power_of_two_rejected(self):
+        with pytest.raises(DomainError, match="power of two, got 3"):
+            self_compose_m(identity_field(Grid(4, 4)), 3)
+
 
 class TestWarpImage:
     def test_zero_field_identity_bitwise(self):

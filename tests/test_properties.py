@@ -26,23 +26,30 @@ from diffeo2d import (
     random_log_field,
 )
 from diffeo2d.errors import FileFormatError
-from diffeo2d.fields import Stencil, field_rms, sample_values, splat_values
+from diffeo2d.fields import Stencil, field_rms, sample_values, sample_values_grad, splat_values
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def values_and_points(draw, max_side=9, max_points=24):
-    """Node values on a random grid (scalar, 1- or 2-channel) and a point set
-    reaching up to 3 px outside the domain on every side."""
+    """Node values on a random grid, as the stencil takes them: (H, W), or
+    (C, H, W) with 1 or 2 leading channel planes; and a point set reaching
+    up to 3 px outside the domain on every side."""
     h = draw(st.integers(2, max_side))
     w = draw(st.integers(2, max_side))
     channels = draw(st.sampled_from([(), (1,), (2,)]))
-    values = draw(arrays(np.float64, (h, w) + channels, elements=finite))
+    values = draw(arrays(np.float64, channels + (h, w), elements=finite))
     n = draw(st.integers(1, max_points))
     coord = st.floats(-3.0, max(h, w) + 2.0, allow_nan=False)
     points = draw(arrays(np.float64, (n, 2), elements=coord))
     return values, points
+
+
+def _channels_last(planes):
+    """(H, W, C) view of (C, H, W) planes, the layout of the public wrappers;
+    an (H, W) array as is."""
+    return np.moveaxis(planes, 0, -1) if planes.ndim == 3 else planes
 
 
 def _reference_sample(values, points):
@@ -77,8 +84,8 @@ def _reference_splat(points, r, shape):
 def test_sample_splat_adjoint(vp, data):
     # <sample(u, p), r> == <u, splat(p, r)> for every u and r.
     u, p = vp
-    r = data.draw(arrays(np.float64, p.shape[:1] + u.shape[2:], elements=finite))
-    stencil = Stencil(p[..., 0], p[..., 1], u.shape[:2])
+    r = data.draw(arrays(np.float64, u.shape[:-2] + p.shape[:1], elements=finite))
+    stencil = Stencil(p[..., 0], p[..., 1], u.shape[-2:])
     lhs = float(np.sum(stencil.sample(u) * r))
     rhs = float(np.sum(u * stencil.splat(r)))
     scale = float(np.sum(np.abs(r))) * max(float(np.max(np.abs(u))), 1.0)
@@ -88,11 +95,14 @@ def test_sample_splat_adjoint(vp, data):
 @given(values_and_points(), st.data())
 def test_stencil_matches_corner_by_corner_reference(vp, data):
     # np.take gathers and np.bincount splats do the same float operations
-    # in the same order as fancy indexing and np.add.at.
+    # in the same order as fancy indexing and np.add.at, and the wrappers
+    # convert the (H, W, C) layout to planes and back without changing a bit.
     u, p = vp
+    u = _channels_last(u)
     r = data.draw(arrays(np.float64, p.shape[:1] + u.shape[2:], elements=finite))
     expected, _ = _reference_sample(u, p)
     assert np.array_equal(sample_values(u, p), expected)
+    assert np.array_equal(sample_values_grad(u, p)[0], expected)
     assert np.array_equal(splat_values(p, r, u.shape[:2]), _reference_splat(p, r, u.shape))
 
 
@@ -105,18 +115,22 @@ def test_stencil_matches_corner_by_corner_reference(vp, data):
 def test_sample_grad_matches_central_differences(h, w, channels, data):
     # Away from cell edges the bilinear sample is linear along each
     # coordinate, so a central difference is exact up to rounding.
-    u = data.draw(arrays(np.float64, (h, w) + channels, elements=finite))
+    u = data.draw(arrays(np.float64, channels + (h, w), elements=finite))
     n = data.draw(st.integers(1, 12))
     cell = data.draw(arrays(np.int64, (n, 2), elements=st.integers(0, 7)))
     frac = data.draw(arrays(np.float64, (n, 2), elements=st.floats(0.05, 0.95)))
     p = np.minimum(cell, [h - 2, w - 2]) + frac
-    val, d_row, d_col = Stencil(p[..., 0], p[..., 1], u.shape[:2]).sample_grad(u)
-    assert np.array_equal(val, sample_values(u, p))
+
+    def sample(q):
+        return Stencil(q[..., 0], q[..., 1], (h, w)).sample(u)
+
+    val, d_row, d_col = Stencil(p[..., 0], p[..., 1], (h, w)).sample_grad(u)
+    assert np.array_equal(val, sample(p))
     eps = 1e-6
     for axis, analytic in ((0, d_row), (1, d_col)):
         step = np.zeros(2)
         step[axis] = eps
-        fd = (sample_values(u, p + step) - sample_values(u, p - step)) / (2 * eps)
+        fd = (sample(p + step) - sample(p - step)) / (2 * eps)
         assert np.allclose(analytic, fd, rtol=0.0, atol=1e-6)
 
 
@@ -124,28 +138,31 @@ def test_sample_grad_matches_central_differences(h, w, channels, data):
     st.integers(1, 4),
     st.integers(2, 9),
     st.integers(2, 9),
-    st.sampled_from([(), (2,)]),
+    st.sampled_from([(), (2,), (3,)]),
     st.data(),
 )
 def test_subject_axis_matches_per_subject_stencils(n, h, w, channels, data):
-    # A stencil over N stacked grids gives, bit for bit, what N stencils of
-    # one grid give: sample, sample_grad and splat.
-    values = data.draw(arrays(np.float64, (n, h, w) + channels, elements=finite))
+    # A stencil over N stacked grids, on C leading channel planes, gives bit
+    # for bit what N stencils of one grid give on each plane alone: sample,
+    # sample_grad and splat.
+    values = data.draw(arrays(np.float64, channels + (n, h, w), elements=finite))
     k = data.draw(st.integers(1, 12))
     coord = st.floats(-3.0, max(h, w) + 2.0, allow_nan=False)
     rows = data.draw(arrays(np.float64, (n, k), elements=coord))
     cols = data.draw(arrays(np.float64, (n, k), elements=coord))
-    r = data.draw(arrays(np.float64, (n, k) + channels, elements=finite))
+    r = data.draw(arrays(np.float64, channels + (n, k), elements=finite))
     batch = Stencil(rows, cols, (n, h, w))
     sampled = batch.sample(values)
     grads = batch.sample_grad(values)
     splatted = batch.splat(r)
-    for i in range(n):
-        one = Stencil(rows[i], cols[i], (h, w))
-        assert np.array_equal(sampled[i], one.sample(values[i]))
-        for got, want in zip(grads, one.sample_grad(values[i])):
-            assert np.array_equal(got[i], want)
-        assert np.array_equal(splatted[i], one.splat(r[i]))
+    for c in np.ndindex(channels):
+        for i in range(n):
+            one = Stencil(rows[i], cols[i], (h, w))
+            plane = c + (i,)
+            assert np.array_equal(sampled[plane], one.sample(values[plane]))
+            for got, want in zip(grads, one.sample_grad(values[plane])):
+                assert np.array_equal(got[plane], want)
+            assert np.array_equal(splatted[plane], one.splat(r[plane]))
 
 
 @given(st.integers(2, 9), st.integers(2, 9), st.data())
