@@ -18,11 +18,18 @@ Conventions (normative for the whole package):
 * All field arithmetic is float64.
 
 Bilinear sampling, its derivative and its adjoint splat all go through
-:class:`Stencil`, which checks, clamps and indexes a point set once. One
-point set has one stencil: code that reads the same points more than once
+:class:`Stencil`, which clamps and indexes a point set once. One point set
+has one stencil: code that reads the same points more than once
 (registration samples and splats at ``x + u`` several times per step) builds
 the stencil once and reuses it. ``sample_values``, ``sample_values_grad`` and
 ``splat_values`` are one-shot wrappers for callers with a single use.
+
+The stencil does not check its points, because registration builds two
+stencils an iteration. Points must be finite, and the entry points check
+that they are, raising ``DomainError``: the public wrappers above (and
+through them ``sample_field``, ``compose`` and ``warp_image``) and
+``registration.frozen_loss_and_grad``. Inside the registration loop the
+displacement-length check that builds each stencil rejects NaN and inf.
 
 The stencil is planar: it takes the row and column coordinates as two
 arrays and values channel-first, ``(*lead, H, W)`` with any leading channel
@@ -173,19 +180,24 @@ class Stencil:
     and compute all planes at once: one ``np.take`` gathers the corners of
     every plane, ``fr`` and ``fc`` broadcast over the leading axes, and the
     splat runs one ``np.bincount`` per leading plane into one output array.
+
+    The points must be finite; the constructor does not check them (see the
+    module docstring for where that check lives).
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
-        if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(cols))):
-            raise DomainError("sample points must be finite")
         self.shape = tuple(shape)
         h, w = self.shape[-2:]
         self.rows = rows
         self.cols = cols
-        fr = np.clip(rows, 0.0, h - 1.0)
-        fc = np.clip(cols, 0.0, w - 1.0)
-        i0 = np.minimum(np.floor(fr), h - 2).astype(np.intp)
-        j0 = np.minimum(np.floor(fc), w - 2).astype(np.intp)
+        # The array method skips np.clip's dispatch wrapper; unlike
+        # np.minimum(np.maximum(...)) it makes no second temporary, which
+        # costs more than the wrapper at 256^2. Clamped coordinates are
+        # non-negative, so truncation is the floor.
+        fr = rows.clip(0.0, h - 1.0)
+        fc = cols.clip(0.0, w - 1.0)
+        i0 = np.minimum(fr.astype(np.intp), h - 2)
+        j0 = np.minimum(fc.astype(np.intp), w - 2)
         fr -= i0
         fc -= j0
         self.fr = fr
@@ -202,9 +214,12 @@ class Stencil:
         shape ``(*lead, *points)``, from one gather over ``(*lead, *shape)``
         values."""
         lead = values.shape[: values.ndim - len(self.shape)]
-        corners = np.take(values.reshape(lead + (-1,)), self.k4, axis=-1)
-        # The view np.moveaxis(corners, len(lead), 0) gives, at a quarter of
-        # its call overhead: registration gathers six times an iteration.
+        corners = values.reshape(lead + (-1,)).take(self.k4, axis=-1)
+        # Corner axis first, as a view. Registration gathers six times an
+        # iteration with one leading (component) axis, so that case takes
+        # the cheapest call.
+        if len(lead) == 1:
+            return corners.swapaxes(0, 1)
         return np.rollaxis(corners, len(lead))
 
     def sample(self, values: np.ndarray) -> np.ndarray:
@@ -263,18 +278,32 @@ class Stencil:
         the points.
         """
         fr, fc = self.fr, self.fc
-        w4 = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc])
+        # The weights (1-fr)(1-fc), (1-fr) fc, fr (1-fc) and fr fc of the
+        # corners, written into one array with 1-fr and 1-fc held in its
+        # rows 0 and 2 until they are used: no temporaries, which at a batch
+        # of 64^2 fields are large enough to cost page faults on every call.
+        w4 = np.empty((4,) + fr.shape)
+        np.subtract(1, fr, out=w4[0])
+        np.multiply(w4[0], fc, out=w4[1])
+        np.subtract(1, fc, out=w4[2])
+        np.multiply(w4[0], w4[2], out=w4[0])
+        np.multiply(fr, w4[2], out=w4[2])
+        np.multiply(fr, fc, out=w4[3])
         idx = self.k4.ravel()
         size = int(np.prod(self.shape))
         lead = values.shape[: values.ndim - fr.ndim]
         out = np.empty(lead + (size,))
+        weighted = np.empty_like(w4)
         for plane, r in zip(out.reshape(-1, size), values.reshape((-1,) + fr.shape)):
-            plane[:] = np.bincount(idx, (w4 * r).ravel(), size)
+            np.multiply(w4, r, out=weighted)
+            plane[:] = np.bincount(idx, weighted.ravel(), size)
         return out.reshape(lead + self.shape)
 
 
 def _point_stencil(points: np.ndarray, shape) -> Stencil:
     """Stencil of (..., 2) points on the grid of an (H, W[, C]) array."""
+    if not np.isfinite(points).all():
+        raise DomainError("sample points must be finite")
     return Stencil(points[..., 0], points[..., 1], shape[:2])
 
 

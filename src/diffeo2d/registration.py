@@ -19,9 +19,10 @@ optimizer loop, with a leading subject axis on every array and stencil;
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import correlate1d, gaussian_filter
 
 from .errors import ConvergenceError, DomainError
 from .fields import (
@@ -130,8 +131,11 @@ def frozen_loss_and_grad(
     x + u_var, frozen at the linearization point; pass the value computed at
     the base point when finite-differencing, otherwise it is computed here.
 
-    Returns (loss, grad) with grad of shape (H, W, 2).
+    Returns (loss, grad) with grad of shape (H, W, 2). Raises DomainError
+    if either field is not finite.
     """
+    if not (np.isfinite(u_var).all() and np.isfinite(u_other).all()):
+        raise DomainError("displacement fields must be finite")
     xr, xc = np.indices(a.grid.shape, dtype=np.float64)
     u_var = np.moveaxis(u_var, -1, 0)
     u_other = np.moveaxis(u_other, -1, 0)
@@ -159,14 +163,20 @@ def frozen_loss_and_grad(
 # product is taken on whole planes (see the ``fields`` module docstring).
 
 
+def _grid_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the last two (grid) axes: the sum and the division that
+    ``np.mean`` makes, without its wrapper."""
+    return np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1])
+
+
 def _mean_sq(r: np.ndarray) -> np.ndarray:
     """Mean square over the last two (grid) axes."""
-    return np.mean(r * r, axis=(-2, -1))
+    return _grid_mean(r * r)
 
 
 def _mean_sq_planes(u: np.ndarray) -> np.ndarray:
     """Mean squared displacement norm of a planar field, per subject."""
-    return np.mean(u[0] * u[0] + u[1] * u[1], axis=(-2, -1))
+    return _grid_mean(u[0] * u[0] + u[1] * u[1])
 
 
 def _icon_residuals(u_var, u_other, s_var, s_other, cross=None):
@@ -191,8 +201,10 @@ def _frozen_grad(resid, d_row, d_col, r1, r2, s_other, lambda_sim, lambda_reg):
     derivative, and the consistency residuals of :func:`_icon_residuals`."""
     n = resid.shape[-2] * resid.shape[-1]
     grad = np.zeros(r2.shape)
-    grad[0] += lambda_sim * (2.0 / n) * resid * d_row
-    grad[1] += lambda_sim * (2.0 / n) * resid * d_col
+    sim = lambda_sim * (2.0 / n) * resid
+    grad[0] += sim * d_row
+    grad[1] += sim * d_col
+    del sim  # the splat below is the loop's peak of live memory
     # One splat call for both planes shares the corner weights between them.
     grad += lambda_reg * (2.0 / n) * s_other.splat(r1)
     grad += lambda_reg * (2.0 / n) * r2
@@ -223,11 +235,31 @@ def _upsample_field(u: np.ndarray, shape) -> np.ndarray:
     return 2.0 * stencil.sample(u)
 
 
+@lru_cache(maxsize=8)
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """Correlation weights of scipy's Gaussian kernel of ``sigma``, truncated
+    at 4 sigma: the weights ``gaussian_filter`` computes on every call."""
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = (phi / phi.sum())[::-1].copy()
+    weights.flags.writeable = False  # the cache hands one array to every call
+    return weights
+
+
 def _smooth_field(u: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian blur of each plane of a planar (2, N, H, W) field."""
-    if sigma <= 0:
+    """Gaussian blur of each plane of a planar (2, N, H, W) field.
+
+    The same two passes as ``gaussian_filter(u, (0, 0, sigma, sigma),
+    mode="nearest")``, rows into a new array and then columns in place, with
+    the kernel computed once per sigma. Like ``gaussian_filter``, it leaves
+    the field as it is for sigma up to 1e-15.
+    """
+    if sigma <= 1e-15:
         return u
-    return gaussian_filter(u, (0.0, 0.0, sigma, sigma), mode="nearest")
+    weights = _gaussian_weights(sigma)
+    out = correlate1d(u, weights, axis=-2, mode="nearest")
+    return correlate1d(out, weights, axis=-1, output=out, mode="nearest")
 
 
 def _diverged(index, residual, reason, iteration, level):
@@ -239,17 +271,18 @@ def _diverged(index, residual, reason, iteration, level):
     )
 
 
-def _field_stencil(xr, xc, u, iteration, level):
+def _field_stencil(xr, xc, u, diagonal, iteration, level):
     """Stencil of x + u for planar fields the optimizer just produced.
 
-    A displacement longer than the grid diagonal maps every point off the
-    grid: that is divergence, whether or not the field is still finite. The
-    comparison is false for NaN and inf as well.
+    A displacement longer than the grid ``diagonal`` maps every point off
+    the grid: that is divergence, whether or not the field is still finite.
+    The comparison is false for NaN and inf as well, so this check is what
+    keeps non-finite points out of the stencil.
     """
-    h, w = u.shape[-2:]
-    diagonal = np.hypot(h - 1, w - 1)
     with np.errstate(over="ignore"):  # an overflow to inf is divergence too
-        longest = np.sqrt(np.max(u[0] * u[0] + u[1] * u[1], axis=(-2, -1)))
+        sq = u * u
+        sq[0] += sq[1]
+        longest = np.sqrt(sq[0].max(axis=(-2, -1)))
     within = longest <= diagonal
     if not within.all():
         n = int(np.argmin(within))
@@ -323,8 +356,9 @@ def register_pairs(
             u_ab = _upsample_field(u_ab, va.shape)
             u_ba = _upsample_field(u_ba, va.shape)
         xr, xc = np.indices(va.shape[1:], dtype=np.float64)
-        s_ab = _field_stencil(xr, xc, u_ab, global_it, level)
-        s_ba = _field_stencil(xr, xc, u_ba, global_it, level)
+        diagonal = np.hypot(xr.shape[0] - 1, xr.shape[1] - 1)
+        s_ab = _field_stencil(xr, xc, u_ab, diagonal, global_it, level)
+        s_ba = _field_stencil(xr, xc, u_ba, diagonal, global_it, level)
         step = cfg.step_size * xr.size
         for i in range(cfg.iterations_per_level):
             # Step u_AB with u_BA frozen. The sample of A at x + u_BA serves
@@ -341,13 +375,13 @@ def register_pairs(
             # Free the old field's arrays before its successor's stencil is
             # built, so that one batch of temporaries is alive at a time.
             del res_ab, db_row, db_col, r1, r2, s_ab
-            s_ab = _field_stencil(xr, xc, u_ab, global_it, level)
+            s_ab = _field_stencil(xr, xc, u_ab, diagonal, global_it, level)
 
             # Step u_BA with the new u_AB frozen; no loss terms are needed.
             r1, r2 = _icon_residuals(u_ba, u_ab, s_ba, s_ab)
             u_ba = _descend(u_ba, res_ba, da_row, da_col, r1, r2, s_ab, step, cfg)
             del res_ba, da_row, da_col, r1, r2, s_ba
-            s_ba = _field_stencil(xr, xc, u_ba, global_it, level)
+            s_ba = _field_stencil(xr, xc, u_ba, diagonal, global_it, level)
             global_it += 1
         res_ab = s_ab.sample(vb) - va
         res_ba = s_ba.sample(va) - vb

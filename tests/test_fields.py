@@ -21,7 +21,7 @@ from diffeo2d import (
     warp_labels,
 )
 from diffeo2d.errors import DomainError, ShapeError
-from diffeo2d.fields import sample_values
+from diffeo2d.fields import sample_values, sample_values_grad, splat_values
 
 from conftest import constant_field, suite_field, textured_image
 
@@ -231,6 +231,27 @@ class TestFieldRms:
         _, a = suite_field(1)
         _, b = suite_field(2)
         assert field_rms_diff(a, b) == field_rms_diff(b, a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, p: sample_values(u, p),
+        lambda u, p: sample_values_grad(u, p),
+        lambda u, p: splat_values(p, np.ones(p.shape[:-1] + (2,)), u.shape[:2]),
+        lambda u, p: sample_field(DisplacementField(Grid(4, 5), u), p[0]),
+    ],
+    ids=["sample_values", "sample_values_grad", "splat_values", "sample_field"],
+)
+def test_non_finite_points_rejected(call, bad):
+    # The stencil does not check its points; every public entry point does.
+    u = np.zeros((4, 5, 2))
+    for coord in (0, 1):
+        p = np.full((3, 2), 1.5)
+        p[0, coord] = bad
+        with pytest.raises(DomainError):
+            call(u, p)
 
 
 def test_sampling_exact_on_linear_fields():

@@ -1,6 +1,6 @@
-"""Property tests of the bilinear stencil, the identity law, inversion and
-the file parsers, on inputs drawn by hypothesis (deterministic profile
-registered in conftest.py)."""
+"""Property tests of the bilinear stencil, the registration smoother, the
+identity law, inversion and the file parsers, on inputs drawn by hypothesis
+(deterministic profile registered in conftest.py)."""
 
 import struct
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.ndimage import gaussian_filter
 
 from diffeo2d import (
     DisplacementField,
@@ -27,6 +28,7 @@ from diffeo2d import (
 )
 from diffeo2d.errors import FileFormatError
 from diffeo2d.fields import Stencil, field_rms, sample_values, sample_values_grad, splat_values
+from diffeo2d.registration import _smooth_field
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -163,6 +165,21 @@ def test_subject_axis_matches_per_subject_stencils(n, h, w, channels, data):
             for got, want in zip(grads, one.sample_grad(values[plane])):
                 assert np.array_equal(got[plane], want)
             assert np.array_equal(splatted[plane], one.splat(r[plane]))
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(2, 12),
+    st.integers(2, 12),
+    st.floats(0.3, 3.0),
+    st.data(),
+)
+def test_smooth_field_is_scipy_gaussian_filter(n, h, w, sigma, data):
+    # The registration smoother keeps its kernel across calls; it must give
+    # bit for bit what scipy's gaussian_filter gives on each plane.
+    u = data.draw(arrays(np.float64, (2, n, h, w), elements=finite))
+    expected = gaussian_filter(u, (0.0, 0.0, sigma, sigma), mode="nearest")
+    assert np.array_equal(_smooth_field(u, sigma), expected)
 
 
 @given(st.integers(2, 9), st.integers(2, 9), st.data())

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from diffeo2d import (
+    DisplacementField,
     Grid,
     RegistrationConfig,
     ScalarImage,
@@ -137,6 +139,17 @@ class TestFrozenGradient:
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        grid = Grid(6, 6)
+        a = ScalarImage(grid, np.zeros((6, 6)))
+        finite = np.zeros((6, 6, 2))
+        broken = finite.copy()
+        broken[2, 3, 1] = bad
+        for u_var, u_other in ((broken, finite), (finite, broken)):
+            with pytest.raises(DomainError):
+                frozen_loss_and_grad(a, a, u_var, u_other, 1.0, 1.0)
+
 
 class TestRegisterPair:
     def test_self_registration_near_identity(self):
@@ -250,6 +263,50 @@ class TestRegisterPairs:
             assert np.array_equal(res.phi_ba.u, one.phi_ba.u)
             assert res.loss_history == one.loss_history
             assert res.final_inverse_consistency == one.final_inverse_consistency
+
+    def test_matches_reference_descent_loop(self):
+        # register_pairs is plain alternating descent: u_AB steps on the
+        # frozen-partner gradient, smoothed by gaussian_filter, then u_BA
+        # does the same against the new u_AB. A loop written that way from
+        # the public gradient gives the same fields bit for bit, so a change
+        # to the loop's order, stencils, step or smoother that moves a bit
+        # fails here (the gradient arithmetic is shared with the reference;
+        # the finite-difference test above checks it). The pixel count and
+        # the weights are not powers of two, because a rearranged product
+        # with those is exact and would pass.
+        grid = Grid(16, 15)
+        cfg = replace(
+            SUITE_REG_CONFIG, pyramid_levels=1, iterations_per_level=3,
+            lambda_sim=0.7, lambda_reg=1.3,
+        )
+        sigma = (cfg.update_smoothing_sigma, cfg.update_smoothing_sigma, 0.0)
+        step = cfg.step_size * grid.n_pixels
+        fixed, moving = [], []
+        for seed in range(2):
+            a = textured_image(40 + seed, grid)
+            _, phi = suite_field(140 + seed, amplitude=1.5, grid=grid)
+            fixed.append(a)
+            moving.append(warp_image(a, phi))
+        batch = register_pairs(fixed, moving, cfg)
+        for a, b, res in zip(fixed, moving, batch):
+            u_ab = np.zeros(grid.shape + (2,))
+            u_ba = np.zeros_like(u_ab)
+            for it in range(cfg.iterations_per_level):
+                _, grad = frozen_loss_and_grad(
+                    a, b, u_ab, u_ba, cfg.lambda_sim, cfg.lambda_reg
+                )
+                u_ab = u_ab - step * gaussian_filter(grad, sigma, mode="nearest")
+                _, grad = frozen_loss_and_grad(
+                    b, a, u_ba, u_ab, cfg.lambda_sim, cfg.lambda_reg
+                )
+                u_ba = u_ba - step * gaussian_filter(grad, sigma, mode="nearest")
+                loss = primary_loss(
+                    a, b, DisplacementField(grid, u_ab), DisplacementField(grid, u_ba), cfg
+                )
+                assert res.loss_history[it][0] == it
+                assert res.loss_history[it][3] == pytest.approx(loss, rel=1e-12, abs=1e-12)
+            assert np.array_equal(res.phi_ab.u, u_ab)
+            assert np.array_equal(res.phi_ba.u, u_ba)
 
     def test_diverging_pair_is_named(self):
         # A pair of constant images has zero gradient and never moves; the
