@@ -36,12 +36,21 @@ arrays and values channel-first, ``(*lead, H, W)`` with any leading channel
 axes, because weights that broadcast over a trailing axis of length 2 cost
 several times more than the same products on a plane. One gather reads the
 corners of every plane and the weights broadcast over the leading axes.
-Fields keep their ``(H, W, 2)`` layout outside; ``sample_values``,
-``sample_values_grad`` and ``splat_values`` are the only code that moves
-the channel axis, to the front and back. A stencil may also carry a leading
-subject axis, ``(N, H, W)``: N point sets on N grids of one shape, indexed
-into one flattened stack, so that a batch of registrations costs one gather
-and one splat per plane, not N.
+Fields keep their ``(H, W, 2)`` layout outside. ``sample_values``,
+``sample_values_grad`` and ``splat_values`` move the channel axis to the
+front and back on every call; the iterative loops ``sqrt_field`` and
+``invert`` in ``lie`` move it once on entry and once on exit. A stencil may
+also carry a leading subject axis, ``(N, H, W)``: N point sets on N grids
+of one shape, indexed into one flattened stack, so that a batch of
+registrations costs one gather and one splat per plane, not N.
+
+A loop that moves its points every iteration need not build a new stencil:
+:meth:`Stencil.build` rewrites one in place, and ``sample(values, out=...)``
+writes into the caller's array and gathers into a buffer the stencil owns.
+:class:`DisplacedGrid` packages this for the loops that sample a field at
+its own displaced grid x + w. At 256^2 every fresh temporary costs page
+faults, so a loop that allocated its stencil and samples anew each
+iteration spent much of its time faulting.
 """
 
 from __future__ import annotations
@@ -81,8 +90,11 @@ def _check_same_grid(a, b):
 
 
 def _grid_array(values, shape, what) -> np.ndarray:
-    """``values`` as float64, checked to have ``shape`` and finite entries."""
-    values = np.asarray(values, dtype=np.float64)
+    """``values`` as a C-contiguous float64 array, checked to have ``shape``
+    and finite entries. A contiguous float64 input is kept, not copied;
+    anything else (a transposed view, say) is copied, so that reductions over
+    the field sum in one order whatever view it was built from."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if values.shape != shape:
         raise ShapeError(f"{what} shape {values.shape} != {shape}")
     if not np.all(np.isfinite(values)):
@@ -181,40 +193,77 @@ class Stencil:
     every plane, ``fr`` and ``fc`` broadcast over the leading axes, and the
     splat runs one ``np.bincount`` per leading plane into one output array.
 
-    The points must be finite; the constructor does not check them (see the
-    module docstring for where that check lives).
+    The constructor allocates ``fr``, ``fc`` and ``k4`` and calls
+    :meth:`build`, which a loop may call again on new points of the same
+    shape; the rebuilt stencil is bit for bit a fresh one.
+
+    The points must be finite; neither the constructor nor :meth:`build`
+    checks them (see the module docstring for where that check lives).
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
         self.shape = tuple(shape)
+        points = rows.shape
+        self.fr = np.empty(points)
+        self.fc = np.empty(points)
+        self.k4 = np.empty((4,) + points, dtype=np.intp)
+        # Views of k4's rows; 0-d arrays rather than scalars for one point.
+        self._k_rows = tuple(self.k4[i, ...] for i in range(4))
+        self._gathered = None
+        self.build(rows, cols)
+
+    def build(self, rows: np.ndarray, cols: np.ndarray) -> "Stencil":
+        """Point the stencil at new points of the same shape, in place.
+
+        Writes ``fr``, ``fc`` and ``k4`` into the arrays the constructor
+        allocated, so a loop that moves its points every iteration keeps
+        one stencil and allocates nothing. ``rows`` and ``cols`` are kept
+        by reference for :meth:`sample_grad`'s clamp masks, so they must
+        hold these points until the stencil is used. Returns the stencil.
+        """
         h, w = self.shape[-2:]
         self.rows = rows
         self.cols = cols
-        # The array method skips np.clip's dispatch wrapper; unlike
-        # np.minimum(np.maximum(...)) it makes no second temporary, which
-        # costs more than the wrapper at 256^2. Clamped coordinates are
-        # non-negative, so truncation is the floor.
-        fr = rows.clip(0.0, h - 1.0)
-        fc = cols.clip(0.0, w - 1.0)
-        i0 = np.minimum(fr.astype(np.intp), h - 2)
-        j0 = np.minimum(fc.astype(np.intp), w - 2)
-        fr -= i0
-        fc -= j0
-        self.fr = fr
-        self.fc = fc
-        k00 = i0 * w
-        k00 += j0
-        if len(self.shape) == 3:
+        fr, fc = self.fr, self.fc
+        k00, k01, k10, k11 = self._k_rows
+        # The array method skips np.clip's dispatch wrapper and makes no
+        # temporary. Clamped coordinates are non-negative, so the cast to
+        # an integer is the floor, and flooring before or after the
+        # minimum with the integer h - 2 gives the same corner. k01 and k10
+        # hold the corner row and column until k00 is formed.
+        rows.clip(0.0, h - 1.0, out=fr)
+        cols.clip(0.0, w - 1.0, out=fc)
+        np.minimum(fr, h - 2, out=k01, casting="unsafe")
+        np.minimum(fc, w - 2, out=k10, casting="unsafe")
+        fr -= k01
+        fc -= k10
+        np.multiply(k01, w, out=k00)
+        k00 += k10
+        if len(self.shape) == 3 and self.shape[0] > 1:
             n = self.shape[0]
-            k00 += (np.arange(n) * (h * w)).reshape((n,) + (1,) * (k00.ndim - 1))
-        self.k4 = k00 + np.array([0, 1, w, w + 1]).reshape((4,) + (1,) * k00.ndim)
+            k00 += (np.arange(n) * (h * w)).reshape((n,) + (1,) * (fr.ndim - 1))
+        np.add(k00, 1, out=k01)
+        np.add(k00, w, out=k10)
+        np.add(k00, w + 1, out=k11)
+        return self
 
-    def _corners(self, values: np.ndarray):
+    def _corners(self, values: np.ndarray, owned: bool = False):
         """The four corner values 00, 01, 10, 11 of every point, each of
         shape ``(*lead, *points)``, from one gather over ``(*lead, *shape)``
-        values."""
+        values. With ``owned`` the gather writes into a buffer the stencil
+        keeps across calls and rebuilds."""
         lead = values.shape[: values.ndim - len(self.shape)]
-        corners = values.reshape(lead + (-1,)).take(self.k4, axis=-1)
+        flat = values.reshape(lead + (-1,))
+        if owned:
+            shape = lead + self.k4.shape
+            if self._gathered is None or self._gathered.shape != shape:
+                self._gathered = np.empty(shape)
+            # Under the default mode="raise", take writes through a hidden
+            # copy when it gets out=; the indices are in range by
+            # construction, so "clip" changes no value and skips the copy.
+            corners = flat.take(self.k4, axis=-1, out=self._gathered, mode="clip")
+        else:
+            corners = flat.take(self.k4, axis=-1)
         # Corner axis first, as a view. Registration gathers six times an
         # iteration with one leading (component) axis, so that case takes
         # the cheapest call.
@@ -222,13 +271,20 @@ class Stencil:
             return corners.swapaxes(0, 1)
         return np.rollaxis(corners, len(lead))
 
-    def sample(self, values: np.ndarray) -> np.ndarray:
-        """Bilinear sample of ``(*lead, *shape)`` values at the points."""
+    def sample(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Bilinear sample of ``(*lead, *shape)`` values at the points.
+
+        With ``out``, a ``(*lead, *points)`` float64 array, the result is
+        written there and the corners are gathered into a buffer the
+        stencil owns and reuses, so a loop that samples every iteration
+        allocates nothing. The corners are gathered before ``out`` is
+        written, so ``out`` may be ``values`` itself.
+        """
         # top = v00 + fc (v01 - v00), bot = v10 + fc (v11 - v10) and
         # top + fr (bot - top), computed in place on the gathered corners:
         # the same operations on the same operands, without temporaries.
-        v00, v01, v10, v11 = self._corners(values)
-        top = v01 - v00
+        v00, v01, v10, v11 = self._corners(values, out is not None)
+        top = v01 - v00 if out is None else np.subtract(v01, v00, out=out)
         top *= self.fc
         top += v00
         v11 -= v10
@@ -298,6 +354,44 @@ class Stencil:
             np.multiply(w4, r, out=weighted)
             plane[:] = np.bincount(idx, weighted.ravel(), size)
         return out.reshape(lead + self.shape)
+
+
+class DisplacedGrid:
+    """The points x + w(x) of a grid for planar ``(2, H, W)`` fields w, and
+    their stencil, rebuilt in place whenever the field moves.
+
+    A solver that samples a field at its own displaced grid every iteration
+    (``lie.sqrt_field``, ``lie.invert``) keeps one for the whole loop, so
+    the points, their finiteness mask and the stencil's arrays are allocated
+    once. Each rebuild checks that the points are finite, as
+    ``sample_values`` does.
+    """
+
+    def __init__(self, grid: Grid):
+        self.x = np.indices(grid.shape, dtype=np.float64)
+        self.points = np.empty_like(self.x)
+        self._finite = np.empty(self.x.shape, dtype=bool)
+        self._stencil = None
+
+    def stencil(self, w: np.ndarray) -> Stencil:
+        """The stencil of x + w; raises DomainError if a point is not finite."""
+        np.add(self.x, w, out=self.points)
+        if not np.isfinite(self.points, out=self._finite).all():
+            raise DomainError("sample points must be finite")
+        rows, cols = self.points
+        if self._stencil is None:
+            self._stencil = Stencil(rows, cols, rows.shape)
+            return self._stencil
+        return self._stencil.build(rows, cols)
+
+    def self_composed(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """w + w(x + w) into ``out``: the displacement of ``compose(f, f)``
+        for the field f of w, with the same operations on the same operands,
+        so the same bits. ``out`` is a ``(2, H, W)`` array other than ``w``;
+        returns it."""
+        self.stencil(w).sample(w, out=out)
+        out += w
+        return out
 
 
 def _point_stencil(points: np.ndarray, shape) -> Stencil:

@@ -21,7 +21,7 @@ from diffeo2d import (
     warp_labels,
 )
 from diffeo2d.errors import DomainError, ShapeError
-from diffeo2d.fields import sample_values, sample_values_grad, splat_values
+from diffeo2d.fields import field_rms, sample_values, sample_values_grad, splat_values
 
 from conftest import constant_field, suite_field, textured_image
 
@@ -124,6 +124,13 @@ class TestSelfCompose:
         _, f = suite_field(9, amplitude=1.0)
         expected = compose(compose(f, f), compose(f, f))
         assert np.array_equal(self_compose_m(f, 4).u, expected.u)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_overflow_rejected(self, m):
+        # 1e308 + 1e308 overflows: the squared field is not finite.
+        f = DisplacementField(Grid(4, 4), np.full((4, 4, 2), 1e308))
+        with pytest.raises(DomainError), np.errstate(over="ignore"):
+            self_compose_m(f, m)
 
     def test_m_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -294,3 +301,23 @@ class TestGridArrayValidation:
         values[1, 2] = bad
         with pytest.raises(DomainError):
             grid_type(Grid(3, 4), values)
+
+    def test_stored_c_contiguous(self, grid_type, attr, trailing):
+        # A view in another memory order is copied into C order; a
+        # C-contiguous float64 array is kept, not copied.
+        values = np.random.default_rng(0).standard_normal((3, 4) + trailing)
+        obj = grid_type(Grid(3, 4), np.asfortranarray(values))
+        assert getattr(obj, attr).flags.c_contiguous
+        assert np.array_equal(getattr(obj, attr), values)
+        assert getattr(grid_type(Grid(3, 4), values), attr) is values
+
+
+def test_field_from_planar_view_sums_like_its_copy():
+    # np.mean sums an array in memory order. A field built from a transposed
+    # planar array used to keep the view, and for this one its RMS differed
+    # from its copy's in the last bit.
+    planar = np.random.default_rng(3).standard_normal((2, 16, 16))
+    grid = Grid(16, 16)
+    view = DisplacementField(grid, planar.transpose(1, 2, 0))
+    copy = DisplacementField(grid, planar.transpose(1, 2, 0).copy())
+    assert field_rms(view).hex() == field_rms(copy).hex()

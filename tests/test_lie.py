@@ -5,6 +5,7 @@ from diffeo2d import (
     DisplacementField,
     Grid,
     LogField,
+    RandomFieldSpec,
     SolverConfig,
     compose,
     exp_field,
@@ -12,11 +13,14 @@ from diffeo2d import (
     identity_field,
     invert,
     log_field,
+    random_log_field,
     root_chain,
     self_compose_m,
     sqrt_field,
 )
 from diffeo2d.errors import ConvergenceError, DomainError
+from diffeo2d.fields import field_rms
+from diffeo2d.lie import _newton_step
 
 from conftest import constant_field, suite_field
 
@@ -51,6 +55,52 @@ class TestInvert:
             ident = identity_field(phi.grid)
             assert field_rms_diff(compose(phi, sol.field), ident) <= 10 * cfg.tolerance
             assert field_rms_diff(compose(sol.field, phi), ident) <= 0.05
+
+    @pytest.mark.parametrize("seed", [5, 27])
+    def test_strong_shear_converges(self, seed):
+        # 32x32 synth fields, amplitude 4 and smoothing 2, on which a damped
+        # Picard iteration ends its 200 iterations at 1.7e-5 and 8.9e-2 px
+        # although every bilinear cell is fold-free.
+        spec = RandomFieldSpec(Grid(32, 32), seed=seed, amplitude=4.0, smoothing_sigma=2.0)
+        phi = exp_field(random_log_field(spec))
+        cfg = SolverConfig()
+        sol = invert(phi, cfg)
+        assert sol.residual == field_rms(compose(phi, sol.field))
+        assert sol.residual <= 10 * cfg.tolerance
+        assert sol.iterations <= 8
+
+    @pytest.mark.parametrize("seed", [4, 7, 12, 25])
+    def test_sharp_fields_converge_through_picard_fallback(self, seed):
+        # 32x32 synth fields, amplitude 4 and smoothing 1. At a few pixels
+        # the Newton direction raises |F| at every halving; accepting the
+        # last halved step left those pixels creeping uphill, and seeds 4, 7
+        # and 12 ran out of iterations that way. The damped Picard step
+        # moves them on.
+        spec = RandomFieldSpec(Grid(32, 32), seed=seed, amplitude=4.0, smoothing_sigma=1.0)
+        phi = exp_field(random_log_field(spec))
+        cfg = SolverConfig()
+        sol = invert(phi, cfg)
+        assert sol.residual <= 10 * cfg.tolerance
+        assert sol.iterations <= 60
+
+    def test_newton_iterations_on_suite_fields(self):
+        for seed in range(3):
+            _, phi = suite_field(seed)
+            sol = invert(phi)
+            assert sol.iterations <= 6
+            assert sol.residual <= 1e-9
+
+    def test_step_is_newton_or_damped_picard(self):
+        # Pixel 0: det(I + grad u) = 1.5 * 2 - 0.5 * 0.25 > 1e-3, a Newton
+        # step solving (I + grad u) step = -F. Pixel 1: det = 0 * 0.5 - 0 = 0,
+        # the damped Picard step -damping * F.
+        gap = np.array([[0.3, -1.0], [-0.2, 2.0]])
+        d_row = np.array([[0.5, -1.0], [0.25, 0.0]])
+        d_col = np.array([[0.5, 0.0], [1.0, -0.5]])
+        step = _newton_step(gap, d_row, d_col, 0.5)
+        jac = np.array([[1.0 + d_row[0, 0], d_col[0, 0]], [d_row[1, 0], 1.0 + d_col[1, 0]]])
+        assert np.allclose(jac @ step[:, 0], -gap[:, 0], rtol=0.0, atol=1e-15)
+        assert np.array_equal(step[:, 1], -0.5 * gap[:, 1])
 
 
 class TestSqrt:

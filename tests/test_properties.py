@@ -17,6 +17,7 @@ from diffeo2d import (
     SolverConfig,
     compose,
     exp_field,
+    field_rms_diff,
     identity_field,
     invert,
     neg_jacobian_fraction,
@@ -25,9 +26,18 @@ from diffeo2d import (
     read_pgm,
     read_pgm_labels,
     random_log_field,
+    sqrt_field,
 )
-from diffeo2d.errors import FileFormatError
-from diffeo2d.fields import Stencil, field_rms, sample_values, sample_values_grad, splat_values
+from diffeo2d.errors import ConvergenceError, FileFormatError
+from diffeo2d.fields import (
+    DisplacedGrid,
+    Stencil,
+    field_rms,
+    grid_coords,
+    sample_values,
+    sample_values_grad,
+    splat_values,
+)
 from diffeo2d.registration import _smooth_field
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -182,6 +192,100 @@ def test_smooth_field_is_scipy_gaussian_filter(n, h, w, sigma, data):
     assert np.array_equal(_smooth_field(u, sigma), expected)
 
 
+def _bits(a) -> bytes:
+    """The bytes of an array, so that -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+@given(values_and_points(), st.data())
+def test_rebuilt_stencil_matches_fresh(vp, data):
+    # A stencil rebuilt in place on new points, sampling into out=, gives
+    # the bits a fresh stencil and a fresh sample give: clamped points,
+    # points on the last row and column and -0.0 coordinates included.
+    u, p = vp
+    h, w = u.shape[-2:]
+    coord = st.one_of(
+        st.sampled_from([-0.0, 0.0, h - 1.0, w - 1.0, -3.0, max(h, w) + 2.0]),
+        st.floats(-3.0, max(h, w) + 2.0, allow_nan=False),
+    )
+    q = data.draw(arrays(np.float64, p.shape, elements=coord))
+    stencil = Stencil(p[:, 0].copy(), p[:, 1].copy(), (h, w))
+    out = np.empty(u.shape[:-2] + p.shape[:1])
+    stencil.sample(u, out=out)  # the owned gather buffer now holds p's corners
+    rows, cols = q[:, 0].copy(), q[:, 1].copy()
+    assert stencil.build(rows, cols) is stencil
+    fresh = Stencil(rows, cols, (h, w))
+    for name in ("fr", "fc", "k4"):
+        assert _bits(getattr(stencil, name)) == _bits(getattr(fresh, name))
+    assert stencil.sample(u, out=out) is out
+    assert _bits(out) == _bits(fresh.sample(u))
+    for got, want in zip(stencil.sample_grad(u), fresh.sample_grad(u)):
+        assert _bits(got) == _bits(want)
+
+
+@st.composite
+def reaching_fields(draw, max_side=7):
+    """Displacement fields whose points x + u land on nodes, between them
+    and past the border, with row 0 reaching the last row and column 0 the
+    last column, where bilinear sampling rounds differently."""
+    h = draw(st.integers(2, max_side))
+    w = draw(st.integers(2, max_side))
+    element = st.one_of(
+        st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0]),
+        st.floats(-2.0, 2.0, allow_nan=False),
+    )
+    u = draw(arrays(np.float64, (h, w, 2), elements=element))
+    u[0, :, 0] = h - 1.0
+    u[:, 0, 1] = w - 1.0
+    return DisplacementField(Grid(h, w), u)
+
+
+def _reference_sqrt(field, cfg):
+    """sqrt_field as a damped Picard loop over sample_values on (H, W, 2)
+    fields: (root, residual, iterations), iterations None if the loop ran
+    out."""
+    x = grid_coords(field.grid)
+    u = field.u
+    w = 0.5 * u
+    iterations = None
+    for it in range(1, cfg.max_iterations + 1):
+        update = cfg.damping * (u - (w + sample_values(w, x + w)))
+        w = w + update
+        if np.sqrt(np.mean(update * update)) < cfg.tolerance:
+            iterations = it
+            break
+    root = DisplacementField(field.grid, w)
+    return root, field_rms_diff(compose(root, root), field), iterations
+
+
+@given(reaching_fields())
+def test_self_composed_is_compose(field):
+    planar = field.u.transpose(2, 0, 1).copy()
+    out = DisplacedGrid(field.grid).self_composed(planar, np.empty_like(planar))
+    assert _bits(out.transpose(1, 2, 0)) == _bits(compose(field, field).u)
+
+
+@given(
+    reaching_fields(),
+    st.integers(1, 40),
+    st.sampled_from([0.5, 0.3, 1.0]),
+    st.sampled_from([1e-6, 1e-3, 0.1]),
+)
+def test_sqrt_field_matches_channel_last_picard(field, max_iterations, damping, tolerance):
+    # Field, residual and iteration count, or the residual of the error.
+    cfg = SolverConfig(tolerance=tolerance, max_iterations=max_iterations, damping=damping)
+    root, residual, iterations = _reference_sqrt(field, cfg)
+    try:
+        sol = sqrt_field(field, cfg)
+    except ConvergenceError as err:
+        assert iterations is None
+        assert err.residual.hex() == residual.hex()
+    else:
+        assert sol.iterations == iterations
+        assert sol.residual.hex() == residual.hex()
+        assert _bits(sol.field.u) == _bits(root.u)
+
+
 @given(st.integers(2, 9), st.integers(2, 9), st.data())
 def test_compose_with_identity(h, w, data):
     grid = Grid(h, w)
@@ -206,7 +310,7 @@ def test_compose_with_identity(h, w, data):
 @given(
     st.integers(0, 2**32 - 1),
     st.floats(0.0, 4.0),  # up to synth's limit of min(grid) / 8
-    st.floats(4.0, 8.0),  # synth's default smoothing and smoother
+    st.floats(2.0, 8.0),  # down to strong local shear, up to synth's smoother
 )
 def test_invert_is_right_inverse_on_synth_fields(seed, amplitude, sigma):
     """On fold-free 32x32 synth fields, phi o invert(phi) is the identity to
