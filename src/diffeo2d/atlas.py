@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RankError
+from .errors import ConvergenceError, DomainError, RankError, require_finite
 from .fields import ScalarImage, warp_image
 from .latent import LogEuclideanBasis, decode_root, encode, fit_basis
 from .lie import SolverConfig, log_field
@@ -30,6 +30,7 @@ class AtlasConfig:
     root_depth: int = 6
 
     def __post_init__(self):
+        require_finite(self, "epsilon")
         if not (self.epsilon > 0):
             raise DomainError("epsilon must be > 0")
         if self.max_outer_iterations < 1:

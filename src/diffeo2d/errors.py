@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that every
+config runs on its float fields."""
+
+import math
 
 
 class DomainError(ValueError):
     """An argument is outside the operation's admissible domain."""
+
+
+def require_finite(config, *names):
+    """Raise DomainError unless each named float field of ``config`` is
+    finite. Range checks alone let NaN or inf through, since NaN compares
+    false and inf passes a lower bound."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class ShapeError(ValueError):

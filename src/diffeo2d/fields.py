@@ -24,12 +24,12 @@ has one stencil: code that reads the same points more than once
 the stencil once and reuses it. ``sample_values``, ``sample_values_grad`` and
 ``splat_values`` are one-shot wrappers for callers with a single use.
 
-The stencil does not check its points, because registration builds two
-stencils an iteration. Points must be finite, and the entry points check
-that they are, raising ``DomainError``: the public wrappers above (and
-through them ``sample_field``, ``compose`` and ``warp_image``) and
-``registration.frozen_loss_and_grad``. Inside the registration loop the
-displacement-length check that builds each stencil rejects NaN and inf.
+The stencil does not check its points, because the registration loop
+rebuilds two stencils an iteration. Points must be finite, and the entry
+points check that they are, raising ``DomainError``: the public wrappers
+above (and through them ``sample_field``, ``compose`` and ``warp_image``)
+and ``registration.frozen_loss_and_grad``. Inside the registration loop the
+displacement-length check before each rebuild rejects NaN and inf.
 
 The stencil is planar: it takes the row and column coordinates as two
 arrays and values channel-first, ``(*lead, H, W)`` with any leading channel
@@ -45,11 +45,18 @@ of one shape, indexed into one flattened stack, so that a batch of
 registrations costs one gather and one splat per plane, not N.
 
 A loop that moves its points every iteration need not build a new stencil:
-:meth:`Stencil.build` rewrites one in place, and ``sample(values, out=...)``
-writes into the caller's array and gathers into a buffer the stencil owns.
-:class:`DisplacedGrid` packages this for the loops that sample a field at
-its own displaced grid x + w. At 256^2 every fresh temporary costs page
-faults, so a loop that allocated its stencil and samples anew each
+:meth:`Stencil.build` rewrites one in place, and :meth:`Stencil.displace`
+does so for the points x + u of planar fields without any point array.
+``sample(values, out=...)`` writes into the caller's array and gathers into
+a buffer the stencil owns, or into the caller's ``work``; ``splat`` takes
+``out`` and ``work`` too. With ``grad=...``, ``sample`` also returns the
+derivative of the last value plane from the same gather, so registration
+samples a field and an image stacked as one array in one ``take``.
+:class:`DisplacedGrid` packages the in-place rebuild for the ``lie`` loops,
+which sample a field at its own displaced grid x + w; the registration loop
+keeps one stencil per direction and one scratch block for the temporaries
+of both. At a batch of 64^2 fields or at 256^2 every fresh temporary costs
+page faults, so a loop that allocated its stencil and samples anew each
 iteration spent much of its time faulting.
 """
 
@@ -178,14 +185,14 @@ class Stencil:
     sets on a stack of N grids of one shape.
 
     ``shape`` is ``(H, W)``, or ``(N, H, W)`` with a leading subject axis.
-    ``rows`` and ``cols`` hold the point coordinates; with a subject axis
-    they lead with it too, and subject ``n``'s points read plane ``n`` only.
-    Built once per point set, the stencil keeps what sampling, sampling
-    with the derivative and the adjoint splat all need: the fractional
-    offsets ``fr``, ``fc`` toward the +1 corners and a ``(4, ...)`` array
-    ``k4`` of flat node indices of the corners (00, 01, 10, 11). Indices
-    run over the flattened stack, so subject ``n``'s are offset by
-    ``n*H*W`` and one gather or one ``np.bincount`` serves all subjects.
+    The points have a shape of their own; with a subject axis it leads with
+    N, and subject ``n``'s points read plane ``n`` only. Built once per
+    point set, the stencil keeps what sampling, sampling with the derivative
+    and the adjoint splat all need: the fractional offsets ``fr``, ``fc``
+    toward the +1 corners and a ``(4, ...)`` array ``k4`` of flat node
+    indices of the corners (00, 01, 10, 11). Indices run over the flattened
+    stack, so subject ``n``'s are offset by ``n*H*W`` and one gather or one
+    ``np.bincount`` serves all subjects.
 
     The methods take channel-first values, ``(*lead, *shape)`` for sampling
     and ``(*lead, *points)`` for the splat, with any leading channel axes,
@@ -195,22 +202,49 @@ class Stencil:
 
     The constructor allocates ``fr``, ``fc`` and ``k4`` and calls
     :meth:`build`, which a loop may call again on new points of the same
-    shape; the rebuilt stencil is bit for bit a fresh one.
+    shape; :meth:`displaced` and :meth:`displace` do the same for the
+    points x + u of planar fields u. A rebuilt stencil is bit for bit a
+    fresh one. ``sample`` and ``splat`` write into the caller's arrays when
+    given ``out``, and put their temporaries in the caller's ``work`` when
+    given one, so a loop that samples and splats every iteration allocates
+    only ``np.bincount``'s result.
 
-    The points must be finite; neither the constructor nor :meth:`build`
-    checks them (see the module docstring for where that check lives).
+    The points must be finite; neither the constructor nor the rebuilds
+    check them (see the module docstring for where that check lives).
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
-        self.shape = tuple(shape)
-        points = rows.shape
-        self.fr = np.empty(points)
-        self.fc = np.empty(points)
-        self.k4 = np.empty((4,) + points, dtype=np.intp)
-        # Views of k4's rows; 0-d arrays rather than scalars for one point.
-        self._k_rows = tuple(self.k4[i, ...] for i in range(4))
-        self._gathered = None
+        self._allocate(rows.shape, shape)
         self.build(rows, cols)
+
+    @classmethod
+    def displaced(cls, x: np.ndarray, u: np.ndarray, shape) -> "Stencil":
+        """The stencil of the points x + u; see :meth:`displace`."""
+        stencil = cls.__new__(cls)
+        stencil._allocate(u.shape[1:], shape)
+        return stencil.displace(x, u)
+
+    def _allocate(self, points, shape):
+        self.shape = tuple(shape)
+        h, w = self.shape[-2:]
+        self._size = int(np.prod(self.shape))
+        self._frc = np.empty((2,) + tuple(points))
+        self.k4 = np.empty((4,) + tuple(points), dtype=np.intp)
+        # Views of the rows of _frc and k4: 0-d arrays rather than scalars
+        # for one point.
+        self.fr, self.fc = self._frc[0, ...], self._frc[1, ...]
+        self._k_rows = tuple(self.k4[i, ...] for i in range(4))
+        self._offset = None
+        if len(self.shape) == 3 and self.shape[0] > 1:
+            n = self.shape[0]
+            self._offset = (np.arange(n) * (h * w)).reshape((n,) + (1,) * (len(points) - 1))
+        # The largest corner row and column, broadcast over the points.
+        self._corner_max = np.array([h - 2.0, w - 2.0]).reshape((2,) + (1,) * len(points))
+        # The last plane along the last leading axis (see sample's grad).
+        self._last = (Ellipsis, -1) + (slice(None),) * len(points)
+        self._outside = None
+        self._masks = None
+        self._work = None
 
     def build(self, rows: np.ndarray, cols: np.ndarray) -> "Stencil":
         """Point the stencil at new points of the same shape, in place.
@@ -218,80 +252,163 @@ class Stencil:
         Writes ``fr``, ``fc`` and ``k4`` into the arrays the constructor
         allocated, so a loop that moves its points every iteration keeps
         one stencil and allocates nothing. ``rows`` and ``cols`` are kept
-        by reference for :meth:`sample_grad`'s clamp masks, so they must
+        by reference for the clamp masks of the derivative, so they must
         hold these points until the stencil is used. Returns the stencil.
         """
         h, w = self.shape[-2:]
         self.rows = rows
         self.cols = cols
-        fr, fc = self.fr, self.fc
-        k00, k01, k10, k11 = self._k_rows
+        self._outside = None
         # The array method skips np.clip's dispatch wrapper and makes no
-        # temporary. Clamped coordinates are non-negative, so the cast to
-        # an integer is the floor, and flooring before or after the
-        # minimum with the integer h - 2 gives the same corner. k01 and k10
-        # hold the corner row and column until k00 is formed.
-        rows.clip(0.0, h - 1.0, out=fr)
-        cols.clip(0.0, w - 1.0, out=fc)
-        np.minimum(fr, h - 2, out=k01, casting="unsafe")
-        np.minimum(fc, w - 2, out=k10, casting="unsafe")
-        fr -= k01
-        fc -= k10
+        # temporary.
+        rows.clip(0.0, h - 1.0, out=self.fr)
+        cols.clip(0.0, w - 1.0, out=self.fc)
+        return self._index()
+
+    def displace(self, x: np.ndarray, u: np.ndarray) -> "Stencil":
+        """Rebuild in place at the points x + u of planar ``(2, *points)``
+        fields u; ``x`` broadcasts against ``u``.
+
+        The sum is written into the stencil's own ``fr`` and ``fc``, so no
+        point array is kept or allocated; the clamp masks of the derivative
+        are therefore taken here, from the clamped coordinates, where
+        ``build`` leaves them to the first derivative. Bit for bit the
+        stencil of ``build(x[0] + u[0], x[1] + u[1])``. Returns the stencil.
+        """
+        h, w = self.shape[-2:]
+        fr, fc = self.fr, self.fc
+        np.add(x, u, out=self._frc)
+        fr.clip(0.0, h - 1.0, out=fr)
+        fc.clip(0.0, w - 1.0, out=fc)
+        if self._masks is None:
+            self._masks = np.empty((2,) + self._frc.shape, dtype=bool)
+        outside, edge = self._masks
+        # A clamped coordinate is on the edge exactly where the point lies
+        # on or beyond it: the complement of (0 < p < h - 1).
+        np.less_equal(self._frc, 0.0, out=outside)
+        np.greater_equal(fr, h - 1.0, out=edge[0])
+        np.greater_equal(fc, w - 1.0, out=edge[1])
+        outside |= edge
+        self._outside = outside
+        self.rows = self.cols = None
+        return self._index()
+
+    def _index(self) -> "Stencil":
+        """Corner indices and offsets from the clamped coordinates in ``fr``
+        and ``fc``. Clamped coordinates are non-negative, so the cast to an
+        integer is the floor, and flooring before or after the minimum with
+        h - 2 gives the same corner. k01 and k10 hold the corner row and
+        column until k00 is formed."""
+        h, w = self.shape[-2:]
+        k00, k01, k10, k11 = self._k_rows
+        np.minimum(self._frc, self._corner_max, out=self.k4[1:3], casting="unsafe")
+        self._frc -= self.k4[1:3]
         np.multiply(k01, w, out=k00)
         k00 += k10
-        if len(self.shape) == 3 and self.shape[0] > 1:
-            n = self.shape[0]
-            k00 += (np.arange(n) * (h * w)).reshape((n,) + (1,) * (fr.ndim - 1))
+        if self._offset is not None:
+            k00 += self._offset
         np.add(k00, 1, out=k01)
         np.add(k00, w, out=k10)
         np.add(k00, w + 1, out=k11)
         return self
 
-    def _corners(self, values: np.ndarray, owned: bool = False):
+    def _clamp_masks(self):
+        """``(outside_row, outside_col)``: where each coordinate of a point
+        lies on or beyond the domain edge, so that the derivative along it
+        is zero."""
+        if self._outside is None:
+            h, w = self.shape[-2:]
+            self._outside = (
+                (self.rows <= 0.0) | (self.rows >= h - 1.0),
+                (self.cols <= 0.0) | (self.cols >= w - 1.0),
+            )
+        return self._outside
+
+    def _corners(self, values: np.ndarray, work: np.ndarray | None):
         """The four corner values 00, 01, 10, 11 of every point, each of
         shape ``(*lead, *points)``, from one gather over ``(*lead, *shape)``
-        values. With ``owned`` the gather writes into a buffer the stencil
-        keeps across calls and rebuilds."""
+        values, into ``work`` if given."""
         lead = values.shape[: values.ndim - len(self.shape)]
         flat = values.reshape(lead + (-1,))
-        if owned:
-            shape = lead + self.k4.shape
-            if self._gathered is None or self._gathered.shape != shape:
-                self._gathered = np.empty(shape)
+        if work is None:
+            corners = flat.take(self.k4, axis=-1)
+        else:
             # Under the default mode="raise", take writes through a hidden
             # copy when it gets out=; the indices are in range by
             # construction, so "clip" changes no value and skips the copy.
-            corners = flat.take(self.k4, axis=-1, out=self._gathered, mode="clip")
-        else:
-            corners = flat.take(self.k4, axis=-1)
-        # Corner axis first, as a view. Registration gathers six times an
-        # iteration with one leading (component) axis, so that case takes
-        # the cheapest call.
+            buf = _work_view(work, lead + self.k4.shape)
+            corners = flat.take(self.k4, axis=-1, out=buf, mode="clip")
+        # Corner axis first, as a view. The loops gather with one leading
+        # (component) axis, so that case takes the cheapest call.
         if len(lead) == 1:
             return corners.swapaxes(0, 1)
         return np.rollaxis(corners, len(lead))
 
-    def sample(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _owned_work(self, values: np.ndarray) -> np.ndarray:
+        """A gather buffer the stencil keeps across calls and rebuilds,
+        grown to the largest gather asked of it."""
+        size = 4 * (values.size // self._size) * self.fr.size
+        if self._work is None or self._work.size < size:
+            self._work = np.empty(size)
+        return self._work
+
+    def sample(
+        self,
+        values: np.ndarray,
+        out: np.ndarray | None = None,
+        grad: np.ndarray | None = None,
+        work: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Bilinear sample of ``(*lead, *shape)`` values at the points.
 
         With ``out``, a ``(*lead, *points)`` float64 array, the result is
-        written there and the corners are gathered into a buffer the
-        stencil owns and reuses, so a loop that samples every iteration
-        allocates nothing. The corners are gathered before ``out`` is
-        written, so ``out`` may be ``values`` itself.
+        written there and, without ``work``, the corners are gathered into a
+        buffer the stencil owns and reuses, so a loop that samples every
+        iteration allocates nothing. ``work`` is a C-contiguous float64
+        array of at least four times the planes of ``out`` for the gather.
+        The corners are gathered before ``out`` is written, so ``out`` may
+        be ``values`` itself.
+
+        With ``grad``, a ``(2, *lead[:-1], *points)`` float64 array, the
+        derivatives along rows and columns of the last plane along the last
+        leading axis, ``values[..., -1, <grid>]``, are written there too,
+        zero where the coordinate is clamped (see :meth:`sample_grad`). So
+        a field and an image stacked as one ``(3, ...)`` array give the
+        image's derivative from the same gather as the field's sample.
         """
+        if work is None and out is not None:
+            work = self._owned_work(values)
+        v00, v01, v10, v11 = self._corners(values, work)
+        fr, fc = self.fr, self.fc
         # top = v00 + fc (v01 - v00), bot = v10 + fc (v11 - v10) and
         # top + fr (bot - top), computed in place on the gathered corners:
         # the same operations on the same operands, without temporaries.
-        v00, v01, v10, v11 = self._corners(values, out is not None)
+        # The derivative is d_row = bot - top and d_col = right - left with
+        # left = v00 + fr (v10 - v00), right = v01 + fr (v11 - v01), taken
+        # from the last plane's corners before they are overwritten.
+        if grad is not None:
+            last = self._last
+            d_row, d_col = grad
+            np.subtract(v11[last], v01[last], out=d_col)
+            d_col *= fr
+            d_col += v01[last]
+            np.subtract(v10[last], v00[last], out=d_row)
+            d_row *= fr
+            d_row += v00[last]
+            d_col -= d_row
         top = v01 - v00 if out is None else np.subtract(v01, v00, out=out)
-        top *= self.fc
+        top *= fc
         top += v00
         v11 -= v10
-        v11 *= self.fc
+        v11 *= fc
         v11 += v10
         v11 -= top
-        v11 *= self.fr
+        if grad is not None:
+            outside_row, outside_col = self._clamp_masks()
+            np.copyto(d_row, v11[last])
+            np.copyto(d_row, 0.0, where=outside_row)
+            np.copyto(d_col, 0.0, where=outside_col)
+        v11 *= fr
         top += v11
         return top
 
@@ -299,46 +416,44 @@ class Stencil:
         """Sample plus its exact derivative w.r.t. the point coordinates.
 
         Returns (value, d/d_row, d/d_col). The derivative is zero where the
-        coordinate is clamped outside the domain.
+        coordinate is clamped: on the domain edge or outside it.
         """
-        h, w = self.shape[-2:]
-        fr, fc = self.fr, self.fc
-        # As in sample, plus d_row = bot - top and d_col = right - left with
-        # left = v00 + fr (v10 - v00), right = v01 + fr (v11 - v01).
-        v00, v01, v10, v11 = self._corners(values)
-        top = v01 - v00
-        top *= fc
-        top += v00
-        d_row = v11 - v10
-        d_row *= fc
-        d_row += v10
-        d_row -= top
-        val = fr * d_row
-        val += top
-        v10 -= v00
-        v10 *= fr
-        v10 += v00
-        v11 -= v01
-        v11 *= fr
-        v11 += v01
-        inside_r = (self.rows > 0.0) & (self.rows < h - 1.0)
-        inside_c = (self.cols > 0.0) & (self.cols < w - 1.0)
-        return val, np.where(inside_r, d_row, 0.0), np.where(inside_c, v11 - v10, 0.0)
+        lead = values.shape[: values.ndim - len(self.shape)]
+        out = np.empty(lead + self.fr.shape)
+        grad = np.empty((2,) + out.shape)
+        # A unit axis makes every plane "the last along the last axis".
+        self.sample(
+            values.reshape(lead + (1,) + self.shape),
+            out.reshape(lead + (1,) + self.fr.shape),
+            grad,
+        )
+        return out, grad[0], grad[1]
 
-    def splat(self, values: np.ndarray) -> np.ndarray:
+    def splat(
+        self,
+        values: np.ndarray,
+        out: np.ndarray | None = None,
+        work: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Adjoint of :meth:`sample`: scatter per-point values onto the nodes.
 
         ``values`` has shape ``(*lead, *points)``; returns ``(*lead, *shape)``
-        bilinearly weighted sums. One ``np.bincount`` per leading plane adds
-        into each node in the order of the corners 00, 01, 10, 11, then of
-        the points.
+        bilinearly weighted sums, in ``out`` (C-contiguous) if given. One
+        ``np.bincount`` per leading plane adds into each node in the order
+        of the corners 00, 01, 10, 11, then of the points. ``work``, a
+        C-contiguous float64 array of at least eight point planes, holds the
+        corner weights and the weighted values.
         """
         fr, fc = self.fr, self.fc
+        if work is None:
+            w4 = np.empty((4,) + fr.shape)
+            weighted = np.empty_like(w4)
+        else:
+            w4, weighted = _work_view(work, (2, 4) + fr.shape)
         # The weights (1-fr)(1-fc), (1-fr) fc, fr (1-fc) and fr fc of the
-        # corners, written into one array with 1-fr and 1-fc held in its
-        # rows 0 and 2 until they are used: no temporaries, which at a batch
-        # of 64^2 fields are large enough to cost page faults on every call.
-        w4 = np.empty((4,) + fr.shape)
+        # corners, with 1-fr and 1-fc held in rows 0 and 2 until they are
+        # used: no temporaries, which at a batch of 64^2 fields are large
+        # enough to cost page faults on every call.
         np.subtract(1, fr, out=w4[0])
         np.multiply(w4[0], fc, out=w4[1])
         np.subtract(1, fc, out=w4[2])
@@ -346,43 +461,47 @@ class Stencil:
         np.multiply(fr, w4[2], out=w4[2])
         np.multiply(fr, fc, out=w4[3])
         idx = self.k4.ravel()
-        size = int(np.prod(self.shape))
+        size = self._size
         lead = values.shape[: values.ndim - fr.ndim]
-        out = np.empty(lead + (size,))
-        weighted = np.empty_like(w4)
+        if out is None:
+            out = np.empty(lead + self.shape)
         for plane, r in zip(out.reshape(-1, size), values.reshape((-1,) + fr.shape)):
             np.multiply(w4, r, out=weighted)
             plane[:] = np.bincount(idx, weighted.ravel(), size)
-        return out.reshape(lead + self.shape)
+        return out
+
+
+def _work_view(work: np.ndarray, shape) -> np.ndarray:
+    """A float64 array of ``shape`` on the front of the C-contiguous
+    ``work``; raises rather than copy if ``work`` is not contiguous or is
+    too small."""
+    return np.ndarray(shape, buffer=work)
 
 
 class DisplacedGrid:
-    """The points x + w(x) of a grid for planar ``(2, H, W)`` fields w, and
-    their stencil, rebuilt in place whenever the field moves.
+    """The points x + w(x) of a grid for planar ``(2, H, W)`` fields w, as
+    one stencil rebuilt in place whenever the field moves.
 
     A solver that samples a field at its own displaced grid every iteration
     (``lie.sqrt_field``, ``lie.invert``) keeps one for the whole loop, so
-    the points, their finiteness mask and the stencil's arrays are allocated
-    once. Each rebuild checks that the points are finite, as
-    ``sample_values`` does.
+    the finiteness mask and the stencil's arrays are allocated once. Each
+    rebuild checks that the field is finite, as ``sample_values`` checks
+    its points: x + w is finite exactly where w is.
     """
 
     def __init__(self, grid: Grid):
         self.x = np.indices(grid.shape, dtype=np.float64)
-        self.points = np.empty_like(self.x)
         self._finite = np.empty(self.x.shape, dtype=bool)
         self._stencil = None
 
     def stencil(self, w: np.ndarray) -> Stencil:
         """The stencil of x + w; raises DomainError if a point is not finite."""
-        np.add(self.x, w, out=self.points)
-        if not np.isfinite(self.points, out=self._finite).all():
+        if not np.isfinite(w, out=self._finite).all():
             raise DomainError("sample points must be finite")
-        rows, cols = self.points
         if self._stencil is None:
-            self._stencil = Stencil(rows, cols, rows.shape)
+            self._stencil = Stencil.displaced(self.x, w, w.shape[1:])
             return self._stencil
-        return self._stencil.build(rows, cols)
+        return self._stencil.displace(self.x, w)
 
     def self_composed(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """w + w(x + w) into ``out``: the displacement of ``compose(f, f)``

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_finite
 from .fields import (
     DisplacedGrid,
     DisplacementField,
@@ -61,6 +61,7 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
+        require_finite(self, "tolerance", "damping")
         if not (self.tolerance > 0):
             raise DomainError("tolerance must be > 0")
         if self.max_iterations < 1:

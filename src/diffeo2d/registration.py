@@ -13,7 +13,18 @@ check certifies.
 
 :func:`register_pairs` runs any number of same-grid pairs through one
 optimizer loop, with a leading subject axis on every array and stencil;
-:func:`register_pair` is that loop on one pair.
+:func:`register_pair` is that loop on one pair. ``frozen_loss_and_grad`` is
+the loop's first half-step on one pair, with the same code.
+
+Workspace: each pyramid level allocates, per direction, a :class:`_Side`
+(its field and image stacked as one ``(3, N, H, W)`` array, the stencil of
+x + u, what it samples of its partner and the image derivative), and one
+scratch block of :data:`_WORK_PLANES` planes that both directions share.
+These live for the level; the previous level's fields live only until they
+are upsampled, and its images are dropped once copied. Inside an
+iteration every gather, gradient, splat weight, smoothing pass and
+loss-history square writes into these arrays; the only fresh arrays of
+image size are ``np.bincount``'s results.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import correlate1d, gaussian_filter
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_finite
 from .fields import (
     DisplacementField,
     ScalarImage,
@@ -55,6 +66,10 @@ class RegistrationConfig:
     field_smoothing_sigma: float = 0.0
 
     def __post_init__(self):
+        require_finite(
+            self, "lambda_sim", "lambda_reg", "step_size",
+            "update_smoothing_sigma", "field_smoothing_sigma",
+        )
         if self.lambda_sim < 0 or self.lambda_reg < 0:
             raise DomainError("loss weights must be >= 0")
         if self.pyramid_levels < 1 or self.iterations_per_level < 1:
@@ -132,29 +147,30 @@ def frozen_loss_and_grad(
     the base point when finite-differencing, otherwise it is computed here.
 
     Returns (loss, grad) with grad of shape (H, W, 2). Raises DomainError
-    if either field is not finite.
+    if either field is not finite. This is the first half-step of
+    :func:`register_pairs`, on one pair, without the descent.
     """
     if not (np.isfinite(u_var).all() and np.isfinite(u_other).all()):
         raise DomainError("displacement fields must be finite")
-    xr, xc = np.indices(a.grid.shape, dtype=np.float64)
-    u_var = np.moveaxis(u_var, -1, 0)
-    u_other = np.moveaxis(u_other, -1, 0)
-    s_var = Stencil(xr + u_var[0], xc + u_var[1], a.grid.shape)
-    s_other = Stencil(xr + u_other[0], xc + u_other[1], a.grid.shape)
+    x = np.indices(a.grid.shape, dtype=np.float64)
+    var, other = _Side(a.values, x), _Side(b.values, x)
+    for side, u in ((var, u_var), (other, u_other)):
+        side.u[...] = np.moveaxis(u, -1, 0)
+        side.stencil = Stencil.displaced(x, side.u, a.grid.shape)
+    work = np.empty((_WORK_PLANES,) + a.grid.shape)
+    _sample_partner(var, other, work, image=True)
     if cross is not None:
-        cross = np.moveaxis(cross, -1, 0)
-    warped, d_row, d_col = s_var.sample_grad(b.values)
-    resid = warped - a.values
-    # Constant partner similarity term, included so the value is the full loss.
-    other_resid = s_other.sample(a.values) - b.values
-    r1, r2 = _icon_residuals(u_var, u_other, s_var, s_other, cross)
-    grad = _frozen_grad(resid, d_row, d_col, r1, r2, s_other, lambda_sim, lambda_reg)
+        np.add(var.u, np.moveaxis(cross, -1, 0), out=var.at[:2])
+    _sample_partner(other, var, work, image=True)
+    # The partner's similarity term is constant; it is included so that the
+    # value is the full loss.
     loss = (
-        lambda_sim * _mean_sq(resid)
-        + lambda_sim * _mean_sq(other_resid)
-        + lambda_reg * _mean_sq_planes(r1)
-        + lambda_reg * _mean_sq_planes(r2)
+        lambda_sim * _mean_sq(var.at[2])
+        + lambda_sim * _mean_sq(other.at[2])
+        + lambda_reg * _mean_sq_planes(other.at[:2])
+        + lambda_reg * _mean_sq_planes(var.at[:2])
     )
+    grad = _gradient(var, other, lambda_sim, lambda_reg, work)
     return float(loss), np.moveaxis(grad, 0, -1)
 
 
@@ -174,50 +190,134 @@ def _mean_sq(r: np.ndarray) -> np.ndarray:
     return _grid_mean(r * r)
 
 
+def _sq_lengths(u: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """u[0]² + u[1]², the squared vector lengths of a planar field, as the
+    first plane of ``tmp``: a C-contiguous array of u's shape, allocated
+    when not given."""
+    if tmp is None:
+        tmp = np.empty(u.shape)
+    np.multiply(u, u, out=tmp)
+    tmp[0] += tmp[1]
+    return tmp[0]
+
+
 def _mean_sq_planes(u: np.ndarray) -> np.ndarray:
     """Mean squared displacement norm of a planar field, per subject."""
-    return _grid_mean(u[0] * u[0] + u[1] * u[1])
+    return _grid_mean(_sq_lengths(u))
 
 
-def _icon_residuals(u_var, u_other, s_var, s_other, cross=None):
-    """Residuals of the two consistency terms of the frozen-partner objective.
+# Planes of one pyramid level's scratch block, shared by both directions,
+# which use it one phase at a time: the gather of three planes (12); the
+# gradient (2), the splat's output (2) and its weights and weighted values
+# (8); the gradient and one smoothing pass (2 + 2); the loss-history
+# squares (6); the length check (2).
+_WORK_PLANES = 12
 
-    ``s_var`` and ``s_other`` are the stencils of x + u_var and x + u_other.
-    r1 = u_other(x) + u_var(x + u_other(x)) is linear in the nodes of
-    u_var, so its gradient is the adjoint (bilinear splat). r2 = u_var(x) +
-    [u_other sampled at x + u_var], with that sample (``cross``) frozen:
-    residual pushback, no differentiation through the partner's
-    interpolation.
+
+class _Side:
+    """One direction of the optimizer at one pyramid level.
+
+    ``var`` stacks the planar field u (planes 0-1) and the side's own image
+    (plane 2), so that the partner's stencil gathers both with one take.
+    ``stencil`` is the stencil of x + u, rebuilt in place by :meth:`place`
+    whenever u moves. ``at`` holds what this side reads at x + u (see
+    :func:`_sample_partner`) and ``d_image`` the clamped derivative of the
+    partner's image there.
+
+    For the side of u_AB (image A; partner u_BA, image B), ``at[2]`` is the
+    similarity residual B(x + u_AB) - A and ``at[:2]`` the consistency
+    residual u_AB + u_BA(x + u_AB): the r2 of u_AB's half-step and the r1 of
+    u_BA's. The frozen-partner gradient of one side reads its own ``at`` and
+    ``d_image``, the partner's ``at[:2]`` and the partner's stencil.
     """
-    r1 = u_other + s_other.sample(u_var)
-    if cross is None:
-        return r1, u_var + s_var.sample(u_other)
-    return r1, u_var + cross
+
+    def __init__(self, image: np.ndarray, x: np.ndarray):
+        self.var = np.empty((3,) + image.shape)
+        self.var[2] = image
+        self.u = self.var[:2]
+        self.image = self.var[2]
+        self.x = x
+        self.stencil = None
+        self.at = np.empty_like(self.var)
+        self.d_image = np.empty((2,) + image.shape)
+
+    def place(self, diagonal, sq, iteration, level):
+        """Check the field's length (see :func:`_check_length`) and point
+        the stencil at x + u, allocating it on the first call."""
+        _check_length(self.u, diagonal, sq, iteration, level)
+        if self.stencil is None:
+            self.stencil = Stencil.displaced(self.x, self.u, self.image.shape)
+        else:
+            self.stencil.displace(self.x, self.u)
 
 
-def _frozen_grad(resid, d_row, d_col, r1, r2, s_other, lambda_sim, lambda_reg):
-    """Exact gradient of the frozen-partner objective w.r.t. the stepped
-    field, from the similarity residual B(x + u_var) - A with its image
-    derivative, and the consistency residuals of :func:`_icon_residuals`."""
-    n = resid.shape[-2] * resid.shape[-1]
-    grad = np.zeros(r2.shape)
-    sim = lambda_sim * (2.0 / n) * resid
-    grad[0] += sim * d_row
-    grad[1] += sim * d_col
-    del sim  # the splat below is the loop's peak of live memory
-    # One splat call for both planes shares the corner weights between them.
-    grad += lambda_reg * (2.0 / n) * s_other.splat(r1)
-    grad += lambda_reg * (2.0 / n) * r2
+def _sample_partner(side: _Side, partner: _Side, work: np.ndarray, image: bool):
+    """Sample the partner at the side's points x + u, one gather.
+
+    ``at[:2]`` becomes u + u_partner(x + u). With ``image`` the partner's
+    image is gathered too: ``at[2]`` becomes the similarity residual
+    image_partner(x + u) - image and ``d_image`` its derivative. The
+    arithmetic is that of ``Stencil.sample`` and ``Stencil.sample_grad``.
+    """
+    if image:
+        side.stencil.sample(partner.var, out=side.at, grad=side.d_image, work=work)
+        side.at[2] -= side.image
+    else:
+        side.stencil.sample(partner.u, out=side.at[:2], work=work)
+    side.at[:2] += side.u
+
+
+def _gradient(side: _Side, partner: _Side, lambda_sim, lambda_reg, work: np.ndarray):
+    """Exact gradient of the frozen-partner objective w.r.t. the side's field,
+    into ``work[:2]``; overwrites the side's consistency residual.
+
+    The similarity term contributes 2/n λ_sim (B(x + u) - A) ∇B(x + u). The
+    residual r1 = u_partner + u(x + u_partner) is linear in the nodes of u,
+    so its gradient is the adjoint (bilinear splat on the partner's
+    stencil). The residual r2 = u + u_partner(x + u) is taken with the
+    partner's sample frozen: residual pushback, no differentiation through
+    the partner's interpolation.
+    """
+    n = side.image.shape[-2] * side.image.shape[-1]
+    grad, sim = work[:2], work[2]
+    np.multiply(side.at[2], lambda_sim * (2.0 / n), out=sim)
+    np.multiply(side.d_image, sim, out=grad)
+    grad += 0.0  # 0 + p, the sum into a zeroed gradient: -0.0 becomes 0.0
+    c_reg = lambda_reg * (2.0 / n)
+    r1 = partner.stencil.splat(partner.at[:2], out=work[2:4], work=work[4:])
+    r1 *= c_reg
+    grad += r1
+    r2 = side.at[:2]
+    r2 *= c_reg
+    grad += r2
     return grad
 
 
-def _descend(u_var, resid, d_row, d_col, r1, r2, s_other, step, cfg):
-    """One smoothed gradient step of ``u_var`` on the frozen-partner objective."""
-    grad = _frozen_grad(
-        resid, d_row, d_col, r1, r2, s_other, cfg.lambda_sim, cfg.lambda_reg
-    )
-    u_var = u_var - step * _smooth_field(grad, cfg.update_smoothing_sigma)
-    return _smooth_field(u_var, cfg.field_smoothing_sigma)
+def _smooth(u: np.ndarray, sigma: float, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gaussian blur of each plane of a planar (2, ..., H, W) field into
+    ``out``, by way of ``tmp``; ``out`` may be ``u``.
+
+    The two passes of ``gaussian_filter(u, (0, ..., sigma, sigma),
+    mode="nearest")``, rows and then columns, with the kernel computed once
+    per sigma. Like ``gaussian_filter``, it leaves the field as it is (and
+    returns ``u``) for sigma up to 1e-15.
+    """
+    if sigma <= 1e-15:
+        return u
+    weights = _gaussian_weights(sigma)
+    correlate1d(u, weights, axis=-2, output=tmp, mode="nearest")
+    return correlate1d(tmp, weights, axis=-1, output=out, mode="nearest")
+
+
+def _half_step(side, partner, step, cfg, work, diagonal, iteration, level):
+    """One smoothed gradient step of the side's field with the partner
+    frozen, then the side's stencil at the new points x + u."""
+    grad = _gradient(side, partner, cfg.lambda_sim, cfg.lambda_reg, work)
+    update = _smooth(grad, cfg.update_smoothing_sigma, work[2:4], grad)
+    update *= step
+    side.u -= update
+    _smooth(side.u, cfg.field_smoothing_sigma, work[2:4], side.u)
+    side.place(diagonal, work[:2], iteration, level)
 
 
 def _downsample(values: np.ndarray) -> np.ndarray:
@@ -225,14 +325,15 @@ def _downsample(values: np.ndarray) -> np.ndarray:
     return gaussian_filter(values, (0.0, 1.0, 1.0), mode="nearest")[:, ::2, ::2]
 
 
-def _upsample_field(u: np.ndarray, shape) -> np.ndarray:
-    """Bilinear upsample of planar fields to grids of ``shape`` (N, H, W),
-    displacements x2."""
-    _, h, w = shape
+def _upsample_field(u: np.ndarray, out: np.ndarray, work: np.ndarray):
+    """Bilinear upsample of planar fields into ``out``, (2, N, H, W) grids
+    twice as fine, displacements x2; ``work`` holds the gather."""
+    _, _, h, w = out.shape
+    shape = out.shape[1:]
     rows = np.broadcast_to((np.arange(h, dtype=np.float64) / 2.0)[:, None], shape)
     cols = np.broadcast_to(np.arange(w, dtype=np.float64) / 2.0, shape)
-    stencil = Stencil(rows, cols, u.shape[1:])
-    return 2.0 * stencil.sample(u)
+    Stencil(rows, cols, u.shape[1:]).sample(u, out=out, work=work)
+    out *= 2.0
 
 
 @lru_cache(maxsize=8)
@@ -247,21 +348,6 @@ def _gaussian_weights(sigma: float) -> np.ndarray:
     return weights
 
 
-def _smooth_field(u: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian blur of each plane of a planar (2, N, H, W) field.
-
-    The same two passes as ``gaussian_filter(u, (0, 0, sigma, sigma),
-    mode="nearest")``, rows into a new array and then columns in place, with
-    the kernel computed once per sigma. Like ``gaussian_filter``, it leaves
-    the field as it is for sigma up to 1e-15.
-    """
-    if sigma <= 1e-15:
-        return u
-    weights = _gaussian_weights(sigma)
-    out = correlate1d(u, weights, axis=-2, mode="nearest")
-    return correlate1d(out, weights, axis=-1, output=out, mode="nearest")
-
-
 def _diverged(index, residual, reason, iteration, level):
     return ConvergenceError(
         f"registration diverged at iteration {iteration} (level {level}): {reason}",
@@ -271,18 +357,18 @@ def _diverged(index, residual, reason, iteration, level):
     )
 
 
-def _field_stencil(xr, xc, u, diagonal, iteration, level):
-    """Stencil of x + u for planar fields the optimizer just produced.
+def _check_length(u, diagonal, sq, iteration, level):
+    """Raise divergence if a displacement of the planar fields ``u`` is
+    longer than the grid ``diagonal``; ``sq`` is a scratch array of u's
+    shape.
 
-    A displacement longer than the grid ``diagonal`` maps every point off
-    the grid: that is divergence, whether or not the field is still finite.
-    The comparison is false for NaN and inf as well, so this check is what
-    keeps non-finite points out of the stencil.
+    Such a displacement maps every point off the grid, whether or not the
+    field is still finite. The comparison is false for NaN and inf as well,
+    so this check is what keeps non-finite points out of the stencils. A
+    square that overflows to inf is divergence too, so the loop runs with
+    overflow warnings off.
     """
-    with np.errstate(over="ignore"):  # an overflow to inf is divergence too
-        sq = u * u
-        sq[0] += sq[1]
-        longest = np.sqrt(sq[0].max(axis=(-2, -1)))
+    longest = np.sqrt(_sq_lengths(u, sq).max(axis=(-2, -1)))
     within = longest <= diagonal
     if not within.all():
         n = int(np.argmin(within))
@@ -292,21 +378,87 @@ def _field_stencil(xr, xc, u, diagonal, iteration, level):
             f"({diagonal:.4g} px)",
             iteration, level,
         )
-    return Stencil(xr + u[0], xc + u[1], u.shape[1:])
 
 
-def _history_terms(cfg, res_ab, res_ba, r1, r2, iteration, level):
+def _history_terms(cfg, ab, ba, work, iteration, level):
     """Per-pair (l_sim, l_reg, l_p) from the residuals of the first
     half-step at the fields after ``iteration``, summed as
-    :func:`primary_loss` does."""
-    l_sim = _mean_sq(res_ab) + _mean_sq(res_ba)
-    l_reg = _mean_sq_planes(r1) + _mean_sq_planes(r2)
+    :func:`primary_loss` does.
+
+    The squares go into ``work``, one plane per term (the squared lengths
+    of r1 and r2 in planes 2 and 4), so that one reduction takes all the
+    means; each is the sum over its own plane, as ``np.mean`` takes it.
+    """
+    sq = work[:6]
+    np.multiply(ab.at[2], ab.at[2], out=sq[0])
+    np.multiply(ba.at[2], ba.at[2], out=sq[1])
+    _sq_lengths(ba.at[:2], sq[2:4])
+    _sq_lengths(ab.at[:2], sq[4:6])
+    means = _grid_mean(sq)
+    l_sim = means[0] + means[1]
+    l_reg = means[2] + means[4]
     l_p = cfg.lambda_sim * l_sim + cfg.lambda_reg * l_reg
     finite = np.isfinite(l_p)
     if not finite.all():
         n = int(np.argmin(finite))
         raise _diverged(n, l_p[n], "non-finite loss", iteration, level)
     return l_sim, l_reg, l_p
+
+
+def _evaluate(ab: _Side, ba: _Side, work: np.ndarray, image: bool):
+    """Sample each side's partner at the side's points, both sides."""
+    _sample_partner(ab, ba, work, image)
+    _sample_partner(ba, ab, work, image)
+
+
+def _descend_pyramid(pyramid, cfg):
+    """The loop of :func:`register_pairs` over the image pyramid, finest
+    level first in ``pyramid`` (which it empties): the final planar fields
+    u_AB and u_BA, and the iteration numbers and terms of the history."""
+    fields = None  # the previous level's (u_AB, u_BA)
+    iterations: list[int] = []
+    terms: list[tuple] = []
+    global_it = 0
+
+    for level in range(len(pyramid)):
+        va, vb = pyramid.pop()  # coarse -> fine
+        x = np.indices(va.shape[1:], dtype=np.float64)[:, None]
+        diagonal = np.hypot(va.shape[1] - 1, va.shape[2] - 1)
+        ab, ba = _Side(va, x), _Side(vb, x)
+        work = np.empty((_WORK_PLANES,) + va.shape)
+        del va, vb
+        if fields is None:
+            ab.u[...] = 0.0
+            ba.u[...] = 0.0
+        else:
+            _upsample_field(fields[0], ab.u, work)
+            _upsample_field(fields[1], ba.u, work)
+            fields = None
+        ab.place(diagonal, work[:2], global_it, level)
+        ba.place(diagonal, work[:2], global_it, level)
+        step = cfg.step_size * (x.shape[-2] * x.shape[-1])
+        for i in range(cfg.iterations_per_level):
+            # Both sides read their partners: the similarity residuals and
+            # image derivatives of both half-steps, and the consistency
+            # residuals of this one, which are also the loss terms of the
+            # fields after the previous iteration.
+            _evaluate(ab, ba, work, image=True)
+            if i > 0:
+                iterations.append(global_it - 1)
+                terms.append(_history_terms(cfg, ab, ba, work, global_it - 1, level))
+            _half_step(ab, ba, step, cfg, work, diagonal, global_it, level)
+            # Step u_BA against the new u_AB: only the consistency residuals
+            # moved, and A(x + u_BA) with its derivative still holds.
+            _evaluate(ab, ba, work, image=False)
+            _half_step(ba, ab, step, cfg, work, diagonal, global_it, level)
+            global_it += 1
+        _evaluate(ab, ba, work, image=True)
+        iterations.append(global_it - 1)
+        terms.append(_history_terms(cfg, ab, ba, work, global_it - 1, level))
+        fields = (ab.u, ba.u)
+        del ab, ba, work
+
+    return (*fields, iterations, terms)
 
 
 def register_pairs(
@@ -339,55 +491,11 @@ def register_pairs(
         _check_same_grid(a, b)
     pyramid = [(np.stack([a.values for a in fixed]), np.stack([b.values for b in moving]))]
     for _ in range(cfg.pyramid_levels - 1):
-        pa, pb = pyramid[-1]
-        if min(pa.shape[1:]) < 8:
+        if min(pyramid[-1][0].shape[1:]) < 8:
             break
-        pyramid.append((_downsample(pa), _downsample(pb)))
-    pyramid.reverse()  # coarse -> fine
-
-    u_ab = np.zeros((2,) + pyramid[0][0].shape)
-    u_ba = np.zeros_like(u_ab)
-    iterations: list[int] = []
-    terms: list[tuple] = []
-    global_it = 0
-
-    for level, (va, vb) in enumerate(pyramid):
-        if u_ab.shape[1:] != va.shape:
-            u_ab = _upsample_field(u_ab, va.shape)
-            u_ba = _upsample_field(u_ba, va.shape)
-        xr, xc = np.indices(va.shape[1:], dtype=np.float64)
-        diagonal = np.hypot(xr.shape[0] - 1, xr.shape[1] - 1)
-        s_ab = _field_stencil(xr, xc, u_ab, diagonal, global_it, level)
-        s_ba = _field_stencil(xr, xc, u_ba, diagonal, global_it, level)
-        step = cfg.step_size * xr.size
-        for i in range(cfg.iterations_per_level):
-            # Step u_AB with u_BA frozen. The sample of A at x + u_BA serves
-            # this half-step's loss terms and the next one's gradient.
-            res_ab, db_row, db_col = s_ab.sample_grad(vb)
-            res_ab -= va
-            res_ba, da_row, da_col = s_ba.sample_grad(va)
-            res_ba -= vb
-            r1, r2 = _icon_residuals(u_ab, u_ba, s_ab, s_ba)
-            if i > 0:
-                iterations.append(global_it - 1)
-                terms.append(_history_terms(cfg, res_ab, res_ba, r1, r2, global_it - 1, level))
-            u_ab = _descend(u_ab, res_ab, db_row, db_col, r1, r2, s_ba, step, cfg)
-            # Free the old field's arrays before its successor's stencil is
-            # built, so that one batch of temporaries is alive at a time.
-            del res_ab, db_row, db_col, r1, r2, s_ab
-            s_ab = _field_stencil(xr, xc, u_ab, diagonal, global_it, level)
-
-            # Step u_BA with the new u_AB frozen; no loss terms are needed.
-            r1, r2 = _icon_residuals(u_ba, u_ab, s_ba, s_ab)
-            u_ba = _descend(u_ba, res_ba, da_row, da_col, r1, r2, s_ab, step, cfg)
-            del res_ba, da_row, da_col, r1, r2, s_ba
-            s_ba = _field_stencil(xr, xc, u_ba, diagonal, global_it, level)
-            global_it += 1
-        res_ab = s_ab.sample(vb) - va
-        res_ba = s_ba.sample(va) - vb
-        r1, r2 = _icon_residuals(u_ab, u_ba, s_ab, s_ba)
-        iterations.append(global_it - 1)
-        terms.append(_history_terms(cfg, res_ab, res_ba, r1, r2, global_it - 1, level))
+        pyramid.append(tuple(_downsample(v) for v in pyramid[-1]))
+    with np.errstate(over="ignore"):  # overflow is divergence; see _check_length
+        u_ab, u_ba, iterations, terms = _descend_pyramid(pyramid, cfg)
 
     grid = fixed[0].grid
     per_pair = np.array(terms).transpose(2, 0, 1).tolist()  # (pair, row, term)

@@ -142,3 +142,9 @@ class TestEstimateAtlas:
         a1, _ = estimate_atlas([img, img], FAST_ATLAS_CFG, seed=3)
         a2, _ = estimate_atlas([img, img], FAST_ATLAS_CFG, seed=3)
         assert np.array_equal(a1.values, a2.values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_atlas_config_rejects_non_finite_epsilon(bad):
+    with pytest.raises(DomainError, match="epsilon"):
+        AtlasConfig(epsilon=bad)

@@ -139,6 +139,18 @@ class TestRegisterPipeline:
                    "--out-ab", tmp_path / "ab.mfld", "--iterations", 5,
                    "--step-size", "1e300") == 3
 
+    @pytest.mark.parametrize("flag", ["--sigma-update", "--sigma-field", "--lambda-sim", "--step-size"])
+    def test_non_finite_flag_usage_error(self, tmp_path, flag, capsys):
+        data = tmp_path / "data"
+        run("synth", "--kind", "gaussian_blobs", "--seed", 2, "--subjects", 1,
+            "--out-dir", data)
+        capsys.readouterr()
+        assert run("register", "--a", data / "image.pgm",
+                   "--b", data / "subject_000_image.pgm",
+                   "--out-ab", tmp_path / "ab.mfld", flag, "nan") == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ab.mfld").exists()
+
     def test_deterministic_rerun(self, tmp_path):
         data = tmp_path / "data"
         run("synth", "--kind", "gaussian_blobs", "--seed", 2, "--subjects", 1,

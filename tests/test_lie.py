@@ -229,3 +229,12 @@ class TestNonConvergence:
         assert err.iterations == cfg.max_iterations
         assert np.isfinite(err.residual) and err.residual > 0
         assert f"(residual {err.residual:.3e} px)" in str(err)
+
+
+@pytest.mark.parametrize("name", ["tolerance", "damping"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solver_config_rejects_non_finite(name, bad):
+    # An infinite tolerance would stop sqrt_field after one iteration and
+    # report convergence; NaN slips past every range check.
+    with pytest.raises(DomainError, match=name):
+        SolverConfig(**{name: bad})

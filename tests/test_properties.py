@@ -1,12 +1,12 @@
-"""Property tests of the bilinear stencil, the registration smoother, the
-identity law, inversion and the file parsers, on inputs drawn by hypothesis
-(deterministic profile registered in conftest.py)."""
+"""Property tests of the bilinear stencil, the registration smoother and
+loop, the identity law, inversion and the file parsers, on inputs drawn by
+hypothesis (deterministic profile registered in conftest.py)."""
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import gaussian_filter
 
@@ -14,6 +14,8 @@ from diffeo2d import (
     DisplacementField,
     Grid,
     RandomFieldSpec,
+    RegistrationConfig,
+    ScalarImage,
     SolverConfig,
     compose,
     exp_field,
@@ -26,6 +28,7 @@ from diffeo2d import (
     read_pgm,
     read_pgm_labels,
     random_log_field,
+    register_pairs,
     sqrt_field,
 )
 from diffeo2d.errors import ConvergenceError, FileFormatError
@@ -38,7 +41,7 @@ from diffeo2d.fields import (
     sample_values_grad,
     splat_values,
 )
-from diffeo2d.registration import _smooth_field
+from diffeo2d.registration import _smooth
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -79,6 +82,22 @@ def _reference_sample(values, points):
     return top + fr * (bot - top), (i0, j0, fr, fc)
 
 
+def _reference_grad(values, points):
+    """The derivatives of the bilinear sample along rows and columns, bot -
+    top and right - left, zero where the coordinate is clamped."""
+    h, w = values.shape[:2]
+    _, (i0, j0, fr, fc) = _reference_sample(values, points)
+    v00, v01 = values[i0, j0], values[i0, j0 + 1]
+    v10, v11 = values[i0 + 1, j0], values[i0 + 1, j0 + 1]
+    top, bot = v00 + fc * (v01 - v00), v10 + fc * (v11 - v10)
+    left, right = v00 + fr * (v10 - v00), v01 + fr * (v11 - v01)
+    inside_r = (points[..., 0] > 0.0) & (points[..., 0] < h - 1.0)
+    inside_c = (points[..., 1] > 0.0) & (points[..., 1] < w - 1.0)
+    if values.ndim == 3:
+        inside_r, inside_c = inside_r[..., None], inside_c[..., None]
+    return np.where(inside_r, bot - top, 0.0), np.where(inside_c, right - left, 0.0)
+
+
 def _reference_splat(points, r, shape):
     """Four sequential ``np.add.at`` calls, one per corner."""
     _, (i0, j0, fr, fc) = _reference_sample(np.zeros(shape[:2]), points)
@@ -107,14 +126,19 @@ def test_sample_splat_adjoint(vp, data):
 @given(values_and_points(), st.data())
 def test_stencil_matches_corner_by_corner_reference(vp, data):
     # np.take gathers and np.bincount splats do the same float operations
-    # in the same order as fancy indexing and np.add.at, and the wrappers
-    # convert the (H, W, C) layout to planes and back without changing a bit.
+    # in the same order as fancy indexing and np.add.at, the derivative
+    # sampled with the value is the textbook one bit for bit, and the
+    # wrappers convert the (H, W, C) layout to planes and back without
+    # changing a bit.
     u, p = vp
     u = _channels_last(u)
     r = data.draw(arrays(np.float64, p.shape[:1] + u.shape[2:], elements=finite))
     expected, _ = _reference_sample(u, p)
     assert np.array_equal(sample_values(u, p), expected)
-    assert np.array_equal(sample_values_grad(u, p)[0], expected)
+    value, d_row, d_col = sample_values_grad(u, p)
+    assert np.array_equal(value, expected)
+    want_row, want_col = _reference_grad(u, p)
+    assert _bits(d_row) == _bits(want_row) and _bits(d_col) == _bits(want_col)
     assert np.array_equal(splat_values(p, r, u.shape[:2]), _reference_splat(p, r, u.shape))
 
 
@@ -185,11 +209,15 @@ def test_subject_axis_matches_per_subject_stencils(n, h, w, channels, data):
     st.data(),
 )
 def test_smooth_field_is_scipy_gaussian_filter(n, h, w, sigma, data):
-    # The registration smoother keeps its kernel across calls; it must give
-    # bit for bit what scipy's gaussian_filter gives on each plane.
+    # The registration smoother keeps its kernel across calls and writes
+    # into the caller's arrays; it must give bit for bit what scipy's
+    # gaussian_filter gives on each plane, in place too.
     u = data.draw(arrays(np.float64, (2, n, h, w), elements=finite))
     expected = gaussian_filter(u, (0.0, 0.0, sigma, sigma), mode="nearest")
-    assert np.array_equal(_smooth_field(u, sigma), expected)
+    tmp = np.empty_like(u)
+    assert np.array_equal(_smooth(u, sigma, tmp, np.empty_like(u)), expected)
+    assert _smooth(u, sigma, tmp, u) is u
+    assert np.array_equal(u, expected)
 
 
 def _bits(a) -> bytes:
@@ -220,6 +248,16 @@ def test_rebuilt_stencil_matches_fresh(vp, data):
     assert stencil.sample(u, out=out) is out
     assert _bits(out) == _bits(fresh.sample(u))
     for got, want in zip(stencil.sample_grad(u), fresh.sample_grad(u)):
+        assert _bits(got) == _bits(want)
+    # displace builds from x + u without a point array and takes its clamp
+    # masks as it builds; it must give the stencil of the summed points.
+    x = data.draw(arrays(np.float64, (2, 1), elements=st.floats(0.0, 3.0)))
+    displaced = Stencil.displaced(x, p.T.copy(), (h, w))
+    assert displaced.displace(x, q.T.copy()) is displaced
+    fresh = Stencil(x[0] + q[:, 0], x[1] + q[:, 1], (h, w))
+    for name in ("fr", "fc", "k4"):
+        assert _bits(getattr(displaced, name)) == _bits(getattr(fresh, name))
+    for got, want in zip(displaced.sample_grad(u), fresh.sample_grad(u)):
         assert _bits(got) == _bits(want)
 
 
@@ -390,3 +428,110 @@ def test_basis_with_random_header(input_file, h, w, dim, extra, data):
     values = data.draw(st.lists(data.draw(payload_value), min_size=n, max_size=n))
     header = struct.pack("<4sHIIHBBd", b"MLEB", 1, h, w, dim, 1, 1, data.draw(any_float))
     _read_or_reject(read_basis, input_file, header + struct.pack(f"<{n}d", *values))
+
+
+def _texture(rng, h, w):
+    t = gaussian_filter(rng.standard_normal((h, w)), 1.5, mode="nearest")
+    return (t - t.min()) / (t.max() - t.min())
+
+
+def _reference_half_step(a, b, u_var, u_other, cfg):
+    """One half-step of u_var (the field that pulls b onto a) with u_other
+    frozen, from the public one-shot wrappers on (H, W, 2) fields: the
+    frozen-partner gradient, then the smoothed descent step. Also returns
+    the residuals res = b(x + u_var) - a, r1 = u_other + u_var(x + u_other)
+    and r2 = u_var + u_other(x + u_var)."""
+    shape = a.shape
+    n = shape[0] * shape[1]
+    x = grid_coords(Grid(*shape))
+    warped, d_row, d_col = sample_values_grad(b, x + u_var)
+    res = warped - a
+    r1 = u_other + sample_values(u_var, x + u_other)
+    r2 = u_var + sample_values(u_other, x + u_var)
+    grad = np.zeros(shape + (2,))
+    sim = cfg.lambda_sim * (2.0 / n) * res
+    grad[..., 0] += sim * d_row
+    grad[..., 1] += sim * d_col
+    grad += cfg.lambda_reg * (2.0 / n) * splat_values(x + u_other, r1, shape)
+    grad += cfg.lambda_reg * (2.0 / n) * r2
+    sigma_u, sigma_f = cfg.update_smoothing_sigma, cfg.field_smoothing_sigma
+    step = cfg.step_size * n
+    u_new = u_var - step * gaussian_filter(grad, (sigma_u, sigma_u, 0.0), mode="nearest")
+    u_new = gaussian_filter(u_new, (sigma_f, sigma_f, 0.0), mode="nearest")
+    return u_new, res, r1, r2
+
+
+def _reference_register(a, b, cfg):
+    """register_pair written as plain alternating descent on one pair."""
+    pyramid = [(a, b)]
+    for _ in range(cfg.pyramid_levels - 1):
+        pa, pb = pyramid[-1]
+        if min(pa.shape) < 8:
+            break
+        pyramid.append(tuple(gaussian_filter(v, 1.0, mode="nearest")[::2, ::2] for v in (pa, pb)))
+    u_ab = u_ba = None
+    history = []
+    it = 0
+
+    def terms(va, vb):
+        _, res_ab, r1, r2 = _reference_half_step(va, vb, u_ab, u_ba, cfg)
+        res_ba = sample_values(va, grid_coords(Grid(*va.shape)) + u_ba) - vb
+        l_sim = np.mean(res_ab * res_ab) + np.mean(res_ba * res_ba)
+        l_reg = sum(np.mean(r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1]) for r in (r1, r2))
+        return l_sim, l_reg, cfg.lambda_sim * l_sim + cfg.lambda_reg * l_reg
+
+    for va, vb in reversed(pyramid):
+        if u_ab is None:
+            u_ab = u_ba = np.zeros(va.shape + (2,))
+        else:
+            h, w = va.shape
+            half = np.stack(np.meshgrid(np.arange(h) / 2.0, np.arange(w) / 2.0, indexing="ij"), -1)
+            u_ab = 2.0 * sample_values(u_ab, half)
+            u_ba = 2.0 * sample_values(u_ba, half)
+        for i in range(cfg.iterations_per_level):
+            if i > 0:
+                history.append((it - 1, *terms(va, vb)))
+            u_ab = _reference_half_step(va, vb, u_ab, u_ba, cfg)[0]
+            u_ba = _reference_half_step(vb, va, u_ba, u_ab, cfg)[0]
+            it += 1
+        history.append((it - 1, *terms(va, vb)))
+    return u_ab, u_ba, history
+
+
+@settings(max_examples=25)
+@given(
+    h=st.integers(9, 21),
+    w=st.integers(9, 21),
+    n=st.integers(1, 3),
+    levels=st.integers(1, 2),
+    iterations=st.integers(1, 3),
+    lambda_sim=st.sampled_from([0.3, 0.7, 1.3]),
+    lambda_reg=st.sampled_from([0.0, 0.6, 1.7]),
+    step=st.sampled_from([0.2, 0.45]),
+    sigma_update=st.sampled_from([0.0, 0.7, 1.0, 1.6]),
+    sigma_field=st.sampled_from([0.0, 0.5, 1.2]),
+    seed=st.integers(0, 2**16),
+)
+def test_register_pairs_replays_plain_descent(
+    h, w, n, levels, iterations, lambda_sim, lambda_reg, step, sigma_update, sigma_field, seed
+):
+    # register_pairs runs its pairs as one batch in one workspace, with
+    # fused gathers and in-place scratch. Each pair must still give, bit
+    # for bit, the fields and loss history of plain alternating descent
+    # written from the one-shot wrappers and scipy's gaussian_filter, one
+    # pair at a time.
+    assume(h != w)
+    grid = Grid(h, w)
+    cfg = RegistrationConfig(
+        lambda_sim=lambda_sim, lambda_reg=lambda_reg, pyramid_levels=levels,
+        iterations_per_level=iterations, step_size=step,
+        update_smoothing_sigma=sigma_update, field_smoothing_sigma=sigma_field,
+    )
+    rng = np.random.default_rng(seed)
+    fixed = [ScalarImage(grid, _texture(rng, h, w)) for _ in range(n)]
+    moving = [ScalarImage(grid, _texture(rng, h, w)) for _ in range(n)]
+    for a, b, res in zip(fixed, moving, register_pairs(fixed, moving, cfg)):
+        u_ab, u_ba, history = _reference_register(a.values, b.values, cfg)
+        assert _bits(res.phi_ab.u) == _bits(u_ab)
+        assert _bits(res.phi_ba.u) == _bits(u_ba)
+        assert res.loss_history == history

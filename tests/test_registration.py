@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -319,6 +320,39 @@ class TestRegisterPairs:
         assert info.value.index == 1
         assert info.value.iterations == 0
 
+    @pytest.mark.parametrize(
+        "grid,levels,iterations,batch,message,index,iteration,residual",
+        [
+            # Two unrelated 16^2 textures at the default step diverge in the
+            # middle of their one level.
+            (Grid(16, 16), 1, 300, False,
+             "registration diverged at iteration 30 (level 0): a displacement "
+             "of 106.7 px exceeds the grid diagonal (21.21 px)",
+             0, 30, 106.68773057908287),
+            # Behind a pair that registers an image to itself, the second pair
+            # diverges on the fine level of a non-square pyramid.
+            (Grid(32, 24), 2, 30, True,
+             "registration diverged at iteration 54 (level 1): a displacement "
+             "of 263.5 px exceeds the grid diagonal (38.6 px)",
+             1, 54, 263.4666934017262),
+        ],
+    )
+    def test_divergence_report_is_pinned(
+        self, grid, levels, iterations, batch, message, index, iteration, residual
+    ):
+        # The pair, iteration, level and residual of a divergence are part of
+        # the result; these values are the loop's before its workspace was
+        # restructured, and a faster loop must report the same.
+        a, b = textured_image(1, grid), textured_image(2, grid)
+        fixed, moving = ([a, a], [a, b]) if batch else ([a], [b])
+        cfg = RegistrationConfig(pyramid_levels=levels, iterations_per_level=iterations)
+        with pytest.raises(ConvergenceError) as info:
+            register_pairs(fixed, moving, cfg)
+        assert str(info.value) == message
+        assert info.value.index == index
+        assert info.value.iterations == iteration
+        assert info.value.residual == residual
+
     def test_rejects_mismatched_inputs(self):
         a = textured_image(0)
         small = ScalarImage(Grid(32, 32), np.zeros((32, 32)))
@@ -328,6 +362,46 @@ class TestRegisterPairs:
             register_pairs([a, a], [a])
         with pytest.raises(ShapeError):
             register_pairs([a, small], [a, small])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["lambda_sim", "lambda_reg", "step_size", "update_smoothing_sigma", "field_smoothing_sigma"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite(name, bad):
+    # Range checks let NaN through (it compares false) and inf past a lower
+    # bound; either would surface later as a smoother's ValueError or
+    # OverflowError, or as divergence, instead of a domain error.
+    with pytest.raises(DomainError, match=name):
+        RegistrationConfig(**{name: bad})
+
+
+def _peak_planes(fixed, moving, cfg):
+    """Peak traced memory of one register_pairs call, in float64 planes of
+    the batch's N*H*W size."""
+    register_pairs(fixed, moving, cfg)  # caches (the smoothing kernel) warm
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        register_pairs(fixed, moving, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * len(fixed) * fixed[0].grid.n_pixels)
+
+
+def test_peak_memory_budget():
+    # The loop's live set, in N*H*W float64 planes, at N = 8 on 32^2 with
+    # three pyramid levels: 47.99 planes before the loop ran in one
+    # per-level workspace (two stencils built fresh each iteration and
+    # fresh temporaries in every step), 42.5 since. Nothing may take the
+    # peak above the former.
+    grid = Grid(32, 32)
+    fixed = [textured_image(50 + k, grid) for k in range(8)]
+    moving = [textured_image(60 + k, grid) for k in range(8)]
+    cfg = replace(SUITE_REG_CONFIG, iterations_per_level=3)
+    assert _peak_planes(fixed, moving, cfg) <= 47.99
 
 
 def test_mse_basic():
