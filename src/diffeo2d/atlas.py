@@ -13,7 +13,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RankError, require_finite
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    RankError,
+    require_finite,
+    require_integer,
+)
 from .fields import ScalarImage, warp_image
 from .latent import LogEuclideanBasis, decode_root, encode, fit_basis
 from .lie import SolverConfig, log_field
@@ -31,6 +37,7 @@ class AtlasConfig:
 
     def __post_init__(self):
         require_finite(self, "epsilon")
+        require_integer(self, "max_outer_iterations", "basis_dim", "root_depth")
         if not (self.epsilon > 0):
             raise DomainError("epsilon must be > 0")
         if self.max_outer_iterations < 1:

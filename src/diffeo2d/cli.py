@@ -298,7 +298,6 @@ def _cmd_synth(args):
                 seed=args.seed * 10_000 + i,
                 smoothing_sigma=args.smoothing,
                 amplitude=args.amplitude,
-                exp_depth=args.depth,
             )
         )
         subj = make_subject((image, labels), v, args.depth)

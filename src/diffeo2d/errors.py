@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the check that every
-config runs on its float fields."""
+"""Exception types shared across the package, and the checks that every
+config runs on its float and integer fields."""
 
 import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -16,6 +17,17 @@ def require_finite(config, *names):
         value = getattr(config, name)
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_integer(config, *names):
+    """Raise DomainError unless each named field of ``config`` is a Python or
+    numpy integer. Range checks alone let 2.5, inf and NaN through, to fail
+    later (a float in ``range`` is a TypeError) instead of as a domain
+    error."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 class ShapeError(ValueError):

@@ -20,16 +20,16 @@ Conventions (normative for the whole package):
 Bilinear sampling, its derivative and its adjoint splat all go through
 :class:`Stencil`, which clamps and indexes a point set once. One point set
 has one stencil: code that reads the same points more than once
-(registration samples and splats at ``x + u`` several times per step) builds
+(registration samples and splats at ``x + u`` several times per step) places
 the stencil once and reuses it. ``sample_values``, ``sample_values_grad`` and
 ``splat_values`` are one-shot wrappers for callers with a single use.
 
 The stencil does not check its points, because the registration loop
-rebuilds two stencils an iteration. Points must be finite, and the entry
+re-places two stencils an iteration. Points must be finite, and the entry
 points check that they are, raising ``DomainError``: the public wrappers
 above (and through them ``sample_field``, ``compose`` and ``warp_image``)
 and ``registration.frozen_loss_and_grad``. Inside the registration loop the
-displacement-length check before each rebuild rejects NaN and inf.
+displacement-length check before each placement rejects NaN and inf.
 
 The stencil is planar: it takes the row and column coordinates as two
 arrays and values channel-first, ``(*lead, H, W)`` with any leading channel
@@ -44,15 +44,18 @@ also carry a leading subject axis, ``(N, H, W)``: N point sets on N grids
 of one shape, indexed into one flattened stack, so that a batch of
 registrations costs one gather and one splat per plane, not N.
 
-A loop that moves its points every iteration need not build a new stencil:
-:meth:`Stencil.build` rewrites one in place, and :meth:`Stencil.displace`
-does so for the points x + u of planar fields without any point array.
-``sample(values, out=...)`` writes into the caller's array and gathers into
-a buffer the stencil owns, or into the caller's ``work``; ``splat`` takes
-``out`` and ``work`` too. With ``grad=...``, ``sample`` also returns the
-derivative of the last value plane from the same gather, so registration
-samples a field and an image stacked as one array in one ``take``.
-:class:`DisplacedGrid` packages the in-place rebuild for the ``lie`` loops,
+A stencil has one placement routine, which clamps the coordinates in the
+stencil's own arrays, takes the clamp masks and forms the corner indices.
+The constructor copies a point set there; a loop that moves its points every
+iteration keeps one stencil instead and re-places it with
+:meth:`Stencil.displace`, at the points x + u of planar fields, without any
+point array. One buffer policy serves every gather: ``sample`` gathers into
+the caller's ``work`` or, without it, into a buffer the stencil owns, and
+writes into the caller's ``out`` if given; ``splat`` takes ``out`` and
+``work`` too. With ``grad=...``, ``sample`` also returns the derivative of
+the last value plane from the same gather, so registration samples a field
+and an image stacked as one array in one ``take``.
+:class:`DisplacedGrid` packages the re-placement for the ``lie`` loops,
 which sample a field at its own displaced grid x + w; the registration loop
 keeps one stencil per direction and one scratch block for the temporaries
 of both. At a batch of 64^2 fields or at 256^2 every fresh temporary costs
@@ -186,11 +189,13 @@ class Stencil:
 
     ``shape`` is ``(H, W)``, or ``(N, H, W)`` with a leading subject axis.
     The points have a shape of their own; with a subject axis it leads with
-    N, and subject ``n``'s points read plane ``n`` only. Built once per
-    point set, the stencil keeps what sampling, sampling with the derivative
-    and the adjoint splat all need: the fractional offsets ``fr``, ``fc``
-    toward the +1 corners and a ``(4, ...)`` array ``k4`` of flat node
-    indices of the corners (00, 01, 10, 11). Indices run over the flattened
+    N, and subject ``n``'s points read plane ``n`` only. Placed at a point
+    set, the stencil keeps what sampling, sampling with the derivative and
+    the adjoint splat all need: the fractional offsets ``fr``, ``fc``
+    toward the +1 corners, a ``(4, ...)`` array ``k4`` of flat node indices
+    of the corners (00, 01, 10, 11), and the clamp masks ``outside``, a
+    ``(2, ...)`` bool array that is true where the row or the column of a
+    point lies on or beyond the domain edge. Indices run over the flattened
     stack, so subject ``n``'s are offset by ``n*H*W`` and one gather or one
     ``np.bincount`` serves all subjects.
 
@@ -200,29 +205,34 @@ class Stencil:
     every plane, ``fr`` and ``fc`` broadcast over the leading axes, and the
     splat runs one ``np.bincount`` per leading plane into one output array.
 
-    The constructor allocates ``fr``, ``fc`` and ``k4`` and calls
-    :meth:`build`, which a loop may call again on new points of the same
-    shape; :meth:`displaced` and :meth:`displace` do the same for the
-    points x + u of planar fields u. A rebuilt stencil is bit for bit a
-    fresh one. ``sample`` and ``splat`` write into the caller's arrays when
-    given ``out``, and put their temporaries in the caller's ``work`` when
-    given one, so a loop that samples and splats every iteration allocates
-    only ``np.bincount``'s result.
+    One routine places a stencil: it clamps the coordinates written in the
+    stencil's own arrays, takes the masks and forms ``k4``. The constructor
+    copies the points there; :meth:`displace` writes the points x + u of
+    planar fields u there, so a loop keeps one stencil, made by
+    :meth:`empty`, and re-places it. A re-placed stencil is bit for
+    bit a fresh one, and keeps no reference to the caller's arrays.
+    ``sample`` gathers into the caller's ``work`` if given, otherwise into a
+    buffer the stencil owns; ``sample`` and ``splat`` write into the
+    caller's ``out`` if given. So a loop that samples and splats every
+    iteration allocates only ``np.bincount``'s result.
 
-    The points must be finite; neither the constructor nor the rebuilds
-    check them (see the module docstring for where that check lives).
+    The points must be finite; the stencil does not check them (see the
+    module docstring for where that check lives).
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
         self._allocate(rows.shape, shape)
-        self.build(rows, cols)
+        self.fr[...] = rows
+        self.fc[...] = cols
+        self._place()
 
     @classmethod
-    def displaced(cls, x: np.ndarray, u: np.ndarray, shape) -> "Stencil":
-        """The stencil of the points x + u; see :meth:`displace`."""
+    def empty(cls, points, shape) -> "Stencil":
+        """A stencil for point sets of shape ``points``, allocated but not
+        placed: call :meth:`displace` before using it."""
         stencil = cls.__new__(cls)
-        stencil._allocate(u.shape[1:], shape)
-        return stencil.displace(x, u)
+        stencil._allocate(points, shape)
+        return stencil
 
     def _allocate(self, points, shape):
         self.shape = tuple(shape)
@@ -234,6 +244,8 @@ class Stencil:
         # for one point.
         self.fr, self.fc = self._frc[0, ...], self._frc[1, ...]
         self._k_rows = tuple(self.k4[i, ...] for i in range(4))
+        # The clamp masks, then the upper-edge tests while they are formed.
+        self.outside, self._edge = np.empty((2,) + self._frc.shape, dtype=bool)
         self._offset = None
         if len(self.shape) == 3 and self.shape[0] > 1:
             n = self.shape[0]
@@ -242,64 +254,42 @@ class Stencil:
         self._corner_max = np.array([h - 2.0, w - 2.0]).reshape((2,) + (1,) * len(points))
         # The last plane along the last leading axis (see sample's grad).
         self._last = (Ellipsis, -1) + (slice(None),) * len(points)
-        self._outside = None
-        self._masks = None
         self._work = None
 
-    def build(self, rows: np.ndarray, cols: np.ndarray) -> "Stencil":
-        """Point the stencil at new points of the same shape, in place.
-
-        Writes ``fr``, ``fc`` and ``k4`` into the arrays the constructor
-        allocated, so a loop that moves its points every iteration keeps
-        one stencil and allocates nothing. ``rows`` and ``cols`` are kept
-        by reference for the clamp masks of the derivative, so they must
-        hold these points until the stencil is used. Returns the stencil.
-        """
-        h, w = self.shape[-2:]
-        self.rows = rows
-        self.cols = cols
-        self._outside = None
-        # The array method skips np.clip's dispatch wrapper and makes no
-        # temporary.
-        rows.clip(0.0, h - 1.0, out=self.fr)
-        cols.clip(0.0, w - 1.0, out=self.fc)
-        return self._index()
-
     def displace(self, x: np.ndarray, u: np.ndarray) -> "Stencil":
-        """Rebuild in place at the points x + u of planar ``(2, *points)``
+        """Place the stencil at the points x + u of planar ``(2, *points)``
         fields u; ``x`` broadcasts against ``u``.
 
-        The sum is written into the stencil's own ``fr`` and ``fc``, so no
-        point array is kept or allocated; the clamp masks of the derivative
-        are therefore taken here, from the clamped coordinates, where
-        ``build`` leaves them to the first derivative. Bit for bit the
-        stencil of ``build(x[0] + u[0], x[1] + u[1])``. Returns the stencil.
+        The sum is written into the stencil's own coordinate arrays, so a
+        loop that moves its points every iteration keeps one stencil and
+        allocates nothing. Bit for bit the stencil
+        ``Stencil(x[0] + u[0], x[1] + u[1], shape)``. Returns the stencil.
+        """
+        np.add(x, u, out=self._frc)
+        return self._place()
+
+    def _place(self) -> "Stencil":
+        """Clamp the points written in ``fr`` and ``fc`` to the grid, in
+        place, take the clamp masks of the derivative, and form the corner
+        indices ``k4`` and the offsets toward the +1 corners.
+
+        A clamped coordinate is on the edge exactly where the point lies on
+        or beyond it, so the masks, (p <= 0) | (p >= edge) of the points p,
+        are read from the clamped coordinates. Those are non-negative, so
+        the cast to an integer is the floor, and flooring before or after
+        the minimum with h - 2 gives the same corner. k01 and k10 hold the
+        corner row and column until k00 is formed.
         """
         h, w = self.shape[-2:]
         fr, fc = self.fr, self.fc
-        np.add(x, u, out=self._frc)
+        # The array method skips np.clip's dispatch wrapper.
         fr.clip(0.0, h - 1.0, out=fr)
         fc.clip(0.0, w - 1.0, out=fc)
-        if self._masks is None:
-            self._masks = np.empty((2,) + self._frc.shape, dtype=bool)
-        outside, edge = self._masks
-        # A clamped coordinate is on the edge exactly where the point lies
-        # on or beyond it: the complement of (0 < p < h - 1).
+        outside, edge = self.outside, self._edge
         np.less_equal(self._frc, 0.0, out=outside)
-        np.greater_equal(fr, h - 1.0, out=edge[0])
-        np.greater_equal(fc, w - 1.0, out=edge[1])
+        np.greater_equal(fr, h - 1.0, out=edge[0, ...])
+        np.greater_equal(fc, w - 1.0, out=edge[1, ...])
         outside |= edge
-        self._outside = outside
-        self.rows = self.cols = None
-        return self._index()
-
-    def _index(self) -> "Stencil":
-        """Corner indices and offsets from the clamped coordinates in ``fr``
-        and ``fc``. Clamped coordinates are non-negative, so the cast to an
-        integer is the floor, and flooring before or after the minimum with
-        h - 2 gives the same corner. k01 and k10 hold the corner row and
-        column until k00 is formed."""
-        h, w = self.shape[-2:]
         k00, k01, k10, k11 = self._k_rows
         np.minimum(self._frc, self._corner_max, out=self.k4[1:3], casting="unsafe")
         self._frc -= self.k4[1:3]
@@ -312,45 +302,29 @@ class Stencil:
         np.add(k00, w + 1, out=k11)
         return self
 
-    def _clamp_masks(self):
-        """``(outside_row, outside_col)``: where each coordinate of a point
-        lies on or beyond the domain edge, so that the derivative along it
-        is zero."""
-        if self._outside is None:
-            h, w = self.shape[-2:]
-            self._outside = (
-                (self.rows <= 0.0) | (self.rows >= h - 1.0),
-                (self.cols <= 0.0) | (self.cols >= w - 1.0),
-            )
-        return self._outside
-
     def _corners(self, values: np.ndarray, work: np.ndarray | None):
         """The four corner values 00, 01, 10, 11 of every point, each of
         shape ``(*lead, *points)``, from one gather over ``(*lead, *shape)``
-        values, into ``work`` if given."""
+        values, into ``work`` if given. Without it they go into a buffer
+        the stencil keeps across calls and placements, grown to the largest
+        gather asked of it."""
         lead = values.shape[: values.ndim - len(self.shape)]
         flat = values.reshape(lead + (-1,))
         if work is None:
-            corners = flat.take(self.k4, axis=-1)
-        else:
-            # Under the default mode="raise", take writes through a hidden
-            # copy when it gets out=; the indices are in range by
-            # construction, so "clip" changes no value and skips the copy.
-            buf = _work_view(work, lead + self.k4.shape)
-            corners = flat.take(self.k4, axis=-1, out=buf, mode="clip")
+            size = 4 * (values.size // self._size) * self.fr.size
+            if self._work is None or self._work.size < size:
+                self._work = np.empty(size)
+            work = self._work
+        # Under the default mode="raise", take writes through a hidden copy
+        # when it gets out=; the indices are in range by construction, so
+        # "clip" changes no value and skips the copy.
+        buf = _work_view(work, lead + self.k4.shape)
+        corners = flat.take(self.k4, axis=-1, out=buf, mode="clip")
         # Corner axis first, as a view. The loops gather with one leading
         # (component) axis, so that case takes the cheapest call.
         if len(lead) == 1:
             return corners.swapaxes(0, 1)
         return np.rollaxis(corners, len(lead))
-
-    def _owned_work(self, values: np.ndarray) -> np.ndarray:
-        """A gather buffer the stencil keeps across calls and rebuilds,
-        grown to the largest gather asked of it."""
-        size = 4 * (values.size // self._size) * self.fr.size
-        if self._work is None or self._work.size < size:
-            self._work = np.empty(size)
-        return self._work
 
     def sample(
         self,
@@ -361,13 +335,13 @@ class Stencil:
     ) -> np.ndarray:
         """Bilinear sample of ``(*lead, *shape)`` values at the points.
 
-        With ``out``, a ``(*lead, *points)`` float64 array, the result is
-        written there and, without ``work``, the corners are gathered into a
-        buffer the stencil owns and reuses, so a loop that samples every
-        iteration allocates nothing. ``work`` is a C-contiguous float64
-        array of at least four times the planes of ``out`` for the gather.
-        The corners are gathered before ``out`` is written, so ``out`` may
-        be ``values`` itself.
+        The corners are gathered into ``work``, a C-contiguous float64 array
+        of at least four times the planes of the result, or without it into
+        a buffer the stencil owns and reuses. With ``out``, a
+        ``(*lead, *points)`` float64 array, the result is written there, so
+        a loop that samples every iteration allocates nothing. The corners
+        are gathered before ``out`` is written, so ``out`` may be ``values``
+        itself.
 
         With ``grad``, a ``(2, *lead[:-1], *points)`` float64 array, the
         derivatives along rows and columns of the last plane along the last
@@ -376,8 +350,6 @@ class Stencil:
         a field and an image stacked as one ``(3, ...)`` array give the
         image's derivative from the same gather as the field's sample.
         """
-        if work is None and out is not None:
-            work = self._owned_work(values)
         v00, v01, v10, v11 = self._corners(values, work)
         fr, fc = self.fr, self.fc
         # top = v00 + fc (v01 - v00), bot = v10 + fc (v11 - v10) and
@@ -404,7 +376,7 @@ class Stencil:
         v11 += v10
         v11 -= top
         if grad is not None:
-            outside_row, outside_col = self._clamp_masks()
+            outside_row, outside_col = self.outside
             np.copyto(d_row, v11[last])
             np.copyto(d_row, 0.0, where=outside_row)
             np.copyto(d_col, 0.0, where=outside_col)
@@ -480,27 +452,24 @@ def _work_view(work: np.ndarray, shape) -> np.ndarray:
 
 class DisplacedGrid:
     """The points x + w(x) of a grid for planar ``(2, H, W)`` fields w, as
-    one stencil rebuilt in place whenever the field moves.
+    one stencil re-placed whenever the field moves.
 
     A solver that samples a field at its own displaced grid every iteration
     (``lie.sqrt_field``, ``lie.invert``) keeps one for the whole loop, so
     the finiteness mask and the stencil's arrays are allocated once. Each
-    rebuild checks that the field is finite, as ``sample_values`` checks
+    placement checks that the field is finite, as ``sample_values`` checks
     its points: x + w is finite exactly where w is.
     """
 
     def __init__(self, grid: Grid):
         self.x = np.indices(grid.shape, dtype=np.float64)
         self._finite = np.empty(self.x.shape, dtype=bool)
-        self._stencil = None
+        self._stencil = Stencil.empty(grid.shape, grid.shape)
 
     def stencil(self, w: np.ndarray) -> Stencil:
         """The stencil of x + w; raises DomainError if a point is not finite."""
         if not np.isfinite(w, out=self._finite).all():
             raise DomainError("sample points must be finite")
-        if self._stencil is None:
-            self._stencil = Stencil.displaced(self.x, w, w.shape[1:])
-            return self._stencil
         return self._stencil.displace(self.x, w)
 
     def self_composed(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -511,6 +480,17 @@ class DisplacedGrid:
         self.stencil(w).sample(w, out=out)
         out += w
         return out
+
+
+def _sq_lengths(u: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """u[0]² + u[1]², the squared vector lengths of a planar ``(2, ...)``
+    field, as the first plane of ``tmp``: a C-contiguous array of u's shape,
+    allocated when not given."""
+    if tmp is None:
+        tmp = np.empty(u.shape)
+    np.multiply(u, u, out=tmp)
+    tmp[0] += tmp[1]
+    return tmp[0]
 
 
 def _point_stencil(points: np.ndarray, shape) -> Stencil:

@@ -11,11 +11,11 @@ al., "A Log-Euclidean framework for statistics on diffeomorphisms", MICCAI
 2006).
 
 The loops hold their fields planar, ``(2, H, W)``, from the first iteration
-to the last, and resample through one :class:`fields.DisplacedGrid` whose
-stencil they rebuild in place. ``sqrt_field`` allocates its buffers once;
-``invert``'s Newton step and ``sample_grad``'s outputs are fresh arrays,
-for the handful of iterations a call takes. Each converts back to a
-C-contiguous ``(H, W, 2)`` field once, at the end.
+to the last, and resample through one :class:`fields.DisplacedGrid`, whose
+one stencil is re-placed every iteration. ``sqrt_field`` allocates its
+buffers once; ``invert``'s Newton step and ``sample_grad``'s outputs are
+fresh arrays, for the handful of iterations a call takes. Each converts back
+to a C-contiguous ``(H, W, 2)`` field once, at the end.
 Stopping tests and residuals are RMS values summed in the ``(H, W, 2)``
 order, so they carry the bits that ``field_rms`` and ``field_rms_diff``
 give on the returned fields.
@@ -27,12 +27,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import ConvergenceError, DomainError, require_finite, require_integer
 from .fields import (
     DisplacedGrid,
     DisplacementField,
     LogField,
     Stencil,
+    _sq_lengths,
     neg_jacobian_fraction,
     self_compose_m,
 )
@@ -62,6 +63,7 @@ class SolverConfig:
 
     def __post_init__(self):
         require_finite(self, "tolerance", "damping")
+        require_integer(self, "max_iterations")
         if not (self.tolerance > 0):
             raise DomainError("tolerance must be > 0")
         if self.max_iterations < 1:
@@ -116,11 +118,6 @@ def _not_converged(what, residual, cfg: SolverConfig) -> ConvergenceError:
         residual=residual,
         iterations=cfg.max_iterations,
     )
-
-
-def _sq_norm(g: np.ndarray) -> np.ndarray:
-    """Squared length of the 2-vectors of a ``(2, ...)`` array."""
-    return g[0] * g[0] + g[1] * g[1]
 
 
 def _inverse_gap(stencil: Stencil, u: np.ndarray, w: np.ndarray):
@@ -208,7 +205,7 @@ def _halve_steps(displaced, u, w, w_new, step, f_w, gap, d_row, d_col, tol_sq, d
     w, w_new, step, f_w, gap, d_row, d_col = (
         a.reshape(2, -1) for a in (w, w_new, step, f_w, gap, d_row, d_col)
     )
-    before = _sq_norm(f_w)
+    before = _sq_lengths(f_w)
     shape = u.shape[1:]
     rows, cols = displaced.x.reshape(2, -1)
 
@@ -220,12 +217,12 @@ def _halve_steps(displaced, u, w, w_new, step, f_w, gap, d_row, d_col, tol_sq, d
         gap[:, idx], d_row[:, idx], d_col[:, idx] = g, dr, dc
         return g
 
-    retry = np.flatnonzero((_sq_norm(gap) >= before) & (before > tol_sq))
+    retry = np.flatnonzero((_sq_lengths(gap) >= before) & (before > tol_sq))
     for _ in range(_MAX_HALVINGS):
         if retry.size == 0:
             return
         g = move(retry, 0.5 * step[:, retry])
-        retry = retry[_sq_norm(g) >= before[retry]]
+        retry = retry[_sq_lengths(g) >= before[retry]]
     if retry.size:
         move(retry, -damping * f_w[:, retry])
 

@@ -35,12 +35,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import correlate1d, gaussian_filter
 
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import ConvergenceError, DomainError, require_finite, require_integer
 from .fields import (
     DisplacementField,
     ScalarImage,
     Stencil,
     _check_same_grid,
+    _sq_lengths,
     compose,
     field_rms,
     warp_image,
@@ -70,6 +71,7 @@ class RegistrationConfig:
             self, "lambda_sim", "lambda_reg", "step_size",
             "update_smoothing_sigma", "field_smoothing_sigma",
         )
+        require_integer(self, "pyramid_levels", "iterations_per_level")
         if self.lambda_sim < 0 or self.lambda_reg < 0:
             raise DomainError("loss weights must be >= 0")
         if self.pyramid_levels < 1 or self.iterations_per_level < 1:
@@ -156,7 +158,7 @@ def frozen_loss_and_grad(
     var, other = _Side(a.values, x), _Side(b.values, x)
     for side, u in ((var, u_var), (other, u_other)):
         side.u[...] = np.moveaxis(u, -1, 0)
-        side.stencil = Stencil.displaced(x, side.u, a.grid.shape)
+        side.displace()
     work = np.empty((_WORK_PLANES,) + a.grid.shape)
     _sample_partner(var, other, work, image=True)
     if cross is not None:
@@ -190,17 +192,6 @@ def _mean_sq(r: np.ndarray) -> np.ndarray:
     return _grid_mean(r * r)
 
 
-def _sq_lengths(u: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """u[0]² + u[1]², the squared vector lengths of a planar field, as the
-    first plane of ``tmp``: a C-contiguous array of u's shape, allocated
-    when not given."""
-    if tmp is None:
-        tmp = np.empty(u.shape)
-    np.multiply(u, u, out=tmp)
-    tmp[0] += tmp[1]
-    return tmp[0]
-
-
 def _mean_sq_planes(u: np.ndarray) -> np.ndarray:
     """Mean squared displacement norm of a planar field, per subject."""
     return _grid_mean(_sq_lengths(u))
@@ -219,8 +210,8 @@ class _Side:
 
     ``var`` stacks the planar field u (planes 0-1) and the side's own image
     (plane 2), so that the partner's stencil gathers both with one take.
-    ``stencil`` is the stencil of x + u, rebuilt in place by :meth:`place`
-    whenever u moves. ``at`` holds what this side reads at x + u (see
+    ``stencil`` is the stencil of x + u, placed by :meth:`displace` whenever
+    u moves. ``at`` holds what this side reads at x + u (see
     :func:`_sample_partner`) and ``d_image`` the clamped derivative of the
     partner's image there.
 
@@ -241,14 +232,19 @@ class _Side:
         self.at = np.empty_like(self.var)
         self.d_image = np.empty((2,) + image.shape)
 
-    def place(self, diagonal, sq, iteration, level):
-        """Check the field's length (see :func:`_check_length`) and point
-        the stencil at x + u, allocating it on the first call."""
-        _check_length(self.u, diagonal, sq, iteration, level)
+    def displace(self):
+        """Point the stencil at x + u, allocating it on the first call: after
+        the level's fields are upsampled, so that the upsampling's stencil
+        and these are not live at once."""
         if self.stencil is None:
-            self.stencil = Stencil.displaced(self.x, self.u, self.image.shape)
-        else:
-            self.stencil.displace(self.x, self.u)
+            self.stencil = Stencil.empty(self.u.shape[1:], self.image.shape)
+        self.stencil.displace(self.x, self.u)
+
+    def place(self, diagonal, sq, iteration, level):
+        """Check the field's length (see :func:`_check_length`), then
+        :meth:`displace`."""
+        _check_length(self.u, diagonal, sq, iteration, level)
+        self.displace()
 
 
 def _sample_partner(side: _Side, partner: _Side, work: np.ndarray, image: bool):

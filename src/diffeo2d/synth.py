@@ -78,7 +78,6 @@ class RandomFieldSpec:
     seed: int
     smoothing_sigma: float = 4.0
     amplitude: float = 3.0
-    exp_depth: int = 6
 
     def __post_init__(self):
         if not (self.smoothing_sigma > 0):

@@ -148,3 +148,11 @@ class TestEstimateAtlas:
 def test_atlas_config_rejects_non_finite_epsilon(bad):
     with pytest.raises(DomainError, match="epsilon"):
         AtlasConfig(epsilon=bad)
+
+
+@pytest.mark.parametrize("name", ["max_outer_iterations", "basis_dim", "root_depth"])
+@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+def test_atlas_config_rejects_non_integer(name, bad):
+    with pytest.raises(DomainError, match=name):
+        AtlasConfig(**{name: bad})
+    assert getattr(AtlasConfig(**{name: np.int64(2)}), name) == 2

@@ -231,10 +231,17 @@ class TestNonConvergence:
         assert f"(residual {err.residual:.3e} px)" in str(err)
 
 
-@pytest.mark.parametrize("name", ["tolerance", "damping"])
+@pytest.mark.parametrize("name", ["tolerance", "damping", "max_iterations"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solver_config_rejects_non_finite(name, bad):
     # An infinite tolerance would stop sqrt_field after one iteration and
     # report convergence; NaN slips past every range check.
     with pytest.raises(DomainError, match=name):
         SolverConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(2.0)])
+def test_solver_config_rejects_non_integer(bad):
+    with pytest.raises(DomainError, match="max_iterations"):
+        SolverConfig(max_iterations=bad)
+    assert SolverConfig(max_iterations=np.int32(2)).max_iterations == 2

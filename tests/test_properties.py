@@ -227,7 +227,7 @@ def _bits(a) -> bytes:
 
 @given(values_and_points(), st.data())
 def test_rebuilt_stencil_matches_fresh(vp, data):
-    # A stencil rebuilt in place on new points, sampling into out=, gives
+    # A stencil re-placed in place by displace, sampling into out=, gives
     # the bits a fresh stencil and a fresh sample give: clamped points,
     # points on the last row and column and -0.0 coordinates included.
     u, p = vp
@@ -237,28 +237,30 @@ def test_rebuilt_stencil_matches_fresh(vp, data):
         st.floats(-3.0, max(h, w) + 2.0, allow_nan=False),
     )
     q = data.draw(arrays(np.float64, p.shape, elements=coord))
+    x = data.draw(arrays(np.float64, (2, 1), elements=st.floats(0.0, 3.0)))
     stencil = Stencil(p[:, 0].copy(), p[:, 1].copy(), (h, w))
     out = np.empty(u.shape[:-2] + p.shape[:1])
     stencil.sample(u, out=out)  # the owned gather buffer now holds p's corners
-    rows, cols = q[:, 0].copy(), q[:, 1].copy()
-    assert stencil.build(rows, cols) is stencil
-    fresh = Stencil(rows, cols, (h, w))
-    for name in ("fr", "fc", "k4"):
+    assert stencil.displace(x, q.T.copy()) is stencil
+    fresh = Stencil(x[0] + q[:, 0], x[1] + q[:, 1], (h, w))
+    for name in ("fr", "fc", "k4", "outside"):
         assert _bits(getattr(stencil, name)) == _bits(getattr(fresh, name))
     assert stencil.sample(u, out=out) is out
     assert _bits(out) == _bits(fresh.sample(u))
     for got, want in zip(stencil.sample_grad(u), fresh.sample_grad(u)):
         assert _bits(got) == _bits(want)
-    # displace builds from x + u without a point array and takes its clamp
-    # masks as it builds; it must give the stencil of the summed points.
-    x = data.draw(arrays(np.float64, (2, 1), elements=st.floats(0.0, 3.0)))
-    displaced = Stencil.displaced(x, p.T.copy(), (h, w))
-    assert displaced.displace(x, q.T.copy()) is displaced
-    fresh = Stencil(x[0] + q[:, 0], x[1] + q[:, 1], (h, w))
-    for name in ("fr", "fc", "k4"):
-        assert _bits(getattr(displaced, name)) == _bits(getattr(fresh, name))
-    for got, want in zip(displaced.sample_grad(u), fresh.sample_grad(u)):
-        assert _bits(got) == _bits(want)
+    # Constructed or displaced, a stencil's clamp masks are those of its
+    # unclamped points: on or beyond an edge, -0.0 included. Adding -0.0
+    # keeps every coordinate's bits, so the displaced stencil sees q itself.
+    edge = np.array([[h - 1.0], [w - 1.0]])
+    zero = np.full((2, 1), -0.0)
+    placed = [
+        (fresh, x + q.T),
+        (Stencil(q[:, 0].copy(), q[:, 1].copy(), (h, w)), q.T),
+        (Stencil.empty(q.shape[:1], (h, w)).displace(zero, q.T.copy()), q.T),
+    ]
+    for placed_stencil, points in placed:
+        assert np.array_equal(placed_stencil.outside, (points <= 0.0) | (points >= edge))
 
 
 @st.composite

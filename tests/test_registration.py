@@ -366,7 +366,8 @@ class TestRegisterPairs:
 
 @pytest.mark.parametrize(
     "name",
-    ["lambda_sim", "lambda_reg", "step_size", "update_smoothing_sigma", "field_smoothing_sigma"],
+    ["lambda_sim", "lambda_reg", "step_size", "update_smoothing_sigma", "field_smoothing_sigma",
+     "pyramid_levels", "iterations_per_level"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_config_rejects_non_finite(name, bad):
@@ -375,6 +376,15 @@ def test_config_rejects_non_finite(name, bad):
     # OverflowError, or as divergence, instead of a domain error.
     with pytest.raises(DomainError, match=name):
         RegistrationConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("name", ["pyramid_levels", "iterations_per_level"])
+@pytest.mark.parametrize("bad", [2.5, np.float64(2.0)])
+def test_config_rejects_non_integer(name, bad):
+    # 2.5 passes the range check and would fail later in range().
+    with pytest.raises(DomainError, match=name):
+        RegistrationConfig(**{name: bad})
+    assert getattr(RegistrationConfig(**{name: np.int64(2)}), name) == 2
 
 
 def _peak_planes(fixed, moving, cfg):

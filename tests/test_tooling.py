@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from diffeo2d import fields, lie
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -19,3 +21,11 @@ def test_every_perfbench_target_resolves(monkeypatch):
     for target in layers.TARGETS:
         module = importlib.import_module(target.module)
         assert callable(getattr(module, target.attr, None)), target.name
+
+
+def test_lie_still_binds_the_fields_sampling_functions():
+    """``perfbench/test_perfbench.py`` reads ``diffeo2d.lie.compose`` and
+    ``diffeo2d.lie.sample_values`` and expects the ``fields`` functions,
+    which the tracer rebinds; ``lie``'s solvers no longer call either."""
+    assert lie.compose is fields.compose
+    assert lie.sample_values is fields.sample_values
