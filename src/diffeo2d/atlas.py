@@ -21,7 +21,7 @@ from .errors import (
     require_integer,
 )
 from .fields import ScalarImage, warp_image
-from .latent import LogEuclideanBasis, decode_root, encode, fit_basis
+from .latent import decode_root, encode, fit_basis
 from .lie import SolverConfig, log_field
 from .registration import RegistrationConfig, register_pairs
 
@@ -53,7 +53,6 @@ class AtlasState:
     mean_latent: np.ndarray | None = None
     delta_history: list[float] = dc_field(default_factory=list)
     converged: bool = False
-    basis: LogEuclideanBasis | None = None  # basis used by the producing step
 
 
 def atlas_step(
@@ -108,7 +107,6 @@ def atlas_step(
         mean_latent=mean_z,
         delta_history=state.delta_history + [delta],
         converged=delta < cfg.epsilon,
-        basis=basis,
     )
 
 

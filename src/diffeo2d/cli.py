@@ -32,7 +32,6 @@ from .fields import (
     field_rms_diff,
     jacobian_determinant,
     neg_jacobian_fraction,
-    self_compose_m,
     warp_image,
     warp_labels,
 )
@@ -361,9 +360,10 @@ def _cmd_solve(args):
 
 def _cmd_log(args):
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
-    lf = log_field(read_field(args.field), args.n, cfg)
-    write_field(args.out, lf)
-    return {"field": str(args.field)}, {"n": args.n, **asdict(cfg)}, {}
+    chain = root_chain(read_field(args.field), args.n, cfg)
+    write_field(args.out, chain.log())
+    return ({"field": str(args.field)}, {"n": args.n, **asdict(cfg)},
+            {"residuals_px": chain.residuals, "iterations": chain.iterations})
 
 
 def _cmd_exp(args):
@@ -391,7 +391,7 @@ def _cmd_roots(args):
             [(n, r) for n, r in enumerate(chain.residuals)],
         )
     return ({"field": str(args.field)}, {"n": args.n, **asdict(cfg)},
-            {"residuals_px": chain.residuals})
+            {"residuals_px": chain.residuals, "iterations": chain.iterations})
 
 
 def _cmd_jacobian(args):
@@ -462,8 +462,8 @@ def _cmd_losses(args):
     if args.basis:
         inputs["basis"] = str(args.basis)
         basis = read_basis(args.basis)
-        z_ab = encode(basis, log_field(phi_ab, args.n, cfg))
-        z_ba = encode(basis, log_field(phi_ba, args.n, cfg))
+        z_ab = encode(basis, chain_ab.log())
+        z_ba = encode(basis, chain_ba.log())
         metrics["latent_inv_loss"] = latent_inv_loss(z_ab, z_ba)
     rows = [tuple(metrics.values())]
     if args.out_csv:
@@ -523,19 +523,19 @@ def _cmd_validate(args):
     grid = Grid(args.height, args.width)
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     fields = []
-    logs = []
+    chains = []
     for i in range(args.count):
         v = random_log_field(
             RandomFieldSpec(grid, seed=args.seed * 10_000 + i, amplitude=args.amplitude)
         )
         phi = exp_field(v, args.n)
         fields.append(phi)
-        logs.append(log_field(phi, args.n, cfg))
+        chains.append(root_chain(phi, args.n, cfg))
+    logs = [chain.log() for chain in chains]
     basis = fit_basis(logs, min(args.basis_dim, len(logs)), symmetrize=True)
 
     rows = []
-    for i, phi in enumerate(fields):
-        chain = root_chain(phi, args.n, cfg)
+    for i, (phi, chain) in enumerate(zip(fields, chains)):
         inv = invert(phi, cfg).field
         neg_exp = exp_field(LogField(grid, -logs[i].v), args.n)
         neg_rms = field_rms_diff(neg_exp, inv)
@@ -544,11 +544,8 @@ def _cmd_validate(args):
         latent_neg = float(np.linalg.norm(z + z_inv))
         dec_inv = decode_root(basis, -z, 1, args.n)
         dec_rms = field_rms_diff(dec_inv, inv)
-        for n, root in enumerate(chain.roots):
-            recon = field_rms_diff(self_compose_m(root, 2 ** (n + 1)), phi)
-            rows.append(
-                (i, n, recon, neg_rms, latent_neg, dec_rms)
-            )
+        for n, recon in enumerate(chain.reconstruction_rms(phi)):
+            rows.append((i, n, recon, neg_rms, latent_neg, dec_rms))
     write_csv(
         args.out_csv,
         [

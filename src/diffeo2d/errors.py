@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the checks that every
-config runs on its float and integer fields."""
+"""Exception types shared across the package, the checks that every config
+runs on its float and integer fields, and the integer check of depth and
+power arguments."""
 
 import math
 import numbers
@@ -19,15 +20,18 @@ def require_finite(config, *names):
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def check_integer(name, value):
+    """Raise DomainError unless ``value`` is a Python or numpy integer. Range
+    checks alone let 2.5, inf and NaN through, to fail later (a float in
+    ``range`` or ``&`` is a TypeError) instead of as a domain error."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def require_integer(config, *names):
-    """Raise DomainError unless each named field of ``config`` is a Python or
-    numpy integer. Range checks alone let 2.5, inf and NaN through, to fail
-    later (a float in ``range`` is a TypeError) instead of as a domain
-    error."""
+    """:func:`check_integer` on each named field of ``config``."""
     for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+        check_integer(name, getattr(config, name))
 
 
 class ShapeError(ValueError):

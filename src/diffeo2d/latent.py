@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeError
+from .errors import DomainError, RankError, ShapeError, check_integer
 from .fields import DisplacementField, Grid, LogField
 from .lie import exp_field
 
@@ -134,6 +134,7 @@ def decode_root(
     basis: LogEuclideanBasis, z: np.ndarray, m: int, exp_depth: int = 6
 ) -> DisplacementField:
     """Decode the m-th root deformation exp(decode(z)/m) for m a power of two."""
+    check_integer("m", m)
     if m < 1 or (m & (m - 1)) != 0:
         raise DomainError(f"m must be a positive power of two, got {m}")
     v = decode(basis, z)

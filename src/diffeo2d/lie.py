@@ -5,10 +5,15 @@ and the log/exp maps.
 safeguarded per-pixel Newton steps. Both stop once the RMS update falls
 below the tolerance, and both return their achieved residuals as
 first-class outputs so callers can assert them. ``exp_field`` is scaling and
-squaring on :func:`fields.self_compose_m`; ``log_field`` is inverse scaling
-and squaring on ``root_chain``, successive ``sqrt_field`` calls (Arsigny et
-al., "A Log-Euclidean framework for statistics on diffeomorphisms", MICCAI
-2006).
+squaring on :func:`fields.self_compose_m`. The log is inverse scaling and
+squaring (Arsigny et al., "A Log-Euclidean framework for statistics on
+diffeomorphisms", MICCAI 2006): ``root_chain`` takes successive
+``sqrt_field`` roots into a :class:`RootChain`, which keeps each level's
+residual and iteration count and owns what is derived from the roots,
+:meth:`RootChain.log` (2^depth times the last root) and
+:meth:`RootChain.reconstruction_rms`. ``log_field`` is
+``root_chain(...).log()``; a caller that needs the roots as well as the log
+takes both from one chain.
 
 The loops hold their fields planar, ``(2, H, W)``, from the first iteration
 to the last, and resample through one :class:`fields.DisplacedGrid`, whose
@@ -27,13 +32,21 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, require_finite, require_integer
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    ShapeError,
+    check_integer,
+    require_finite,
+    require_integer,
+)
 from .fields import (
     DisplacedGrid,
     DisplacementField,
     LogField,
     Stencil,
     _sq_lengths,
+    field_rms_diff,
     neg_jacobian_fraction,
     self_compose_m,
 )
@@ -84,14 +97,34 @@ class FieldSolution:
 
 @dataclass
 class RootChain:
-    """Successive square roots: roots[n] holds phi^(1/2^(n+1))."""
+    """Successive square roots: roots[n] holds phi^(1/2^(n+1)), and
+    residuals[n] and iterations[n] what ``sqrt_field`` reported for it."""
 
     roots: list[DisplacementField] = dc_field(default_factory=list)
     residuals: list[float] = dc_field(default_factory=list)
+    iterations: list[int] = dc_field(default_factory=list)
 
     @property
     def depth(self) -> int:
         return len(self.roots)
+
+    def log(self) -> LogField:
+        """The logarithm by inverse scaling and squaring: 2^depth times the
+        last root's displacement."""
+        if not self.roots:
+            raise DomainError("an empty root chain has no log")
+        last = self.roots[-1]
+        return LogField(last.grid, (2.0 ** self.depth) * last.u)
+
+    def reconstruction_rms(self, field: DisplacementField) -> list[float]:
+        """Per level n, the RMS distance (``field_rms_diff``) from ``field``,
+        the chain's source, of root n self-composed 2^(n+1) times."""
+        rms = []
+        for n, root in enumerate(self.roots):
+            if root.grid != field.grid:
+                raise ShapeError("chain grid does not match field grid")
+            rms.append(field_rms_diff(self_compose_m(root, 2 ** (n + 1)), field))
+        return rms
 
 
 class _ChannelLastRMS:
@@ -266,7 +299,11 @@ def sqrt_field(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> 
 def root_chain(
     field: DisplacementField, n_levels: int, cfg: SolverConfig = SolverConfig()
 ) -> RootChain:
-    """Successive square roots phi^(1/2), phi^(1/4), ..., phi^(1/2^n_levels)."""
+    """Successive square roots phi^(1/2), phi^(1/4), ..., phi^(1/2^n_levels).
+
+    Each level calls ``sqrt_field`` by its module-level name, so a wrapper
+    bound to ``lie.sqrt_field`` sees every root of every chain."""
+    check_integer("root chain depth", n_levels)
     if n_levels < 1:
         raise DomainError(f"root chain depth must be >= 1, got {n_levels}")
     chain = RootChain()
@@ -282,6 +319,7 @@ def root_chain(
             ) from err
         chain.roots.append(sol.field)
         chain.residuals.append(sol.residual)
+        chain.iterations.append(sol.iterations)
         current = sol.field
     return chain
 
@@ -289,15 +327,15 @@ def root_chain(
 def log_field(
     field: DisplacementField, n_levels: int = 6, cfg: SolverConfig = SolverConfig()
 ) -> LogField:
-    """Logarithm by inverse scaling and squaring: 2^N times the 2^N-th root's
-    displacement."""
-    chain = root_chain(field, n_levels, cfg)
-    return LogField(field.grid, (2.0 ** n_levels) * chain.roots[-1].u)
+    """Logarithm by inverse scaling and squaring: :meth:`RootChain.log` of
+    the field's chain of ``n_levels`` roots."""
+    return root_chain(field, n_levels, cfg).log()
 
 
 def exp_field(v: LogField, n_levels: int = 6) -> DisplacementField:
     """Exponential by scaling and squaring: halve v dyadically, then square N
     times."""
+    check_integer("exp depth", n_levels)
     if n_levels < 1:
         raise DomainError(f"exp depth must be >= 1, got {n_levels}")
     return self_compose_m(DisplacementField(v.grid, v.v / 2.0**n_levels), 2**n_levels)

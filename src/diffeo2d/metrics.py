@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .fields import DisplacementField, LabelImage, compose, field_rms_diff, self_compose_m
+from .fields import DisplacementField, LabelImage, compose
 from .lie import RootChain
 from .registration import _mean_sq_displacement
 
@@ -36,18 +36,12 @@ def rec_loss(
     chain_ba: RootChain,
     phi_ba: DisplacementField,
 ) -> float:
-    """Reconstruction residual of both chains against their source fields.
-
-    Per level n: squared RMS (pixel- and component-averaged, the
-    field_rms_diff convention) of self-composing root n back up 2^(n+1)
-    times versus the original field; summed over levels and both directions.
-    """
+    """Reconstruction residual of both chains against their source fields:
+    the squares of :meth:`RootChain.reconstruction_rms`, summed over levels
+    and both directions."""
     total = 0.0
     for chain, phi in ((chain_ab, phi_ab), (chain_ba, phi_ba)):
-        for n, root in enumerate(chain.roots):
-            if root.grid != phi.grid:
-                raise ShapeError("chain grid does not match field grid")
-            rms = field_rms_diff(self_compose_m(root, 2 ** (n + 1)), phi)
+        for rms in chain.reconstruction_rms(phi):
             total += rms * rms
     return total
 

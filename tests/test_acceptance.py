@@ -50,7 +50,6 @@ from diffeo2d import (
     rec_loss,
     root_chain,
     secondary_loss,
-    self_compose_m,
     warp_image,
     warp_labels,
     write_field,
@@ -110,12 +109,9 @@ def test_criterion_2_log_exp_fidelity(capsys):
     worst_recon = 0.0
     for seed in range(100):
         _, phi = suite_field(seed)
-        v = log_field(phi, 6)
-        worst_roundtrip = max(worst_roundtrip, field_rms_diff(exp_field(v, 6), phi))
         chain = root_chain(phi, 6)
-        for n, root in enumerate(chain.roots):
-            recon = field_rms_diff(self_compose_m(root, 2 ** (n + 1)), phi)
-            worst_recon = max(worst_recon, recon)
+        worst_roundtrip = max(worst_roundtrip, field_rms_diff(exp_field(chain.log(), 6), phi))
+        worst_recon = max(worst_recon, *chain.reconstruction_rms(phi))
     elapsed = time.time() - start
     ok = worst_roundtrip <= 1e-2 and worst_recon <= 5e-3 and elapsed <= 120
     report(

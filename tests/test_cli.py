@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from diffeo2d import read_field, read_pgm, write_field
+from diffeo2d import cli, lie, read_field, read_pgm, write_field
 from diffeo2d.cli import build_parser, main
 
 from conftest import suite_field
@@ -326,3 +326,46 @@ def test_losses_manifest_names_every_input(tmp_path, small_inputs):
     manifest = json.loads(summary.read_text())
     assert manifest["inputs"] == {key: str(path) for key, path in files.items()}
     assert {"sim_loss", "latent_inv_loss"} <= set(manifest["metrics"])
+
+
+# Calls to lie.sqrt_field per command, on MANIFEST_ARGS with losses given
+# its image pair and basis too: one per root of one chain per field.
+SQRT_ARGS = {**MANIFEST_ARGS, "losses": MANIFEST_ARGS["losses"]
+             + " --a {d}/image.pgm --b {d}/subject_000_image.pgm --basis {d}/basis.mleb"}
+SQRT_CALLS = {command: 0 for command in SUBCOMMANDS} | {
+    "sqrt": 1,
+    "log": 3,  # --n 3
+    "roots": 2,  # --n 2
+    "losses": 2 * 2,  # phi_ab and phi_ba, --n 2; the latent codes reuse both chains
+    "atlas": 2 * 2 * 3,  # 2 images, both directions, --depth 3
+    "validate": 2 * 2 * 3,  # --count 2: each field and its inverse, --n 3
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_no_command_solves_a_root_chain_twice(tmp_path, small_inputs, monkeypatch, command):
+    calls = []
+    solve = lie.sqrt_field
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    # root_chain reaches sqrt_field through lie, the sqrt command through cli.
+    monkeypatch.setattr(lie, "sqrt_field", counted)
+    monkeypatch.setattr(cli, "sqrt_field", counted)
+    argv = [tok.format(d=small_inputs, out=tmp_path) for tok in SQRT_ARGS[command].split()]
+    assert run(command, *argv) == 0
+    assert len(calls) == SQRT_CALLS[command]
+
+
+@pytest.mark.parametrize("command, extra", [("log", "--out {out}/f.mfld"),
+                                            ("roots", "--out-dir {out}")])
+def test_chain_commands_report_every_root_level(tmp_path, small_inputs, command, extra):
+    field = small_inputs / "subject_000_field.mfld"
+    summary = tmp_path / "run.json"
+    argv = extra.format(out=tmp_path).split()
+    assert run(command, "--field", field, "--n", 3, *argv, "--json-summary", summary) == 0
+    metrics = json.loads(summary.read_text())["metrics"]
+    chain = lie.root_chain(read_field(field), 3)
+    assert metrics == {"residuals_px": chain.residuals, "iterations": chain.iterations}

@@ -191,6 +191,14 @@ class TestDecodeRoot:
         with pytest.raises(DomainError):
             decode_root(basis, np.zeros(2), 3)
 
+    @pytest.mark.parametrize("bad", [2.5, np.inf, np.float64(2.0)])
+    def test_non_integer_m_or_depth(self, bad):
+        basis = self.make_basis()
+        with pytest.raises(DomainError, match="^m must be an integer"):
+            decode_root(basis, np.zeros(2), bad)
+        with pytest.raises(DomainError, match="^exp depth must be an integer"):
+            decode_root(basis, np.zeros(2), 2, bad)
+
 
 class TestModes:
     def make_basis(self):

@@ -6,6 +6,7 @@ from diffeo2d import (
     Grid,
     LogField,
     RandomFieldSpec,
+    RootChain,
     SolverConfig,
     compose,
     exp_field,
@@ -18,7 +19,7 @@ from diffeo2d import (
     self_compose_m,
     sqrt_field,
 )
-from diffeo2d.errors import ConvergenceError, DomainError
+from diffeo2d.errors import ConvergenceError, DomainError, ShapeError
 from diffeo2d.fields import field_rms
 from diffeo2d.lie import _newton_step
 
@@ -161,6 +162,37 @@ class TestRootChain:
         with pytest.raises(DomainError):
             root_chain(identity_field(Grid(4, 4)), 0)
 
+    def test_records_each_level_of_sqrt_field(self):
+        _, phi = suite_field(6)
+        chain = root_chain(phi, 3)
+        current = phi
+        for root, residual, iterations in zip(chain.roots, chain.residuals, chain.iterations):
+            sol = sqrt_field(current)
+            assert np.array_equal(root.u, sol.field.u)
+            assert (residual, iterations) == (sol.residual, sol.iterations)
+            current = sol.field
+        assert len(chain.iterations) == chain.depth == 3
+
+    def test_log_is_scaled_last_root(self):
+        _, phi = suite_field(7)
+        chain = root_chain(phi, 4)
+        lf = chain.log()
+        assert np.array_equal(lf.v, 16.0 * chain.roots[-1].u)
+        assert np.array_equal(lf.v, log_field(phi, 4).v)
+
+    def test_empty_chain_has_no_log(self):
+        with pytest.raises(DomainError):
+            RootChain().log()
+
+    def test_reconstruction_rms_per_level(self):
+        _, phi = suite_field(8)
+        chain = root_chain(phi, 3)
+        expected = [field_rms_diff(self_compose_m(root, 2 ** (n + 1)), phi)
+                    for n, root in enumerate(chain.roots)]
+        assert chain.reconstruction_rms(phi) == expected
+        with pytest.raises(ShapeError):
+            chain.reconstruction_rms(identity_field(Grid(8, 8)))
+
 
 class TestLogExp:
     def test_log_of_identity_is_zero(self):
@@ -245,3 +277,23 @@ def test_solver_config_rejects_non_integer(bad):
     with pytest.raises(DomainError, match="max_iterations"):
         SolverConfig(max_iterations=bad)
     assert SolverConfig(max_iterations=np.int32(2)).max_iterations == 2
+
+
+@pytest.mark.parametrize("bad", [2.5, np.inf, np.float64(2.0)])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(root_chain, "root chain depth", id="root_chain"),
+        pytest.param(log_field, "root chain depth", id="log_field"),
+        pytest.param(lambda phi, n: exp_field(LogField(phi.grid, phi.u), n), "exp depth",
+                     id="exp_field"),
+        pytest.param(self_compose_m, "m", id="self_compose_m"),
+    ],
+)
+def test_depth_and_power_reject_non_integers(call, name, bad):
+    # A range check alone passes a float depth or power on to range() or to
+    # m & (m - 1), which raise TypeError.
+    phi = constant_field(Grid(8, 8), 0.5, 0.0)
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        call(phi, bad)
+    call(phi, np.int64(2))

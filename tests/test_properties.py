@@ -29,6 +29,7 @@ from diffeo2d import (
     read_pgm_labels,
     random_log_field,
     register_pairs,
+    root_chain,
     sqrt_field,
 )
 from diffeo2d.errors import ConvergenceError, FileFormatError
@@ -363,6 +364,24 @@ def test_invert_is_right_inverse_on_synth_fields(seed, amplitude, sigma):
     residual = field_rms(compose(phi, sol.field))
     assert residual <= 10 * cfg.tolerance
     assert sol.residual == residual
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 3.0),
+    st.floats(4.0, 8.0),
+)
+def test_log_round_trips_and_roots_reconstruct_on_synth_fields(seed, amplitude, sigma):
+    """Criterion 2's bounds on fold-free 32x32 synth fields: exp(log(phi))
+    is within 1e-2 px of phi, and every root of the chain, self-composed
+    back up, within 5e-3 px. The log comes from the same chain, as
+    ``log_field`` takes it."""
+    spec = RandomFieldSpec(Grid(32, 32), seed=seed, amplitude=amplitude, smoothing_sigma=sigma)
+    phi = exp_field(random_log_field(spec))
+    assume(neg_jacobian_fraction(phi) == 0.0)
+    chain = root_chain(phi, 6)
+    assert field_rms_diff(exp_field(chain.log()), phi) <= 1e-2
+    assert max(chain.reconstruction_rms(phi)) <= 5e-3
 
 
 # ---------------------------------------------------------------------------
