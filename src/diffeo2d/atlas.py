@@ -1,15 +1,33 @@
 """Iterative atlas estimation in the linearized latent space.
 
-One step: register the current atlas to every image both ways (all images
-in one :func:`register_pairs` loop), take logs of all transforms, fit a
-symmetrized basis, average the atlas-to-image codes, decode the
-negated mean, and warp the atlas by the resulting field. Convergence is the
-relative Frobenius change of the atlas intensities.
+One step: register the current atlas to every image both ways, take logs of
+all transforms, fit a symmetrized basis, average the atlas-to-image codes,
+decode the negated mean, and warp the atlas by the resulting field.
+Convergence is the relative Frobenius change of the atlas intensities.
+
+The registrations and logs of a step are independent per image. A step
+splits the images, in order, into one contiguous chunk per usable CPU
+(``os.sched_getaffinity``), with sizes that differ by at most one, and runs
+each chunk in a forked worker process: one :func:`register_pairs` loop over
+the chunk, then the forward and backward log of each pair. The step runs
+in-process, as one chunk of all images, when there is one usable CPU, when
+``fork`` is unavailable, when it is called from a daemonic process (which
+may not have children) or while another thread is alive (a forked child
+could block on a lock that thread holds). Each pair registers bit for bit
+as it does alone, so the step's result is byte-identical whatever the
+split, and its errors are those of the one-chunk run (see
+:func:`atlas_step`).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +35,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     RankError,
+    check_integer,
     require_finite,
     require_integer,
 )
@@ -60,11 +79,16 @@ def atlas_step(
     images: list[ScalarImage],
     cfg: AtlasConfig = AtlasConfig(),
 ) -> AtlasState:
-    """One outer iteration.
+    """One outer iteration, its registrations and logs run in one chunk of
+    images per usable CPU (see the module docstring).
 
     A registration that diverges raises ConvergenceError naming the image
     (``index``): the lowest-index image whose registration failed, at the
-    first iteration where any did.
+    first check where any did. A log that fails raises it only when every
+    registration succeeded, naming the lowest-index image whose forward or
+    backward log failed. These are the errors of the one-chunk run, which
+    registers every image before it takes any log; the message, index,
+    iterations and residual are the same whatever the split.
     """
     if len(images) < 2:
         raise DomainError("atlas estimation needs at least 2 images")
@@ -76,18 +100,9 @@ def atlas_step(
     if atlas_norm == 0.0:
         raise DomainError("degenerate input: atlas has zero intensity norm")
 
-    try:
-        regs = register_pairs([atlas] * len(images), images, cfg.reg_config)
-    except ConvergenceError as err:
-        raise _image_failed(err.index, err) from err
-    logs_forward = []  # atlas -> image
-    logs_backward = []
-    for idx, reg in enumerate(regs):
-        try:
-            logs_forward.append(log_field(reg.phi_ab, cfg.root_depth, cfg.solver))
-            logs_backward.append(log_field(reg.phi_ba, cfg.root_depth, cfg.solver))
-        except ConvergenceError as err:
-            raise _image_failed(idx, err) from err
+    logs = _logs_in_chunks(atlas, images, cfg)
+    logs_forward = [fwd for fwd, _ in logs]  # atlas -> image
+    logs_backward = [bwd for _, bwd in logs]
 
     basis = _fit_population_basis(logs_forward + logs_backward, cfg.basis_dim)
     if basis is None:
@@ -108,6 +123,89 @@ def atlas_step(
         delta_history=state.delta_history + [delta],
         converged=delta < cfg.epsilon,
     )
+
+
+class _Failure(NamedTuple):
+    """The first failure of a chunk: the ``error`` of its image ``index``
+    (counted in the chunk), and its ``order`` among the failures of a
+    one-chunk run, which registers every image before it takes any log:
+    ``(0, err._check)`` for a registration (see ``registration._diverged``),
+    ``(1,)`` for a log."""
+
+    order: tuple
+    index: int
+    error: ConvergenceError
+
+
+def _register_and_log(atlas, images, cfg):
+    """Register ``atlas`` with each image both ways in one loop, then take
+    the forward and backward log of each pair, in image order: the list of
+    (forward, backward) logs, or the chunk's first :class:`_Failure`."""
+    try:
+        regs = register_pairs([atlas] * len(images), images, cfg.reg_config)
+    except ConvergenceError as err:
+        return _Failure((0, err._check), err.index, err)
+    logs = []
+    for idx, reg in enumerate(regs):
+        try:
+            logs.append((
+                log_field(reg.phi_ab, cfg.root_depth, cfg.solver),
+                log_field(reg.phi_ba, cfg.root_depth, cfg.solver),
+            ))
+        except ConvergenceError as err:
+            return _Failure((1,), idx, err)
+    return logs
+
+
+def _logs_in_chunks(atlas, images, cfg):
+    """:func:`_register_and_log` over all images, one chunk per worker (see
+    :func:`_worker_count`); raises the failure that the one-chunk run meets
+    first, as ConvergenceError naming the image."""
+    chunks = _chunks(len(images), _worker_count(len(images)))
+    if len(chunks) == 1:
+        results = [_register_and_log(atlas, images, cfg)]
+    else:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(len(chunks), mp_context=fork) as pool:
+            parts = [images[chunk] for chunk in chunks]
+            results = list(pool.map(_register_and_log, repeat(atlas), parts, repeat(cfg)))
+    failures = [
+        (result.order, chunk.start + result.index, result.error)
+        for chunk, result in zip(chunks, results)
+        if isinstance(result, _Failure)
+    ]
+    if failures:
+        _, idx, err = min(failures, key=lambda failure: failure[:2])
+        raise _image_failed(idx, err) from err
+    return [pair for logs in results for pair in logs]
+
+
+def _worker_count(n_images):
+    """One worker per usable CPU, at most one per image; one, in-process,
+    when forking is unavailable or unsafe (see the module docstring)."""
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(n_images, _usable_cpus())
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _chunks(n, parts):
+    """``parts`` contiguous slices of ``range(n)``, in order, whose lengths
+    differ by at most one."""
+    size, extra = divmod(n, parts)
+    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _image_failed(idx, err):
@@ -151,6 +249,7 @@ def estimate_atlas(
         raise DomainError("atlas estimation needs at least 2 images")
     if init_index is None:
         init_index = int(np.random.default_rng(seed).integers(len(images)))
+    check_integer("init_index", init_index)
     if not (0 <= init_index < len(images)):
         raise DomainError(f"init_index {init_index} out of range")
 

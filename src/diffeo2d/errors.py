@@ -1,6 +1,10 @@
 """Exception types shared across the package, the checks that every config
 runs on its float and integer fields, and the integer check of depth and
-power arguments."""
+power arguments.
+
+Every exception here survives ``pickle`` with its type, message and
+attributes, so that one raised in a worker process reaches the caller as
+itself."""
 
 import math
 import numbers
@@ -59,6 +63,9 @@ class RankError(ValueError):
         super().__init__(message)
         self.rank = rank
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.rank), self.__dict__
+
 
 class FileFormatError(ValueError):
     """Base class for file parsing/serialization failures."""
@@ -73,7 +80,11 @@ class PgmParseError(FileFormatError):
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
+        self.reason = message
         self.offset = offset
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.offset), self.__dict__
 
 
 class FieldFileError(FileFormatError):

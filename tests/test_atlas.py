@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,9 @@ from diffeo2d import (
     pixelwise_mean_atlas,
     warp_image,
 )
+from diffeo2d import atlas as atlas_module
 from diffeo2d.errors import ConvergenceError, DomainError
+from diffeo2d.lie import SolverConfig
 
 from conftest import GRID64, constant_field
 
@@ -137,6 +143,12 @@ class TestEstimateAtlas:
         with pytest.raises(DomainError):
             estimate_atlas([img, img], FAST_ATLAS_CFG, init_index=5)
 
+    @pytest.mark.parametrize("bad", [1.5, np.float64(1.0)])
+    def test_non_integer_init_index(self, bad):
+        img = blob_image()
+        with pytest.raises(DomainError, match="init_index"):
+            estimate_atlas([img, img], FAST_ATLAS_CFG, init_index=bad)
+
     def test_seeded_init_deterministic(self):
         img = blob_image()
         a1, _ = estimate_atlas([img, img], FAST_ATLAS_CFG, seed=3)
@@ -156,3 +168,146 @@ def test_atlas_config_rejects_non_integer(name, bad):
     with pytest.raises(DomainError, match=name):
         AtlasConfig(**{name: bad})
     assert getattr(AtlasConfig(**{name: np.int64(2)}), name) == 2
+
+
+# Chunked steps: 32x32 blobs and a short two-level pyramid, so that each
+# step takes a fraction of a second.
+GRID32 = Grid(32, 32)
+CHUNK_CFG = AtlasConfig(
+    reg_config=RegistrationConfig(pyramid_levels=2, iterations_per_level=40),
+    basis_dim=4,
+)
+
+
+def blob32(seed, scale=1.0):
+    img, _ = make_phantom(PhantomSpec(kind="gaussian_blobs", grid=GRID32, seed=seed))
+    return ScalarImage(GRID32, img.values * scale)
+
+
+def population32():
+    base = blob32(0)
+    return base, [shifted(base, dr, dc) for dr, dc in
+                  ((1.0, 0.0), (-1.0, 0.5), (0.0, -1.5), (0.5, 1.0), (-0.5, -0.5))]
+
+
+@pytest.fixture
+def forked_registrations(monkeypatch):
+    """Counts the register_pairs calls that run outside this process, in
+    memory that forked workers share."""
+    count = multiprocessing.Value("i", 0)
+    here = os.getpid()
+    register = atlas_module.register_pairs
+
+    def counted(*args, **kwargs):
+        if os.getpid() != here:
+            with count.get_lock():
+                count.value += 1
+        return register(*args, **kwargs)
+
+    monkeypatch.setattr(atlas_module, "register_pairs", counted)
+    return count
+
+
+def step_with_cpus(monkeypatch, cpus, atlas, images, cfg):
+    monkeypatch.setattr(atlas_module, "_usable_cpus", lambda: cpus)
+    return atlas_step(AtlasState(atlas=atlas), images, cfg)
+
+
+def step_error(monkeypatch, cpus, atlas, images, cfg):
+    with pytest.raises(ConvergenceError) as info:
+        step_with_cpus(monkeypatch, cpus, atlas, images, cfg)
+    err = info.value
+    return str(err), err.index, err.iterations, err.residual
+
+
+class TestChunkedStep:
+    def test_chunks_are_contiguous_and_balanced(self):
+        assert atlas_module._chunks(5, 2) == [slice(0, 3), slice(3, 5)]
+        assert atlas_module._chunks(8, 3) == [slice(0, 3), slice(3, 6), slice(6, 8)]
+        assert atlas_module._chunks(2, 1) == [slice(0, 2)]
+
+    def test_two_workers_match_one_byte_for_byte(self, monkeypatch, forked_registrations):
+        base, images = population32()
+        one = step_with_cpus(monkeypatch, 1, base, images, CHUNK_CFG)
+        assert forked_registrations.value == 0
+        two = step_with_cpus(monkeypatch, 2, base, images, CHUNK_CFG)
+        assert forked_registrations.value == 2  # a 3 + 2 split
+        assert one.atlas.values.tobytes() == two.atlas.values.tobytes()
+        assert one.mean_latent.tobytes() == two.mean_latent.tobytes()
+        assert one.delta_history == two.delta_history
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("images", [
+        # Image 1 (first chunk) diverges at iteration 1, image 4 (second
+        # chunk) at iteration 0: the error names image 4.
+        [blob32(0), blob32(1, 2.0), blob32(0), blob32(0), blob32(2, 4.0)],
+        # Both diverge at iteration 1: image 1 when u_BA is checked, image 3
+        # earlier, when u_AB is. The error names image 3.
+        [blob32(0), blob32(1, 1.0), blob32(0), blob32(2, 2.0), blob32(0)],
+    ])
+    def test_divergence_in_two_chunks_is_the_one_chunk_error(self, monkeypatch, images):
+        cfg = AtlasConfig(reg_config=RegistrationConfig(
+            step_size=2.0, pyramid_levels=2, iterations_per_level=40))
+        one = step_error(monkeypatch, 1, blob32(0), images, cfg)
+        two = step_error(monkeypatch, 2, blob32(0), images, cfg)
+        assert two == one
+        assert one[1] in (3, 4)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_root_chain_is_the_one_chunk_error(self, monkeypatch):
+        cfg = AtlasConfig(reg_config=CHUNK_CFG.reg_config, solver=SolverConfig(max_iterations=1))
+        base, images = population32()
+        one = step_error(monkeypatch, 1, base, images, cfg)
+        two = step_error(monkeypatch, 2, base, images, cfg)
+        assert two == one
+        assert "root chain failed" in one[0]
+
+    def test_registration_failure_wins_over_an_earlier_log_failure(self, monkeypatch):
+        # Image 1's log fails (one root iteration); image 4, in the second
+        # chunk, diverges. The one-chunk run registers every image first.
+        cfg = AtlasConfig(
+            reg_config=RegistrationConfig(pyramid_levels=2, iterations_per_level=40),
+            solver=SolverConfig(max_iterations=1),
+        )
+        images = [blob32(0), blob32(1), blob32(0), blob32(0), blob32(2, 16.0)]
+        one = step_error(monkeypatch, 1, blob32(0), images, cfg)
+        two = step_error(monkeypatch, 2, blob32(0), images, cfg)
+        assert two == one
+        assert one[1] == 4 and "registration diverged" in one[0]
+
+    def test_step_runs_in_process_while_another_thread_is_alive(
+        self, monkeypatch, forked_registrations
+    ):
+        base, images = population32()
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            threaded = step_with_cpus(monkeypatch, 2, base, images, CHUNK_CFG)
+        finally:
+            release.set()
+            waiter.join()
+        assert forked_registrations.value == 0
+        alone = step_with_cpus(monkeypatch, 1, base, images, CHUNK_CFG)
+        assert threaded.atlas.values.tobytes() == alone.atlas.values.tobytes()
+
+    def test_step_runs_in_process_in_a_daemonic_process(self, monkeypatch):
+        # A daemonic process may not start workers: the step must not try.
+        base, images = population32()
+        monkeypatch.setattr(atlas_module, "_usable_cpus", lambda: 2)
+        fork = multiprocessing.get_context("fork")
+        receive, send = fork.Pipe(duplex=False)
+
+        def step():
+            try:
+                state = atlas_step(AtlasState(atlas=base), images, CHUNK_CFG)
+                send.send(state.atlas.values.tobytes())
+            except Exception as err:
+                send.send(repr(err))
+
+        daemon = fork.Process(target=step, daemon=True)
+        daemon.start()
+        got = receive.recv()
+        daemon.join()
+        alone = step_with_cpus(monkeypatch, 1, base, images, CHUNK_CFG)
+        assert got == alone.atlas.values.tobytes()

@@ -1,5 +1,6 @@
 import argparse
 import json
+import multiprocessing
 import shutil
 import struct
 
@@ -344,11 +345,14 @@ SQRT_CALLS = {command: 0 for command in SUBCOMMANDS} | {
 
 @pytest.mark.parametrize("command", list(SUBCOMMANDS))
 def test_no_command_solves_a_root_chain_twice(tmp_path, small_inputs, monkeypatch, command):
-    calls = []
+    # atlas takes its logs in forked workers, which inherit the wrapper and
+    # count in this shared-memory value.
+    calls = multiprocessing.Value("i", 0)
     solve = lie.sqrt_field
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        with calls.get_lock():
+            calls.value += 1
         return solve(*args, **kwargs)
 
     # root_chain reaches sqrt_field through lie, the sqrt command through cli.
@@ -356,7 +360,7 @@ def test_no_command_solves_a_root_chain_twice(tmp_path, small_inputs, monkeypatc
     monkeypatch.setattr(cli, "sqrt_field", counted)
     argv = [tok.format(d=small_inputs, out=tmp_path) for tok in SQRT_ARGS[command].split()]
     assert run(command, *argv) == 0
-    assert len(calls) == SQRT_CALLS[command]
+    assert calls.value == SQRT_CALLS[command]
 
 
 @pytest.mark.parametrize("command, extra", [("log", "--out {out}/f.mfld"),
