@@ -27,7 +27,6 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .errors import (
     DomainError,
     RankError,
     check_integer,
+    check_seed,
     require_finite,
     require_integer,
 )
@@ -87,8 +87,11 @@ def atlas_step(
     first check where any did. A log that fails raises it only when every
     registration succeeded, naming the lowest-index image whose forward or
     backward log failed. These are the errors of the one-chunk run, which
-    registers every image before it takes any log; the message, index,
-    iterations and residual are the same whatever the split.
+    registers every image before it takes any log. When a chunk fails, the
+    step joins its workers and reruns in-process as one chunk, which
+    raises the error; so the message, index, iterations and residual are the
+    same whatever the split, at the cost of one more run of the step's
+    registrations.
     """
     if len(images) < 2:
         raise DomainError("atlas estimation needs at least 2 images")
@@ -125,26 +128,15 @@ def atlas_step(
     )
 
 
-class _Failure(NamedTuple):
-    """The first failure of a chunk: the ``error`` of its image ``index``
-    (counted in the chunk), and its ``order`` among the failures of a
-    one-chunk run, which registers every image before it takes any log:
-    ``(0, err._check)`` for a registration (see ``registration._diverged``),
-    ``(1,)`` for a log."""
-
-    order: tuple
-    index: int
-    error: ConvergenceError
-
-
 def _register_and_log(atlas, images, cfg):
     """Register ``atlas`` with each image both ways in one loop, then take
     the forward and backward log of each pair, in image order: the list of
-    (forward, backward) logs, or the chunk's first :class:`_Failure`."""
+    (forward, backward) logs. Raises ConvergenceError naming the image whose
+    registration, or else whose log, failed first."""
     try:
         regs = register_pairs([atlas] * len(images), images, cfg.reg_config)
     except ConvergenceError as err:
-        return _Failure((0, err._check), err.index, err)
+        raise _image_failed(err.index, err) from err
     logs = []
     for idx, reg in enumerate(regs):
         try:
@@ -153,31 +145,26 @@ def _register_and_log(atlas, images, cfg):
                 log_field(reg.phi_ba, cfg.root_depth, cfg.solver),
             ))
         except ConvergenceError as err:
-            return _Failure((1,), idx, err)
+            raise _image_failed(idx, err) from err
     return logs
 
 
 def _logs_in_chunks(atlas, images, cfg):
     """:func:`_register_and_log` over all images, one chunk per worker (see
-    :func:`_worker_count`); raises the failure that the one-chunk run meets
-    first, as ConvergenceError naming the image."""
+    :func:`_worker_count`). When a chunk raises ConvergenceError, the step
+    joins the workers and runs once more as one chunk, in this process, to
+    raise that run's error."""
     chunks = _chunks(len(images), _worker_count(len(images)))
-    if len(chunks) == 1:
-        results = [_register_and_log(atlas, images, cfg)]
-    else:
+    if len(chunks) > 1:
         fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(len(chunks), mp_context=fork) as pool:
-            parts = [images[chunk] for chunk in chunks]
-            results = list(pool.map(_register_and_log, repeat(atlas), parts, repeat(cfg)))
-    failures = [
-        (result.order, chunk.start + result.index, result.error)
-        for chunk, result in zip(chunks, results)
-        if isinstance(result, _Failure)
-    ]
-    if failures:
-        _, idx, err = min(failures, key=lambda failure: failure[:2])
-        raise _image_failed(idx, err) from err
-    return [pair for logs in results for pair in logs]
+        try:
+            with ProcessPoolExecutor(len(chunks), mp_context=fork) as pool:
+                parts = [images[chunk] for chunk in chunks]
+                results = pool.map(_register_and_log, repeat(atlas), parts, repeat(cfg))
+                return [pair for logs in results for pair in logs]
+        except ConvergenceError:
+            pass  # the one-chunk run below raises the step's error
+    return _register_and_log(atlas, images, cfg)
 
 
 def _worker_count(n_images):
@@ -248,6 +235,7 @@ def estimate_atlas(
     if len(images) < 2:
         raise DomainError("atlas estimation needs at least 2 images")
     if init_index is None:
+        check_seed(seed)
         init_index = int(np.random.default_rng(seed).integers(len(images)))
     check_integer("init_index", init_index)
     if not (0 <= init_index < len(images)):

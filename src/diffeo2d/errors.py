@@ -1,6 +1,6 @@
 """Exception types shared across the package, the checks that every config
-runs on its float and integer fields, and the integer check of depth and
-power arguments.
+runs on its float and integer fields, and the integer checks of depth and
+power arguments and of seeds.
 
 Every exception here survives ``pickle`` with its type, message and
 attributes, so that one raised in a worker process reaches the caller as
@@ -30,6 +30,14 @@ def check_integer(name, value):
     ``range`` or ``&`` is a TypeError) instead of as a domain error."""
     if not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed):
+    """Raise DomainError unless ``seed`` is None or a non-negative integer:
+    the seeds ``np.random.default_rng`` takes, which raises a bare
+    ValueError on a negative one."""
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def require_integer(config, *names):

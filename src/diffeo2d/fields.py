@@ -80,6 +80,8 @@ class Grid:
     width: int
 
     def __post_init__(self):
+        check_integer("height", self.height)
+        check_integer("width", self.width)
         if self.height < 2 or self.width < 2:
             raise DomainError(
                 f"grid must be at least 2x2, got {self.height}x{self.width}"

@@ -240,10 +240,10 @@ class _Side:
             self.stencil = Stencil.empty(self.u.shape[1:], self.image.shape)
         self.stencil.displace(self.x, self.u)
 
-    def place(self, diagonal, sq, iteration, level, check):
+    def place(self, diagonal, sq, iteration, level):
         """Check the field's length (see :func:`_check_length`), then
         :meth:`displace`."""
-        _check_length(self.u, diagonal, sq, iteration, level, check)
+        _check_length(self.u, diagonal, sq, iteration, level)
         self.displace()
 
 
@@ -305,16 +305,16 @@ def _smooth(u: np.ndarray, sigma: float, tmp: np.ndarray, out: np.ndarray) -> np
     return correlate1d(tmp, weights, axis=-1, output=out, mode="nearest")
 
 
-def _half_step(side, partner, step, cfg, work, diagonal, iteration, level, check):
+def _half_step(side, partner, step, cfg, work, diagonal, iteration, level):
     """One smoothed gradient step of the side's field with the partner
-    frozen, then the side's stencil at the new points x + u; ``check`` is
-    the length check's place (see :func:`_diverged`)."""
+    frozen, then the side's length check and stencil at the new points
+    x + u (see :meth:`_Side.place`)."""
     grad = _gradient(side, partner, cfg.lambda_sim, cfg.lambda_reg, work)
     update = _smooth(grad, cfg.update_smoothing_sigma, work[2:4], grad)
     update *= step
     side.u -= update
     _smooth(side.u, cfg.field_smoothing_sigma, work[2:4], side.u)
-    side.place(diagonal, work[:2], iteration, level, check)
+    side.place(diagonal, work[:2], iteration, level)
 
 
 def _downsample(values: np.ndarray) -> np.ndarray:
@@ -345,33 +345,17 @@ def _gaussian_weights(sigma: float) -> np.ndarray:
     return weights
 
 
-# The divergence checks that share an iteration label, in the order the loop
-# runs them: both fields placed at the start of a level, u_AB and then u_BA
-# after their half-steps, and the loss history of the fields after the
-# iteration, taken during the next one.
-_PLACED_AB, _PLACED_BA, _STEPPED_AB, _STEPPED_BA, _HISTORY = range(5)
-
-
-def _diverged(index, residual, reason, iteration, level, check):
-    """The ConvergenceError of a divergence of pair ``index``.
-
-    Its private ``_check``, ``(iteration, check)``, sorts the loop's checks
-    in the order they run; every batch on the same grid and config runs the
-    same sequence. So the first failure of several batches is the one with
-    the least ``(_check, index)``, and it is the failure that one batch of
-    all their pairs raises. The attribute survives ``pickle``.
-    """
-    err = ConvergenceError(
+def _diverged(index, residual, reason, iteration, level):
+    """The ConvergenceError of a divergence of pair ``index``."""
+    return ConvergenceError(
         f"registration diverged at iteration {iteration} (level {level}): {reason}",
         residual=float(residual),
         iterations=iteration,
         index=index,
     )
-    err._check = (iteration, check)
-    return err
 
 
-def _check_length(u, diagonal, sq, iteration, level, check):
+def _check_length(u, diagonal, sq, iteration, level):
     """Raise divergence if a displacement of the planar fields ``u`` is
     longer than the grid ``diagonal``; ``sq`` is a scratch array of u's
     shape.
@@ -390,7 +374,7 @@ def _check_length(u, diagonal, sq, iteration, level, check):
             n, longest[n],
             f"a displacement of {longest[n]:.4g} px exceeds the grid diagonal "
             f"({diagonal:.4g} px)",
-            iteration, level, check,
+            iteration, level,
         )
 
 
@@ -415,7 +399,7 @@ def _history_terms(cfg, ab, ba, work, iteration, level):
     finite = np.isfinite(l_p)
     if not finite.all():
         n = int(np.argmin(finite))
-        raise _diverged(n, l_p[n], "non-finite loss", iteration, level, _HISTORY)
+        raise _diverged(n, l_p[n], "non-finite loss", iteration, level)
     return l_sim, l_reg, l_p
 
 
@@ -448,8 +432,8 @@ def _descend_pyramid(pyramid, cfg):
             _upsample_field(fields[0], ab.u, work)
             _upsample_field(fields[1], ba.u, work)
             fields = None
-        ab.place(diagonal, work[:2], global_it, level, _PLACED_AB)
-        ba.place(diagonal, work[:2], global_it, level, _PLACED_BA)
+        ab.place(diagonal, work[:2], global_it, level)
+        ba.place(diagonal, work[:2], global_it, level)
         step = cfg.step_size * (x.shape[-2] * x.shape[-1])
         for i in range(cfg.iterations_per_level):
             # Both sides read their partners: the similarity residuals and
@@ -460,11 +444,11 @@ def _descend_pyramid(pyramid, cfg):
             if i > 0:
                 iterations.append(global_it - 1)
                 terms.append(_history_terms(cfg, ab, ba, work, global_it - 1, level))
-            _half_step(ab, ba, step, cfg, work, diagonal, global_it, level, _STEPPED_AB)
+            _half_step(ab, ba, step, cfg, work, diagonal, global_it, level)
             # Step u_BA against the new u_AB: only the consistency residuals
             # moved, and A(x + u_BA) with its derivative still holds.
             _evaluate(ab, ba, work, image=False)
-            _half_step(ba, ab, step, cfg, work, diagonal, global_it, level, _STEPPED_BA)
+            _half_step(ba, ab, step, cfg, work, diagonal, global_it, level)
             global_it += 1
         _evaluate(ab, ba, work, image=True)
         iterations.append(global_it - 1)

@@ -15,7 +15,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import DomainError, ShapeError
+from .errors import (
+    DomainError,
+    ShapeError,
+    check_seed,
+    require_finite,
+    require_integer,
+)
 from .fields import (
     DisplacementField,
     Grid,
@@ -53,6 +59,14 @@ class PhantomSpec:
     def __post_init__(self):
         if self.kind not in PHANTOM_KINDS:
             raise DomainError(f"unknown phantom kind {self.kind!r}")
+        check_seed(self.seed)
+        require_finite(
+            self, "ring_thickness", "bump_angle", "bump_amplitude", "bump_width",
+            "blob_sigma",
+        )
+        if self.ring_radius is not None:
+            require_finite(self, "ring_radius")
+        require_integer(self, "blob_count")
         half = min(self.grid.height, self.grid.width) / 2.0
         if self.radius + abs(self.bump_amplitude) + self.ring_thickness > half - 4.0:
             raise DomainError(
@@ -80,6 +94,8 @@ class RandomFieldSpec:
     amplitude: float = 3.0
 
     def __post_init__(self):
+        check_seed(self.seed)
+        require_finite(self, "smoothing_sigma", "amplitude")
         if not (self.smoothing_sigma > 0):
             raise DomainError("smoothing_sigma must be > 0")
         if self.amplitude < 0:

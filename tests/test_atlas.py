@@ -170,6 +170,13 @@ def test_atlas_config_rejects_non_integer(name, bad):
     assert getattr(AtlasConfig(**{name: np.int64(2)}), name) == 2
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_estimate_atlas_rejects_a_bad_seed(bad):
+    img = blob_image()
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        estimate_atlas([img, img], FAST_ATLAS_CFG, seed=bad)
+
+
 # Chunked steps: 32x32 blobs and a short two-level pyramid, so that each
 # step takes a fraction of a second.
 GRID32 = Grid(32, 32)
@@ -206,6 +213,23 @@ def forked_registrations(monkeypatch):
 
     monkeypatch.setattr(atlas_module, "register_pairs", counted)
     return count
+
+
+@pytest.fixture
+def parent_registrations(monkeypatch):
+    """The image count of each register_pairs call that runs in this
+    process."""
+    calls = []
+    here = os.getpid()
+    register = atlas_module.register_pairs
+
+    def counted(*args, **kwargs):
+        if os.getpid() == here:
+            calls.append(len(args[1]))
+        return register(*args, **kwargs)
+
+    monkeypatch.setattr(atlas_module, "register_pairs", counted)
+    return calls
 
 
 def step_with_cpus(monkeypatch, cpus, atlas, images, cfg):
@@ -261,6 +285,19 @@ class TestChunkedStep:
         two = step_error(monkeypatch, 2, base, images, cfg)
         assert two == one
         assert "root chain failed" in one[0]
+
+    def test_parent_registers_only_to_rerun_a_failed_step(
+        self, monkeypatch, parent_registrations
+    ):
+        # The workers register; a failed step reruns once, in this process,
+        # on all the images.
+        base, images = population32()
+        step_with_cpus(monkeypatch, 2, base, images, CHUNK_CFG)
+        assert parent_registrations == []
+        cfg = AtlasConfig(reg_config=CHUNK_CFG.reg_config, solver=SolverConfig(max_iterations=1))
+        step_error(monkeypatch, 2, base, images, cfg)
+        assert parent_registrations == [len(images)]
+        assert multiprocessing.active_children() == []
 
     def test_registration_failure_wins_over_an_earlier_log_failure(self, monkeypatch):
         # Image 1's log fails (one root iteration); image 4, in the second

@@ -317,6 +317,18 @@ def test_every_subcommand_writes_a_manifest(tmp_path, small_inputs, command):
     assert manifest["command"] == command
 
 
+@pytest.mark.parametrize("argv", [
+    "synth --seed -1 --subjects 1 --out-dir {out}/s",
+    "synth --kind gaussian_blobs --seed -1 --out-dir {out}/s",
+    "validate --seed -1 --out-csv {out}/v.csv",
+    "atlas --images {d}/images --seed -1 --out-dir {out}/a",
+])
+def test_negative_seed_usage_error(tmp_path, small_inputs, argv, capsys):
+    capsys.readouterr()
+    assert run(*[tok.format(d=small_inputs, out=tmp_path) for tok in argv.split()]) == 1
+    assert capsys.readouterr().err.startswith("usage error")
+
+
 def test_losses_manifest_names_every_input(tmp_path, small_inputs):
     d = small_inputs
     files = {"phi_ab": d / "subject_000_field.mfld", "phi_ba": d / "subject_001_field.mfld",

@@ -38,6 +38,13 @@ def brute_force_compose(outer, inner):
     return DisplacementField(inner.grid, out)
 
 
+@pytest.mark.parametrize("shape", [(2.5, 8), (8, 2.5), (8.0, 8), (8, np.nan)])
+def test_grid_rejects_non_integer_size(shape):
+    with pytest.raises(DomainError, match="must be an integer"):
+        Grid(*shape)
+    assert Grid(np.int64(8), 8).shape == (8, 8)
+
+
 class TestIdentity:
     def test_all_zero(self):
         f = identity_field(Grid(4, 4))

@@ -134,6 +134,12 @@ class TestSecondaryLoss:
         with pytest.raises(DomainError):
             secondary_loss(LossWeights(-1, 1, 1), 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["alpha_rec", "alpha_inv", "alpha_linv"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, name, bad):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            LossWeights(**{name: bad})
+
 
 def square_labels(grid, r0, c0, size, label=1):
     arr = np.zeros(grid.shape, dtype=np.int64)

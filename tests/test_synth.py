@@ -73,6 +73,41 @@ class TestPhantom:
                         ring_radius=7.0)
 
 
+@pytest.mark.parametrize("name", [
+    "ring_radius", "ring_thickness", "bump_angle", "bump_amplitude", "bump_width",
+    "blob_sigma",
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_phantom_spec_rejects_non_finite(name, bad):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        PhantomSpec(kind="gaussian_blobs", grid=GRID64, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+def test_phantom_spec_rejects_non_integer_blob_count(bad):
+    with pytest.raises(DomainError, match="blob_count must be an integer"):
+        PhantomSpec(kind="gaussian_blobs", grid=GRID64, blob_count=bad)
+    assert PhantomSpec(kind="gaussian_blobs", grid=GRID64, blob_count=np.int64(2)).blob_count == 2
+
+
+@pytest.mark.parametrize("name", ["smoothing_sigma", "amplitude"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_random_field_spec_rejects_non_finite(name, bad):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        RandomFieldSpec(GRID64, seed=0, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, np.nan])
+@pytest.mark.parametrize("make", [
+    lambda seed: PhantomSpec(kind="ring_with_bump", grid=GRID64, seed=seed),
+    lambda seed: RandomFieldSpec(GRID64, seed=seed),
+], ids=["phantom", "random_field"])
+def test_specs_reject_a_bad_seed(make, bad):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        make(bad)
+    assert make(np.int64(1)).seed == 1
+
+
 class TestRandomLogField:
     def test_deterministic(self):
         spec = RandomFieldSpec(GRID64, seed=5)
