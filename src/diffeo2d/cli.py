@@ -23,9 +23,9 @@ from .errors import (
     FileFormatError,
     RankError,
     ShapeError,
+    check_seed,
 )
 from .fields import (
-    DisplacementField,
     Grid,
     LogField,
     compose,
@@ -112,6 +112,18 @@ def _code(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated code: {text!r}") from None
 
 
+def _seed(text):
+    """``--seed``, checked as it is parsed so that an error names the value typed."""
+    try:
+        seed = int(text)
+        check_seed(seed)
+    except DomainError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return seed
+
+
 def _summary(args, inputs, config, metrics):
     if args.json_summary is None:
         return
@@ -135,7 +147,7 @@ def build_parser() -> _Parser:
                    choices=["ring_with_bump", "four_label_phantom", "gaussian_blobs"])
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subjects", type=int, default=0)
     p.add_argument("--amplitude", type=float, default=3.0)
     p.add_argument("--smoothing", type=float, default=4.0)
@@ -244,7 +256,7 @@ def build_parser() -> _Parser:
     # --init and --seed sit between the atlas flags, as --help lists them.
     _add_flags(p, AtlasConfig, _ATLAS_FLAGS[:2])
     p.add_argument("--init", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_flags(p, AtlasConfig, _ATLAS_FLAGS[2:])
     p.add_argument("--out-dir", type=Path, required=True)
     _add_flags(p, RegistrationConfig, _REG_FLAGS)
@@ -264,7 +276,7 @@ def build_parser() -> _Parser:
     _add_common(p, _cmd_dice)
 
     p = sub.add_parser("validate", help="root-chain, negation, and latent consistency checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--count", type=int, default=4)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
@@ -348,11 +360,13 @@ def _cmd_register(args):
 
 
 def _cmd_solve(args):
-    """invert or sqrt; only sqrt_field ever sets a warning."""
+    """invert or sqrt. Once its root is solved, sqrt warns if its input folds."""
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
-    sol = args.solve(read_field(args.field), cfg)
-    if sol.warning:
-        print(f"warning: {sol.warning}", file=sys.stderr)
+    field = read_field(args.field)
+    sol = args.solve(field, cfg)
+    if args.command == "sqrt" and neg_jacobian_fraction(field) > 0:
+        print("warning: input field has non-positive Jacobian pixels; root may be inaccurate",
+              file=sys.stderr)
     write_field(args.out, sol.field)
     return ({"field": str(args.field)}, asdict(cfg),
             {"residual_px": sol.residual, "iterations": sol.iterations})

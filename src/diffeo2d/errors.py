@@ -32,6 +32,20 @@ def check_integer(name, value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def check_depth(name, value):
+    """Raise DomainError unless the depth ``value`` is an integer >= 1."""
+    check_integer(name, value)
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+
+
+def check_power_of_two(name, value):
+    """Raise DomainError unless ``value`` is an integer power of two, 1 included."""
+    check_integer(name, value)
+    if value < 1 or (value & (value - 1)) != 0:
+        raise DomainError(f"{name} must be a positive power of two, got {value}")
+
+
 def check_seed(seed):
     """Raise DomainError unless ``seed`` is None or a non-negative integer:
     the seeds ``np.random.default_rng`` takes, which raises a bare

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, check_integer
+from .errors import DomainError, ShapeError, check_integer, check_power_of_two
 
 
 @dataclass(frozen=True)
@@ -567,9 +567,7 @@ def compose(outer: DisplacementField, inner: DisplacementField) -> DisplacementF
 def self_compose_m(field: DisplacementField, m: int) -> DisplacementField:
     """Compose a field with itself m times, m a power of two, by repeated
     squaring (m=1 returns the input)."""
-    check_integer("m", m)
-    if m < 1 or (m & (m - 1)) != 0:
-        raise DomainError(f"m must be a positive power of two, got {m}")
+    check_power_of_two("m", m)
     result = field
     while m > 1:
         result = compose(result, result)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeError, check_integer
+from .errors import DomainError, RankError, ShapeError, check_integer, check_power_of_two
 from .fields import DisplacementField, Grid, LogField
 from .lie import exp_field
 
@@ -74,6 +74,7 @@ def fit_basis(
     for lf in logfields:
         if lf.grid != grid:
             raise ShapeError("all log fields must share one grid")
+    check_integer("latent dimension", dim)
     if dim < 1:
         raise DomainError("latent dimension must be >= 1")
 
@@ -134,9 +135,7 @@ def decode_root(
     basis: LogEuclideanBasis, z: np.ndarray, m: int, exp_depth: int = 6
 ) -> DisplacementField:
     """Decode the m-th root deformation exp(decode(z)/m) for m a power of two."""
-    check_integer("m", m)
-    if m < 1 or (m & (m - 1)) != 0:
-        raise DomainError(f"m must be a positive power of two, got {m}")
+    check_power_of_two("m", m)
     v = decode(basis, z)
     return exp_field(LogField(basis.grid, v.v / m), exp_depth)
 
@@ -145,6 +144,7 @@ def pca_mode_field(
     basis: LogEuclideanBasis, k: int, c: float, exp_depth: int = 6
 ) -> DisplacementField:
     """Deformation at c standard deviations along mode k (1-based)."""
+    check_integer("mode index", k)
     if not (1 <= k <= basis.dim):
         raise DomainError(f"mode index {k} out of range 1..{basis.dim}")
     v = basis.mean.v + c * basis.singular_values[k - 1] * basis.components[k - 1]

@@ -4,7 +4,9 @@ and the log/exp maps.
 ``sqrt_field`` is a damped fixed-point (Picard) iteration; ``invert`` takes
 safeguarded per-pixel Newton steps. Both stop once the RMS update falls
 below the tolerance, and both return their achieved residuals as
-first-class outputs so callers can assert them. ``exp_field`` is scaling and
+first-class outputs so callers can assert them. Neither checks its input for
+folds, so a chain costs only its roots; a caller that needs a fold check
+makes it (the CLI ``sqrt`` command does). ``exp_field`` is scaling and
 squaring on :func:`fields.self_compose_m`. The log is inverse scaling and
 squaring (Arsigny et al., "A Log-Euclidean framework for statistics on
 diffeomorphisms", MICCAI 2006): ``root_chain`` takes successive
@@ -36,7 +38,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ShapeError,
-    check_integer,
+    check_depth,
     require_finite,
     require_integer,
 )
@@ -47,7 +49,6 @@ from .fields import (
     Stencil,
     _sq_lengths,
     field_rms_diff,
-    neg_jacobian_fraction,
     self_compose_m,
 )
 
@@ -92,7 +93,6 @@ class FieldSolution:
     field: DisplacementField
     residual: float
     iterations: int
-    warning: str | None = None
 
 
 @dataclass
@@ -268,9 +268,6 @@ def sqrt_field(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> 
     The residual is the RMS distance of the self-composition of the root
     from the input field.
     """
-    warning = None
-    if neg_jacobian_fraction(field) > 0:
-        warning = "input field has non-positive Jacobian pixels; root may be inaccurate"
     grid = field.grid
     u = field.u.transpose(2, 0, 1).copy()
     displaced = DisplacedGrid(grid)
@@ -293,7 +290,7 @@ def sqrt_field(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> 
     root = DisplacementField(grid, w.transpose(1, 2, 0))
     if iterations is None:
         raise _not_converged("square root", residual, cfg)
-    return FieldSolution(root, residual, iterations, warning=warning)
+    return FieldSolution(root, residual, iterations)
 
 
 def root_chain(
@@ -303,9 +300,7 @@ def root_chain(
 
     Each level calls ``sqrt_field`` by its module-level name, so a wrapper
     bound to ``lie.sqrt_field`` sees every root of every chain."""
-    check_integer("root chain depth", n_levels)
-    if n_levels < 1:
-        raise DomainError(f"root chain depth must be >= 1, got {n_levels}")
+    check_depth("root chain depth", n_levels)
     chain = RootChain()
     current = field
     for level in range(n_levels):
@@ -335,7 +330,5 @@ def log_field(
 def exp_field(v: LogField, n_levels: int = 6) -> DisplacementField:
     """Exponential by scaling and squaring: halve v dyadically, then square N
     times."""
-    check_integer("exp depth", n_levels)
-    if n_levels < 1:
-        raise DomainError(f"exp depth must be >= 1, got {n_levels}")
+    check_depth("exp depth", n_levels)
     return self_compose_m(DisplacementField(v.grid, v.v / 2.0**n_levels), 2**n_levels)

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from diffeo2d import cli, lie, read_field, read_pgm, write_field
+from diffeo2d import DisplacementField, Grid, cli, fields, lie, read_field, write_field
 from diffeo2d.cli import build_parser, main
 
 from conftest import suite_field
@@ -322,11 +322,15 @@ def test_every_subcommand_writes_a_manifest(tmp_path, small_inputs, command):
     "synth --kind gaussian_blobs --seed -1 --out-dir {out}/s",
     "validate --seed -1 --out-csv {out}/v.csv",
     "atlas --images {d}/images --seed -1 --out-dir {out}/a",
+    "atlas --images {d}/images --seed -1 --init 0 --out-dir {out}/a",
 ])
 def test_negative_seed_usage_error(tmp_path, small_inputs, argv, capsys):
+    # The parser checks --seed, so the error names the value typed, not a
+    # subject's seed, and comes even where the seed would not be used.
     capsys.readouterr()
     assert run(*[tok.format(d=small_inputs, out=tmp_path) for tok in argv.split()]) == 1
-    assert capsys.readouterr().err.startswith("usage error")
+    assert capsys.readouterr().err == (
+        "usage error: argument --seed: seed must be a non-negative integer, got -1\n")
 
 
 def test_losses_manifest_names_every_input(tmp_path, small_inputs):
@@ -341,10 +345,10 @@ def test_losses_manifest_names_every_input(tmp_path, small_inputs):
     assert {"sim_loss", "latent_inv_loss"} <= set(manifest["metrics"])
 
 
-# Calls to lie.sqrt_field per command, on MANIFEST_ARGS with losses given
-# its image pair and basis too: one per root of one chain per field.
-SQRT_ARGS = {**MANIFEST_ARGS, "losses": MANIFEST_ARGS["losses"]
-             + " --a {d}/image.pgm --b {d}/subject_000_image.pgm --basis {d}/basis.mleb"}
+# Calls per command, on MANIFEST_ARGS with losses given its image pair and
+# basis too. lie.sqrt_field: one per root of one chain per field.
+COUNT_ARGS = {**MANIFEST_ARGS, "losses": MANIFEST_ARGS["losses"]
+              + " --a {d}/image.pgm --b {d}/subject_000_image.pgm --basis {d}/basis.mleb"}
 SQRT_CALLS = {command: 0 for command in SUBCOMMANDS} | {
     "sqrt": 1,
     "log": 3,  # --n 3
@@ -353,26 +357,73 @@ SQRT_CALLS = {command: 0 for command in SUBCOMMANDS} | {
     "atlas": 2 * 2 * 3,  # 2 images, both directions, --depth 3
     "validate": 2 * 2 * 3,  # --count 2: each field and its inverse, --n 3
 }
+# fields.jacobian_determinant: only the commands that report folds take one,
+# never a root chain.
+JACOBIAN_CALLS = {command: 0 for command in SUBCOMMANDS} | {
+    "sqrt": 1,  # the fold warning's check of the input
+    "register": 2,  # the fold % of phi_ab and of phi_ba
+    "jacobian": 2,  # the determinant map, and again for the fold %
+}
 
 
-@pytest.mark.parametrize("command", list(SUBCOMMANDS))
-def test_no_command_solves_a_root_chain_twice(tmp_path, small_inputs, monkeypatch, command):
+def count_calls(monkeypatch, modules, name, command, small_inputs, tmp_path):
+    """Run ``command`` on COUNT_ARGS and count the calls to the function
+    ``name``, through its binding in each of ``modules``."""
     # atlas takes its logs in forked workers, which inherit the wrapper and
     # count in this shared-memory value.
     calls = multiprocessing.Value("i", 0)
-    solve = lie.sqrt_field
+    function = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
         with calls.get_lock():
             calls.value += 1
-        return solve(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    # root_chain reaches sqrt_field through lie, the sqrt command through cli.
-    monkeypatch.setattr(lie, "sqrt_field", counted)
-    monkeypatch.setattr(cli, "sqrt_field", counted)
-    argv = [tok.format(d=small_inputs, out=tmp_path) for tok in SQRT_ARGS[command].split()]
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    argv = [tok.format(d=small_inputs, out=tmp_path) for tok in COUNT_ARGS[command].split()]
     assert run(command, *argv) == 0
-    assert calls.value == SQRT_CALLS[command]
+    return calls.value
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_no_command_solves_a_root_chain_twice(tmp_path, small_inputs, monkeypatch, command):
+    # root_chain reaches sqrt_field through lie, the sqrt command through cli.
+    calls = count_calls(monkeypatch, (lie, cli), "sqrt_field", command, small_inputs, tmp_path)
+    assert calls == SQRT_CALLS[command]
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_no_root_chain_checks_folds(tmp_path, small_inputs, monkeypatch, command):
+    # neg_jacobian_fraction reaches jacobian_determinant through fields, the
+    # jacobian command through cli.
+    calls = count_calls(monkeypatch, (fields, cli), "jacobian_determinant", command,
+                        small_inputs, tmp_path)
+    assert calls == JACOBIAN_CALLS[command]
+
+
+FOLD_WARNING = "warning: input field has non-positive Jacobian pixels; root may be inaccurate\n"
+
+
+def test_sqrt_warns_of_folds_once_solved(tmp_path, capsys):
+    # Each row is pulled back 2 px further than the one above it: the field
+    # folds at every pixel.
+    u = np.zeros((8, 8, 2))
+    u[..., 0] = -2.0 * np.arange(8)[:, None]
+    folded = tmp_path / "folded.mfld"
+    write_field(folded, DisplacementField(Grid(8, 8), u))
+    out = tmp_path / "out.mfld"
+    capsys.readouterr()
+    assert run("sqrt", "--field", folded, "--out", out, "--max-iterations", 2000) == 0
+    assert capsys.readouterr().err == FOLD_WARNING
+    assert run("invert", "--field", folded, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    # A root that fails to converge is reported alone.
+    assert run("sqrt", "--field", folded, "--out", out, "--max-iterations", 1) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: square root")
+    # The warning comes before the root is written.
+    assert run("sqrt", "--field", folded, "--out", tmp_path / "no" / "out.mfld") == 2
+    assert capsys.readouterr().err.startswith(FOLD_WARNING + "io error")
 
 
 @pytest.mark.parametrize("command, extra", [("log", "--out {out}/f.mfld"),

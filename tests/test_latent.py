@@ -86,6 +86,13 @@ class TestFitBasis:
         with pytest.raises((DomainError, RankError)):
             fit_basis([v, LogField(GRID64, -v.v)], dim=5)
 
+    def test_non_integer_dim(self):
+        # 1.5 passes the range and rank checks, then fails in vt[:dim] as a
+        # TypeError.
+        fields, _, _ = two_mode_population()
+        with pytest.raises(DomainError, match="^latent dimension must be an integer"):
+            fit_basis(fields, dim=1.5)
+
     def test_degenerate_samples_rank_error(self):
         z = LogField(GRID64, np.zeros((64, 64, 2)))
         with pytest.raises(RankError) as exc:
@@ -232,6 +239,9 @@ class TestModes:
             pca_mode_field(basis, 0, 1.0)
         with pytest.raises(DomainError):
             pca_mode_field(basis, 3, 1.0)
+        # 1.5 is in range, and indexed components[0.5] as an IndexError.
+        with pytest.raises(DomainError, match="^mode index must be an integer"):
+            pca_mode_field(basis, 1.5, 1.0)
 
 
 class TestExplainedVariance:

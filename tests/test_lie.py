@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from diffeo2d import (
-    DisplacementField,
     Grid,
     LogField,
     RandomFieldSpec,
@@ -121,13 +120,6 @@ class TestSqrt:
             sol = sqrt_field(phi, cfg)
             assert sol.residual <= 1e-3
             assert field_rms_diff(self_compose_m(sol.field, 2), phi) <= 10 * cfg.tolerance
-
-    def test_folded_input_warns(self):
-        g = Grid(8, 8)
-        u = np.zeros((8, 8, 2))
-        u[..., 0] = -2.0 * np.arange(8)[:, None]
-        sol = sqrt_field(DisplacementField(g, u), SolverConfig(max_iterations=2000))
-        assert sol.warning is not None
 
 
 class TestRootChain:
@@ -297,3 +289,20 @@ def test_depth_and_power_reject_non_integers(call, name, bad):
     with pytest.raises(DomainError, match=f"^{name} must be an integer"):
         call(phi, bad)
     call(phi, np.int64(2))
+
+
+@pytest.mark.parametrize(
+    "call, bad, message",
+    [
+        pytest.param(root_chain, 0, "root chain depth must be >= 1, got 0", id="root_chain"),
+        pytest.param(lambda phi, n: exp_field(LogField(phi.grid, phi.u), n), -1,
+                     "exp depth must be >= 1, got -1", id="exp_field"),
+        pytest.param(self_compose_m, 6, "m must be a positive power of two, got 6",
+                     id="self_compose_m"),
+    ],
+)
+def test_depth_and_power_range_messages(call, bad, message):
+    phi = constant_field(Grid(8, 8), 0.5, 0.0)
+    with pytest.raises(DomainError) as info:
+        call(phi, bad)
+    assert str(info.value) == message
