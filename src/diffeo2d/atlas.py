@@ -33,14 +33,13 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
-    RankError,
     check_integer,
     check_seed,
     require_finite,
     require_integer,
 )
 from .fields import ScalarImage, warp_image
-from .latent import decode_root, encode, fit_basis
+from .latent import _principal_axes, _truncate, decode_root, encode
 from .lie import SolverConfig, log_field
 from .registration import RegistrationConfig, register_pairs
 
@@ -205,20 +204,16 @@ def _image_failed(idx, err):
 
 
 def _fit_population_basis(logs, dim):
-    """Fit a symmetrized basis, clamping the dimension to the achieved rank.
+    """Fit a symmetrized basis of ``min(dim, rank)`` components from one
+    SVD of the population.
 
     Returns None when the population is numerically rank zero (e.g. an
     identical-image population registers to all-zero logs).
     """
-    dim = min(dim, len(logs) * 2)
-    while dim >= 1:
-        try:
-            return fit_basis(logs, dim, symmetrize=True)
-        except RankError as err:
-            if err.rank < 1:
-                return None
-            dim = err.rank
-    return None
+    axes = _principal_axes(logs, symmetrize=True)
+    if axes.rank < 1:
+        return None
+    return _truncate(axes, min(dim, axes.rank))
 
 
 def estimate_atlas(

@@ -28,6 +28,7 @@ from .errors import (
 from .fields import (
     Grid,
     LogField,
+    _nonpositive_percent,
     compose,
     field_rms_diff,
     jacobian_determinant,
@@ -411,7 +412,7 @@ def _cmd_roots(args):
 def _cmd_jacobian(args):
     field = read_field(args.field)
     det = jacobian_determinant(field)
-    frac = neg_jacobian_fraction(field)
+    frac = _nonpositive_percent(det.values)
     if args.out:
         write_field(args.out, det)
     print(f"neg_jacobian_fraction_pct,{frac!r}")

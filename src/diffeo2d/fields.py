@@ -608,7 +608,11 @@ def jacobian_determinant(field: DisplacementField) -> ScalarImage:
 
 def neg_jacobian_fraction(field: DisplacementField) -> float:
     """Percent of pixels with det(I + grad u) <= 0 (a folding measure)."""
-    det = jacobian_determinant(field).values
+    return _nonpositive_percent(jacobian_determinant(field).values)
+
+
+def _nonpositive_percent(det: np.ndarray) -> float:
+    """Percent of the entries of a determinant map that are <= 0."""
     return 100.0 * float(np.count_nonzero(det <= 0.0)) / det.size
 
 

@@ -9,6 +9,7 @@ invert (up to the log-negation error).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +65,14 @@ def fit_basis(
     """PCA basis of a log-field population.
 
     With ``symmetrize`` (default) the sample set is augmented with the
-    negation of every field, forcing the mean to zero exactly. Component
-    signs are fixed by making each component's largest-magnitude entry
-    positive, so fitting is reproducible.
+    negation of every field, forcing the mean to zero exactly. That
+    augmented matrix is never formed: if X = U S Vᵀ holds the fields as
+    rows, then [X; −X] = ([U; −U]/√2)(√2·S)Vᵀ, so the SVD of X alone gives
+    the augmented components, and √2·S its singular values. Singular
+    values, total variance, rank tolerance and the sample-count check all
+    count the 2·len(logfields) augmented samples. Component signs are fixed
+    by making each component's largest-magnitude entry positive, so fitting
+    is reproducible.
     """
     if len(logfields) < 2:
         raise DomainError("need at least 2 log fields to fit a basis")
@@ -77,39 +83,71 @@ def fit_basis(
     check_integer("latent dimension", dim)
     if dim < 1:
         raise DomainError("latent dimension must be >= 1")
-
-    rows = [_flatten(lf.v) for lf in logfields]
-    if symmetrize:
-        rows = rows + [-r for r in rows]
-        mean_flat = np.zeros_like(rows[0])
-    else:
-        mean_flat = np.mean(rows, axis=0)
-    x = np.asarray(rows) - mean_flat
-    n = x.shape[0]
+    n = len(logfields) * (2 if symmetrize else 1)
     if dim > n:
         raise DomainError(f"dimension {dim} exceeds sample count {n}")
 
-    _, s, vt = np.linalg.svd(x, full_matrices=False)
-    tol = (s[0] if s.size else 0.0) * max(x.shape) * np.finfo(np.float64).eps
-    rank = int(np.count_nonzero(s > tol))
-    if rank < dim:
+    axes = _principal_axes(logfields, symmetrize)
+    if axes.rank < dim:
         raise RankError(
-            f"samples span rank {rank}, cannot fit {dim} components", rank=rank
+            f"samples span rank {axes.rank}, cannot fit {dim} components", rank=axes.rank
         )
+    return _truncate(axes, dim)
 
-    comps = vt[:dim].copy()
+
+class _Axes(NamedTuple):
+    """Principal axes of a population of n samples (2·len(logs) when
+    symmetrized): the flat mean, the singular values of the centred
+    samples, the right singular vectors as rows of ``vt``, and the rank."""
+
+    grid: Grid
+    mean: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    n: int
+    rank: int
+    symmetrized: bool
+
+
+def _principal_axes(logfields: list[LogField], symmetrize: bool) -> _Axes:
+    """One SVD of the logs, copied once into a (len(logfields), 2·H·W)
+    buffer and centred in place; a symmetrized population is factored
+    without its negated half (see :func:`fit_basis`)."""
+    grid = logfields[0].grid
+    x = np.empty((len(logfields), 2 * grid.n_pixels))
+    for row, lf in zip(x, logfields):
+        row[:] = _flatten(lf.v)
+    n = len(logfields) * (2 if symmetrize else 1)
+    if symmetrize:
+        mean_flat = np.zeros(x.shape[1])
+    else:
+        mean_flat = np.mean(x, axis=0)
+        x -= mean_flat
+    _, s, vt = np.linalg.svd(x, full_matrices=False)
+    if symmetrize:
+        s *= np.sqrt(2.0)
+    tol = s[0] * max(n, x.shape[1]) * np.finfo(np.float64).eps
+    rank = int(np.count_nonzero(s > tol))
+    return _Axes(grid, mean_flat, s, vt, n, rank, symmetrize)
+
+
+def _truncate(axes: _Axes, dim: int) -> LogEuclideanBasis:
+    """The basis of the leading ``dim`` axes, each signed so that its
+    largest-magnitude entry is positive."""
+    comps = axes.vt[:dim].copy()
     for k in range(dim):
         j = int(np.argmax(np.abs(comps[k])))
         if comps[k, j] < 0:
             comps[k] = -comps[k]
+    grid = axes.grid
     shape = (grid.height, grid.width, 2)
     return LogEuclideanBasis(
         grid=grid,
-        mean=LogField(grid, mean_flat.reshape(shape)),
+        mean=LogField(grid, axes.mean.reshape(shape)),
         components=comps.reshape((dim,) + shape),
-        singular_values=s[:dim] / np.sqrt(n),
-        symmetrized=symmetrize,
-        total_variance=float(np.sum(s * s) / n),
+        singular_values=axes.s[:dim] / np.sqrt(axes.n),
+        symmetrized=axes.symmetrized,
+        total_variance=float(np.sum(axes.s * axes.s) / axes.n),
     )
 
 

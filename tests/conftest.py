@@ -56,3 +56,16 @@ def constant_field(grid, dr, dc):
 @pytest.fixture(scope="session")
 def grid64():
     return GRID64
+
+
+def record_svd_shapes(monkeypatch):
+    """The shapes of the matrices np.linalg.svd factors from now on."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes

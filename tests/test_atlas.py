@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from diffeo2d import atlas as atlas_module
 from diffeo2d.errors import ConvergenceError, DomainError
 from diffeo2d.lie import SolverConfig
 
-from conftest import GRID64, constant_field
+from conftest import GRID64, constant_field, record_svd_shapes
 
 # Light optimizer settings: atlas tests register many pairs, and these
 # populations are easy (small translations / identical images).
@@ -129,8 +130,6 @@ class TestEstimateAtlas:
         assert d_final < 0.5 * d_init
 
     def test_non_convergence_is_flagged_not_raised(self):
-        from dataclasses import replace
-
         base = blob_image()
         cfg = replace(FAST_ATLAS_CFG, epsilon=1e-12, max_outer_iterations=1)
         plus = shifted(base, 2.0, 0.0)
@@ -348,3 +347,15 @@ class TestChunkedStep:
         daemon.join()
         alone = step_with_cpus(monkeypatch, 1, base, images, CHUNK_CFG)
         assert got == alone.atlas.values.tobytes()
+
+
+def test_two_image_step_factors_its_population_once(monkeypatch):
+    # 2 images give 4 logs, of rank at most 4 < basis_dim = 8: the fit takes
+    # the rank's components from the same SVD instead of refitting.
+    shapes = record_svd_shapes(monkeypatch)
+    base = blob32(0)
+    images = [shifted(base, 1.0, 0.0), shifted(base, -0.5, 1.0)]
+    cfg = replace(FAST_ATLAS_CFG, basis_dim=8)
+    state = step_with_cpus(monkeypatch, 1, base, images, cfg)
+    assert shapes == [(4, 2 * GRID32.n_pixels)]
+    assert state.mean_latent.shape == (4,)

@@ -362,7 +362,7 @@ SQRT_CALLS = {command: 0 for command in SUBCOMMANDS} | {
 JACOBIAN_CALLS = {command: 0 for command in SUBCOMMANDS} | {
     "sqrt": 1,  # the fold warning's check of the input
     "register": 2,  # the fold % of phi_ab and of phi_ba
-    "jacobian": 2,  # the determinant map, and again for the fold %
+    "jacobian": 1,  # the determinant map, whose fold % it counts
 }
 
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from diffeo2d import (
     Grid,
@@ -21,7 +24,7 @@ from diffeo2d import (
 )
 from diffeo2d.errors import DomainError, RankError, ShapeError
 
-from conftest import GRID64, suite_field
+from conftest import GRID64, record_svd_shapes, suite_field
 
 
 def unit_log(seed, grid=GRID64):
@@ -114,6 +117,107 @@ class TestFitBasis:
         for comp in b1.components:
             flat = comp.ravel()
             assert flat[np.argmax(np.abs(flat))] > 0
+
+
+def augmented_fit(logfields, dim, symmetrize):
+    """The basis fit as a direct SVD of the sample matrix, [X; −X] when
+    symmetrized: (mean, signed components, singular values, total
+    variance, rank)."""
+    x = np.stack([lf.v.reshape(-1) for lf in logfields])
+    if symmetrize:
+        x = np.concatenate([x, -x])
+        mean = np.zeros(x.shape[1])
+    else:
+        mean = np.mean(x, axis=0)
+        x = x - mean
+    n = x.shape[0]
+    _, s, vt = np.linalg.svd(x, full_matrices=False)
+    tol = s[0] * max(x.shape) * np.finfo(np.float64).eps
+    comps = vt[:dim].copy()
+    for comp in comps:
+        j = int(np.argmax(np.abs(comp)))
+        if comp[j] < 0:
+            comp *= -1.0
+    rank = int(np.count_nonzero(s > tol))
+    return mean, comps, s[:dim] / np.sqrt(n), float(np.sum(s * s) / n), rank
+
+
+@st.composite
+def gaussian_populations(draw, max_logs=6):
+    """2 to ``max_logs`` Gaussian log fields on a grid of 2 to 8 px a side."""
+    grid = Grid(draw(st.integers(2, 8)), draw(st.integers(2, 8)))
+    count = draw(st.integers(2, max_logs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    return [LogField(grid, scale * rng.standard_normal(grid.shape + (2,))) for _ in range(count)]
+
+
+class TestSymmetrizedIdentity:
+    """[X; −X] = ([U; −U]/√2)(√2·S)Vᵀ: the symmetrized fit factors X alone."""
+
+    @given(gaussian_populations())
+    def test_matches_the_augmented_svd(self, logs):
+        n = len(logs)  # the rank of n Gaussian logs
+        basis = fit_basis(logs, dim=n)
+        _, comps, sv, total, _ = augmented_fit(logs, n, symmetrize=True)
+        np.testing.assert_allclose(basis.singular_values, sv, rtol=1e-12, atol=0)
+        assert basis.total_variance == pytest.approx(total, rel=1e-12)
+        assert not basis.mean.v.any()
+        # Components are compared where their singular value is separated
+        # from its neighbours; elsewhere only the span is determined.
+        gaps = np.abs(np.diff(sv))
+        flat = basis.components.reshape(n, -1)
+        for k in range(n):
+            gap = min(gaps[k - 1] if k > 0 else np.inf, gaps[k] if k < n - 1 else np.inf)
+            if gap > 1e-3 * sv[0]:
+                np.testing.assert_allclose(flat[k], comps[k], rtol=0, atol=1e-10)
+
+    @given(gaussian_populations(max_logs=4), st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    def test_duplicated_logs_give_the_augmented_rank(self, logs, picks):
+        population = logs + [logs[i % len(logs)] for i in picks]
+        dim = len(population)
+        rank = augmented_fit(population, dim, symmetrize=True)[4]
+        assert rank == len(logs)
+        with pytest.raises(RankError) as exc:
+            fit_basis(population, dim)
+        assert exc.value.rank == rank
+
+    @given(gaussian_populations())
+    def test_unsymmetrized_fit_is_the_direct_svd_bit_for_bit(self, logs):
+        dim = len(logs) - 1  # centring costs one rank
+        basis = fit_basis(logs, dim, symmetrize=False)
+        mean, comps, sv, total, _ = augmented_fit(logs, dim, symmetrize=False)
+        assert np.array_equal(basis.mean.v.reshape(-1), mean)
+        assert np.array_equal(basis.components.reshape(dim, -1), comps)
+        assert np.array_equal(basis.singular_values, sv)
+        assert basis.total_variance == total
+
+
+def _peak_values(logs, dim, symmetrize):
+    """Peak traced memory of one fit, in float64 values of the n·D
+    population matrix (n logs of D = 2·H·W values)."""
+    fit_basis(logs, dim, symmetrize)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_basis(logs, dim, symmetrize)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * len(logs) * logs[0].v.size)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_basis_fit_memory_budget(monkeypatch, symmetrize):
+    # Eight 64^2 logs, fitted to full rank. Forming [X; −X] and centring
+    # copies of the samples, the fits peaked at 6.26 (symmetrized) and 3.13
+    # n·D traced values; from one (n, D) buffer, at 2.25 and 2.13.
+    logs = [unit_log(300 + k) for k in range(8)]
+    dim = 8 if symmetrize else 7  # the full rank: centring costs one
+    assert _peak_values(logs, dim, symmetrize) <= 3.0
+    shapes = record_svd_shapes(monkeypatch)
+    fit_basis(logs, dim, symmetrize)
+    assert shapes == [(8, logs[0].v.size)]
 
 
 class TestEncodeDecode:
