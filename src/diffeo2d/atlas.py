@@ -16,13 +16,19 @@ may not have children) or while another thread is alive (a forked child
 could block on a lock that thread holds). Each pair registers bit for bit
 as it does alone, so the step's result is byte-identical whatever the
 split, and its errors are those of the one-chunk run (see
-:func:`atlas_step`).
+:func:`atlas_step`). The split comes from ``fields._chunks``, which also
+cuts a large grid's rows into the bands of a ``fields.DisplacedGrid``.
+
+A root or inverse solve on a large grid runs on row bands in threads of its
+own and joins them before it returns or raises, so a step that follows one
+in the same process still finds no other thread alive. A worker solves on
+one band: it is a ``multiprocessing`` child, and its siblings hold the
+other CPUs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -38,7 +44,7 @@ from .errors import (
     require_finite,
     require_integer,
 )
-from .fields import ScalarImage, warp_image
+from .fields import ScalarImage, _chunks, _usable_cpus, warp_image
 from .latent import _principal_axes, _truncate, decode_root, encode
 from .lie import SolverConfig, log_field
 from .registration import RegistrationConfig, register_pairs
@@ -176,22 +182,6 @@ def _worker_count(n_images):
     ):
         return 1
     return min(n_images, _usable_cpus())
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _chunks(n, parts):
-    """``parts`` contiguous slices of ``range(n)``, in order, whose lengths
-    differ by at most one."""
-    size, extra = divmod(n, parts)
-    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _image_failed(idx, err):

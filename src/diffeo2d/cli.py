@@ -125,6 +125,16 @@ def _seed(text):
     return seed
 
 
+def _subject_seeds(seed, n):
+    """The seeds of the ``n`` generated subjects of ``synth`` and
+    ``validate``: one 64-bit state from each child that
+    ``np.random.SeedSequence(seed).spawn(n)`` makes, numpy's rule for
+    independent streams, so no two (seed, subject) pairs share a field.
+    None for ``n <= 0``, as ``range(n)`` gives."""
+    children = np.random.SeedSequence(seed).spawn(max(n, 0))
+    return [int(child.generate_state(1, np.uint64)[0]) for child in children]
+
+
 def _summary(args, inputs, config, metrics):
     if args.json_summary is None:
         return
@@ -303,11 +313,11 @@ def _cmd_synth(args):
     image, labels = make_phantom(spec)
     write_pgm(args.out_dir / "image.pgm", image)
     write_pgm(args.out_dir / "labels.pgm", labels)
-    for i in range(args.subjects):
+    for i, seed in enumerate(_subject_seeds(args.seed, args.subjects)):
         v = random_log_field(
             RandomFieldSpec(
                 grid,
-                seed=args.seed * 10_000 + i,
+                seed=seed,
                 smoothing_sigma=args.smoothing,
                 amplitude=args.amplitude,
             )
@@ -539,10 +549,8 @@ def _cmd_validate(args):
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     fields = []
     chains = []
-    for i in range(args.count):
-        v = random_log_field(
-            RandomFieldSpec(grid, seed=args.seed * 10_000 + i, amplitude=args.amplitude)
-        )
+    for seed in _subject_seeds(args.seed, args.count):
+        v = random_log_field(RandomFieldSpec(grid, seed=seed, amplitude=args.amplitude))
         phi = exp_field(v, args.n)
         fields.append(phi)
         chains.append(root_chain(phi, args.n, cfg))

@@ -61,10 +61,24 @@ keeps one stencil per direction and one scratch block for the temporaries
 of both. At a batch of 64^2 fields or at 256^2 every fresh temporary costs
 page faults, so a loop that allocated its stencil and samples anew each
 iteration spent much of its time faulting.
+
+A large ``DisplacedGrid`` splits its rows into contiguous bands, one stencil
+each, and runs the per-pixel work of an iteration on the bands at once, on
+threads that a solve opens and joins; a band's stencil gathers from the
+whole field. The pixel work is elementwise and every sum over the grid stays
+on the calling thread, so the results are bit for bit those of one band.
+Below ``_BAND_PIXELS`` pixels a band, with one usable CPU, or in a
+``multiprocessing`` child, there is one band and no thread: the GIL that
+small numpy calls hold makes threads slower there. ``_usable_cpus`` and
+``_chunks`` also split ``atlas_step``'s subjects among its workers.
 """
 
 from __future__ import annotations
 
+import contextvars
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -452,35 +466,138 @@ def _work_view(work: np.ndarray, shape) -> np.ndarray:
     return np.ndarray(shape, buffer=work)
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _chunks(n, parts):
+    """``parts`` contiguous slices of ``range(n)``, in order, whose lengths
+    differ by at most one."""
+    size, extra = divmod(n, parts)
+    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+# A DisplacedGrid gives each band at least this many pixels. On a 2-CPU
+# host, log_field plus invert on two bands took 1.22x the time of one band
+# at 128^2 and 1.07x at 136^2, 0.86x at 160^2 and 0.65x at 256^2; so two
+# bands start at 24576 px, about 157^2.
+_BAND_PIXELS = 12288
+
+
+def _band_count(shape) -> int:
+    """Row bands for a solve on a grid of ``shape``: one per usable CPU, at
+    most one per ``_BAND_PIXELS`` pixels and one per row; one in a
+    ``multiprocessing`` child, whose siblings hold the other CPUs."""
+    h, w = shape
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return max(1, min(_usable_cpus(), h * w // _BAND_PIXELS, h))
+
+
+class _Band:
+    """One contiguous block of rows of a :class:`DisplacedGrid`: its own
+    stencil of the points x + w on those rows and its own finiteness mask.
+    The methods take whole ``(2, H, W)`` arrays and read and write the
+    band's rows of them; samples gather from the whole field."""
+
+    def __init__(self, x: np.ndarray, rows: slice):
+        self.rows = rows
+        self._x = x[:, rows]
+        self._finite = np.empty(self._x.shape, dtype=bool)
+        self._stencil = Stencil.empty(self._x.shape[1:], x.shape[1:])
+
+    def stencil(self, w: np.ndarray) -> Stencil:
+        """The stencil of x + w on the band's rows; raises DomainError if a
+        point is not finite."""
+        w = w[:, self.rows]
+        if not np.isfinite(w, out=self._finite).all():
+            raise DomainError("sample points must be finite")
+        return self._stencil.displace(self._x, w)
+
+    def self_composed(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """w + w(x + w) on the band's rows, into the same rows of ``out``:
+        the displacement of ``compose(f, f)`` for the field f of w, with the
+        same operations on the same operands, so the same bits. ``out`` is a
+        ``(2, H, W)`` array other than ``w``; returns its band."""
+        out = out[:, self.rows]
+        self.stencil(w).sample(w, out=out)
+        out += w[:, self.rows]
+        return out
+
+
 class DisplacedGrid:
     """The points x + w(x) of a grid for planar ``(2, H, W)`` fields w, as
-    one stencil re-placed whenever the field moves.
+    one stencil per band of rows, re-placed whenever the field moves.
 
     A solver that samples a field at its own displaced grid every iteration
     (``lie.sqrt_field``, ``lie.invert``) keeps one for the whole loop, so
-    the finiteness mask and the stencil's arrays are allocated once. Each
-    placement checks that the field is finite, as ``sample_values`` checks
-    its points: x + w is finite exactly where w is.
+    the finiteness masks and the stencils' arrays are allocated once. Each
+    placement checks that the field is finite on its rows, as
+    ``sample_values`` checks its points: x + w is finite exactly where w is.
+
+    The grid splits its rows into ``_band_count`` contiguous bands of
+    ``_chunks``; a 2-CPU host gets two bands from about 157^2 up and one
+    below.
+    The solver hands :meth:`run` the per-pixel part of an iteration, which
+    reads the whole field, read-only, and writes its band's rows, and keeps
+    whatever sums over the grid (RMS values, stop tests) on the calling
+    thread, so its results are bit for bit those of one band. Used as a
+    context manager, a grid of several bands opens a thread pool that the
+    exit shuts down and joins: no thread outlives a solve, so
+    ``atlas_step`` still finds no other thread alive when it forks. At one
+    band :meth:`run` is one call on the whole grid, and no pool starts.
     """
 
     def __init__(self, grid: Grid):
         self.x = np.indices(grid.shape, dtype=np.float64)
-        self._finite = np.empty(self.x.shape, dtype=bool)
-        self._stencil = Stencil.empty(grid.shape, grid.shape)
+        self.bands = [_Band(self.x, rows) for rows in _chunks(grid.height, _band_count(grid.shape))]
+        self._pool = None
 
-    def stencil(self, w: np.ndarray) -> Stencil:
-        """The stencil of x + w; raises DomainError if a point is not finite."""
-        if not np.isfinite(w, out=self._finite).all():
-            raise DomainError("sample points must be finite")
-        return self._stencil.displace(self.x, w)
+    def __enter__(self) -> "DisplacedGrid":
+        if len(self.bands) > 1:
+            self._pool = ThreadPoolExecutor(len(self.bands) - 1)
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def run(self, task, *args):
+        """``task(band, *args)`` for every band: band 0 on the calling
+        thread, the others on the pool. Every band finishes before this
+        returns; if any raised, the lowest band's exception is re-raised.
+        Outside a ``with`` block the bands run in turn on the calling
+        thread."""
+        if self._pool is None:
+            for band in self.bands:
+                task(band, *args)
+            return
+        first, *rest = self.bands
+        # Each band runs in a copy of the caller's context, so numpy's
+        # errstate holds on every thread.
+        futures = [
+            self._pool.submit(contextvars.copy_context().run, task, band, *args)
+            for band in rest
+        ]
+        errors = []
+        try:
+            task(first, *args)
+        except Exception as err:
+            errors.append(err)
+        errors += [e for e in (f.exception() for f in futures) if e is not None]
+        if errors:
+            raise errors[0]
 
     def self_composed(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """w + w(x + w) into ``out``: the displacement of ``compose(f, f)``
-        for the field f of w, with the same operations on the same operands,
-        so the same bits. ``out`` is a ``(2, H, W)`` array other than ``w``;
-        returns it."""
-        self.stencil(w).sample(w, out=out)
-        out += w
+        """w + w(x + w) into ``out`` on every band (see
+        :meth:`_Band.self_composed`); returns ``out``."""
+        self.run(_Band.self_composed, w, out)
         return out
 
 

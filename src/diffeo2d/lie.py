@@ -19,13 +19,23 @@ takes both from one chain.
 
 The loops hold their fields planar, ``(2, H, W)``, from the first iteration
 to the last, and resample through one :class:`fields.DisplacedGrid`, whose
-one stencil is re-placed every iteration. ``sqrt_field`` allocates its
-buffers once; ``invert``'s Newton step and ``sample_grad``'s outputs are
-fresh arrays, for the handful of iterations a call takes. Each converts back
-to a C-contiguous ``(H, W, 2)`` field once, at the end.
+stencils are re-placed every iteration. Both allocate their fields, steps,
+residuals and derivatives once, and convert back to a C-contiguous
+``(H, W, 2)`` field once, at the end; only the temporaries inside
+``invert``'s Newton step and its per-pixel step halving are fresh.
 Stopping tests and residuals are RMS values summed in the ``(H, W, 2)``
 order, so they carry the bits that ``field_rms`` and ``field_rms_diff``
 give on the returned fields.
+
+On a large grid the per-pixel part of an iteration runs on the grid's row
+bands at once (see :class:`fields.DisplacedGrid`): in ``sqrt_field`` the
+finiteness check, placement, sample, damped step, the step's squares and
+w + step, in ``invert`` the Newton step, its squares, the move to w + step,
+placement and sample with derivative. Every band reads all of w, so w + step
+goes into a second buffer and the two swap once every band is done. The
+means over the grid, the stop tests and ``invert``'s step halving run on
+the calling thread, so every result is the same bit for bit at any band
+count, and a solve joins its threads before it returns or raises.
 """
 
 from __future__ import annotations
@@ -132,7 +142,10 @@ class _ChannelLastRMS:
 
     ``np.mean`` sums a contiguous array in memory order, so a planar mean
     can differ in the last bits from ``field_rms`` of the same field; the
-    squares go into one ``(H, W, 2)`` buffer instead.
+    squares go into one ``(H, W, 2)`` buffer instead. A banded solve writes
+    the squares of each band's rows (:meth:`square`) on the band's thread
+    and takes the one mean over the grid (:meth:`value`) on the calling
+    thread.
     """
 
     def __init__(self, shape):
@@ -140,7 +153,16 @@ class _ChannelLastRMS:
         self._planar = self._squares.transpose(2, 0, 1)
 
     def __call__(self, a: np.ndarray) -> float:
-        np.multiply(a, a, out=self._planar)
+        self.square(a)
+        return self.value()
+
+    def square(self, a: np.ndarray, rows: slice = slice(None)):
+        """Hold the squares of the ``rows`` of ``a``."""
+        a = a[:, rows]
+        np.multiply(a, a, out=self._planar[:, rows])
+
+    def value(self) -> float:
+        """The RMS of the squares held."""
         return float(np.sqrt(np.mean(self._squares)))
 
 
@@ -153,37 +175,56 @@ def _not_converged(what, residual, cfg: SolverConfig) -> ConvergenceError:
     )
 
 
-def _inverse_gap(stencil: Stencil, u: np.ndarray, w: np.ndarray):
-    """F = w + u(x + w) at the stencil's points x + w, and dF/dw - I as the
-    derivatives of u along rows and columns."""
-    val, d_row, d_col = stencil.sample_grad(u)
-    val += w
-    return val, d_row, d_col
+def _inverse_gap(stencil: Stencil, u: np.ndarray, w: np.ndarray, gap, grad):
+    """F = w + u(x + w) into ``gap``, and dF/dw - I, the derivatives of u
+    along rows and columns, into ``grad`` (``(2, *gap.shape)``), at the
+    stencil's points x + w."""
+    # A unit axis makes both planes of u "the last along the last axis".
+    stencil.sample(u[:, None], gap[:, None], grad)
+    gap += w
 
 
-def _newton_step(gap, d_row, d_col, damping):
-    """-J^-1 F per pixel, J = I + grad u, where det J > _MIN_NEWTON_DET;
-    the damped Picard step -damping F elsewhere."""
+def _newton_step(gap, d_row, d_col, damping, out):
+    """-J^-1 F per pixel into ``out``, J = I + grad u, where det J >
+    _MIN_NEWTON_DET; the damped Picard step -damping F elsewhere."""
     a = 1.0 + d_row[0]
     d = 1.0 + d_col[1]
     b, c = d_col[0], d_row[1]
     det = a * d - b * c
     newton = det > _MIN_NEWTON_DET
     det[~newton] = 1.0
-    step = np.empty_like(gap)
-    step[0] = b * gap[1] - d * gap[0]
-    step[1] = c * gap[0] - a * gap[1]
-    step /= det
-    np.multiply(-damping, gap, out=step, where=~newton)
-    return step
+    out[0] = b * gap[1] - d * gap[0]
+    out[1] = c * gap[0] - a * gap[1]
+    out /= det
+    np.multiply(-damping, gap, out=out, where=~newton)
+
+
+def _band_gap(band, u, w, gap, grad):
+    """:func:`_inverse_gap` at x + w on one band's rows of the
+    ``(2, H, W)`` arrays ``w`` and ``gap`` and the ``(2, 2, H, W)``
+    ``grad``."""
+    rows = band.rows
+    _inverse_gap(band.stencil(w), u, w[:, rows], gap[:, rows], grad[:, :, rows])
+
+
+def _newton_move(band, u, w, f_w, grad, damping, step, rms, w_new, gap):
+    """On one band's rows: the step from w, where F is ``f_w`` and grad u
+    is ``grad``, and its squares for ``rms``; then w_new = w + step, and F
+    and grad u at w_new into ``gap`` and ``grad``."""
+    rows = band.rows
+    d_row, d_col = grad[:, :, rows]
+    _newton_step(f_w[:, rows], d_row, d_col, damping, step[:, rows])
+    rms.square(step, rows)
+    np.add(w[:, rows], step[:, rows], out=w_new[:, rows])
+    _band_gap(band, u, w_new, gap, grad)
 
 
 def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> FieldSolution:
     """Numerical inverse w with w(x) + u(x + w(x)) = 0 at every pixel.
 
     The equation is pointwise: each pixel has its own 2-D root problem, with
-    Jacobian I + grad u(x + w) from :meth:`fields.Stencil.sample_grad`.
-    Starting at w = -u, each iteration takes a Newton step where
+    Jacobian I + grad u(x + w) from :meth:`fields.Stencil.sample`'s
+    derivative. Starting at w = -u, each iteration takes a Newton step where
     det(I + grad u) > 1e-3 and the damped Picard step -damping * F
     elsewhere, then halves the step of each pixel whose |F| did not drop
     (at most 6 times; pixels already within the tolerance are accepted), as
@@ -199,45 +240,56 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
     grid = field.grid
     tol_sq = cfg.tolerance * cfg.tolerance
     u = field.u.transpose(2, 0, 1).copy()
-    displaced = DisplacedGrid(grid)
     rms = _ChannelLastRMS(grid.shape)
+    # The returned field goes into an array allocated before the loop's
+    # buffers. Allocated after them, it sat above their freed space in the
+    # heap, and perfbench's algebra256, which keeps results, peaked about
+    # 15 MB higher. (sqrt_field's root comes last: allocated first, it left
+    # the buffers on top of the heap, which was trimmed and grown again on
+    # every call, with 2.7 times the page faults of a 64^2 log_field.)
+    result = np.empty(grid.shape + (2,))
+    # F and grad u at w live in f_w and grad; the step moves w to w_new,
+    # where F goes into gap. The pairs (w, w_new) and (f_w, gap) swap once
+    # the step is accepted.
     w = -u
-    gap, d_row, d_col = _inverse_gap(displaced.stencil(w), u, w)
+    w_new, step, f_w, gap = (np.empty_like(u) for _ in range(4))
+    grad = np.empty((2,) + u.shape)
     iterations = None
-    for it in range(1, cfg.max_iterations + 1):
-        step = _newton_step(gap, d_row, d_col, cfg.damping)
-        # The stop test reads the full step: a halved step is short because
-        # the residual did not drop, not because w is near the root.
-        converged = rms(step) < cfg.tolerance
-        f_w = gap
-        w_new = w + step
-        gap, d_row, d_col = _inverse_gap(displaced.stencil(w_new), u, w_new)
-        _halve_steps(displaced, u, w, w_new, step, f_w, gap, d_row, d_col, tol_sq, cfg.damping)
-        w = w_new
-        if converged:
-            iterations = it
-            break
-    residual = rms(gap)
-    inv = DisplacementField(grid, w.transpose(1, 2, 0))
+    with DisplacedGrid(grid) as displaced:
+        displaced.run(_band_gap, u, w, f_w, grad)
+        for it in range(1, cfg.max_iterations + 1):
+            displaced.run(_newton_move, u, w, f_w, grad, cfg.damping, step, rms, w_new, gap)
+            # The stop test reads the full step: a halved step is short
+            # because the residual did not drop, not because w is near the
+            # root.
+            converged = rms.value() < cfg.tolerance
+            _halve_steps(displaced, u, w, w_new, step, f_w, gap, grad, tol_sq, cfg.damping)
+            w, w_new = w_new, w
+            f_w, gap = gap, f_w
+            if converged:
+                iterations = it
+                break
+    residual = rms(f_w)
+    np.copyto(result, w.transpose(1, 2, 0))
+    inv = DisplacementField(grid, result)
     if iterations is None:
         raise _not_converged("inversion", residual, cfg)
     return FieldSolution(inv, residual, iterations)
 
 
-def _halve_steps(displaced, u, w, w_new, step, f_w, gap, d_row, d_col, tol_sq, damping):
+def _halve_steps(displaced, u, w, w_new, step, f_w, gap, grad, tol_sq, damping):
     """Safeguard the step from w to w_new per pixel, in place.
 
-    ``f_w`` is F at w; ``gap``, ``d_row`` and ``d_col`` hold F and grad u at
-    w_new and follow it. A pixel whose squared residual did not drop below
-    its value at w (where that exceeds ``tol_sq``) has its step halved and is
+    ``f_w`` is F at w; ``gap`` and ``grad`` hold F and grad u at w_new and
+    follow it. A pixel whose squared residual did not drop below its value
+    at w (where that exceeds ``tol_sq``) has its step halved and is
     re-evaluated alone, at most ``_MAX_HALVINGS`` times. A pixel that still
     did not improve takes the damped Picard step -damping * F(w) instead,
     accepted where it lands: near a fold the Newton direction can point
     uphill at every length, and the Picard step moves the pixel on.
     """
-    w, w_new, step, f_w, gap, d_row, d_col = (
-        a.reshape(2, -1) for a in (w, w_new, step, f_w, gap, d_row, d_col)
-    )
+    w, w_new, step, f_w, gap = (a.reshape(2, -1) for a in (w, w_new, step, f_w, gap))
+    grad = grad.reshape(2, 2, -1)
     before = _sq_lengths(f_w)
     shape = u.shape[1:]
     rows, cols = displaced.x.reshape(2, -1)
@@ -246,8 +298,10 @@ def _halve_steps(displaced, u, w, w_new, step, f_w, gap, d_row, d_col, tol_sq, d
         step[:, idx] = new_step
         w_new[:, idx] = w[:, idx] + new_step
         stencil = Stencil(rows[idx] + w_new[0, idx], cols[idx] + w_new[1, idx], shape)
-        g, dr, dc = _inverse_gap(stencil, u, w_new[:, idx])
-        gap[:, idx], d_row[:, idx], d_col[:, idx] = g, dr, dc
+        g = np.empty((2, idx.size))
+        g_grad = np.empty((2, 2, idx.size))
+        _inverse_gap(stencil, u, w_new[:, idx], g, g_grad)
+        gap[:, idx], grad[:, :, idx] = g, g_grad
         return g
 
     retry = np.flatnonzero((_sq_lengths(gap) >= before) & (before > tol_sq))
@@ -260,6 +314,25 @@ def _halve_steps(displaced, u, w, w_new, step, f_w, gap, d_row, d_col, tol_sq, d
         move(retry, -damping * f_w[:, retry])
 
 
+def _picard_step(band, u, w, damping, step, rms, w_next):
+    """On one band's rows: step = damping * (u - (w + w(x + w))), formed
+    in place, its squares for ``rms``, and w_next = w + step."""
+    rows = band.rows
+    composed = band.self_composed(w, out=step)
+    np.subtract(u[:, rows], composed, out=composed)
+    composed *= damping
+    rms.square(step, rows)
+    np.add(w[:, rows], composed, out=w_next[:, rows])
+
+
+def _composition_gap(band, u, w, out, rms):
+    """F(w) - u = w + w(x + w) - u on one band's rows, into ``out``, and
+    its squares for ``rms``."""
+    composed = band.self_composed(w, out=out)
+    composed -= u[:, band.rows]
+    rms.square(out, band.rows)
+
+
 def sqrt_field(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> FieldSolution:
     """Square root psi with psi o psi ~= field, by damped fixed-point iteration.
 
@@ -270,23 +343,22 @@ def sqrt_field(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> 
     """
     grid = field.grid
     u = field.u.transpose(2, 0, 1).copy()
-    displaced = DisplacedGrid(grid)
     rms = _ChannelLastRMS(grid.shape)
+    # Every band reads all of w, so the update goes into w_next, and the
+    # two swap once all bands are done.
     w = 0.5 * u
-    step = np.empty_like(u)
+    step, w_next = np.empty_like(u), np.empty_like(u)
     iterations = None
-    for it in range(1, cfg.max_iterations + 1):
-        # step = damping * (u - (w + w(x + w))), formed in place.
-        np.subtract(u, displaced.self_composed(w, out=step), out=step)
-        step *= cfg.damping
-        w += step
-        if rms(step) < cfg.tolerance:
-            iterations = it
-            break
-    # F(w) - u, as field_rms_diff(self_compose_m(root, 2), field) forms it.
-    composed = displaced.self_composed(w, out=step)
-    composed -= u
-    residual = rms(composed)
+    with DisplacedGrid(grid) as displaced:
+        for it in range(1, cfg.max_iterations + 1):
+            displaced.run(_picard_step, u, w, cfg.damping, step, rms, w_next)
+            w, w_next = w_next, w
+            if rms.value() < cfg.tolerance:
+                iterations = it
+                break
+        # F(w) - u, as field_rms_diff(self_compose_m(root, 2), field) forms it.
+        displaced.run(_composition_gap, u, w, step, rms)
+    residual = rms.value()
     root = DisplacementField(grid, w.transpose(1, 2, 0))
     if iterations is None:
         raise _not_converged("square root", residual, cfg)

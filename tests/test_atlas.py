@@ -20,8 +20,9 @@ from diffeo2d import (
     warp_image,
 )
 from diffeo2d import atlas as atlas_module
+from diffeo2d import fields as fields_module
 from diffeo2d.errors import ConvergenceError, DomainError
-from diffeo2d.lie import SolverConfig
+from diffeo2d.lie import SolverConfig, log_field
 
 from conftest import GRID64, constant_field, record_svd_shapes
 
@@ -326,6 +327,17 @@ class TestChunkedStep:
         assert forked_registrations.value == 0
         alone = step_with_cpus(monkeypatch, 1, base, images, CHUNK_CFG)
         assert threaded.atlas.values.tobytes() == alone.atlas.values.tobytes()
+
+    def test_a_banded_log_leaves_no_thread_alive(self, monkeypatch):
+        # Root and inverse solves on row bands join their threads, so a step
+        # after one in the same process still forks its workers.
+        monkeypatch.setattr(fields_module, "_BAND_PIXELS", 1)
+        monkeypatch.setattr(fields_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(atlas_module, "_usable_cpus", lambda: 2)
+        grid = Grid(16, 16)
+        assert len(fields_module.DisplacedGrid(grid).bands) == 2
+        log_field(constant_field(grid, 1.0, 0.5), 2)
+        assert atlas_module._worker_count(8) == 2
 
     def test_step_runs_in_process_in_a_daemonic_process(self, monkeypatch):
         # A daemonic process may not start workers: the step must not try.

@@ -7,7 +7,17 @@ import struct
 import numpy as np
 import pytest
 
-from diffeo2d import DisplacementField, Grid, cli, fields, lie, read_field, write_field
+from diffeo2d import (
+    DisplacementField,
+    Grid,
+    RandomFieldSpec,
+    cli,
+    fields,
+    lie,
+    random_log_field,
+    read_field,
+    write_field,
+)
 from diffeo2d.cli import build_parser, main
 
 from conftest import suite_field
@@ -41,6 +51,23 @@ class TestSynth:
 
     def test_unknown_kind_usage_error(self, tmp_path):
         assert run("synth", "--kind", "nope", "--out-dir", tmp_path / "x") == 1
+
+    def test_subject_field_is_seeded_from_its_spawned_stream(self, tmp_path):
+        assert run("synth", "--seed", 4, "--subjects", 2, "--height", 32, "--width", 32,
+                   "--out-dir", tmp_path) == 0
+        spec = RandomFieldSpec(Grid(32, 32), seed=cli._subject_seeds(4, 2)[1])
+        expected = random_log_field(spec)
+        assert read_field(tmp_path / "subject_001_log.mfld", as_log=True).v.tobytes() == expected.v.tobytes()
+
+
+def test_subject_seeds_are_distinct_across_seeds():
+    # Subject i of --seed s was seeded with s * 10_000 + i, so subject 10000
+    # of --seed 0 drew the field of subject 0 of --seed 1.
+    seeds = [x for seed in range(3) for x in cli._subject_seeds(seed, 10_001)]
+    assert len(set(seeds)) == len(seeds)
+    assert all(isinstance(x, int) and x >= 0 for x in seeds)
+    assert cli._subject_seeds(0, 3) == cli._subject_seeds(0, 5)[:3]
+    assert cli._subject_seeds(0, 0) == cli._subject_seeds(0, -1) == []
 
 
 class TestFieldCommands:

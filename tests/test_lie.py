@@ -1,7 +1,12 @@
+import multiprocessing
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from diffeo2d import (
+    DisplacementField,
     Grid,
     LogField,
     RandomFieldSpec,
@@ -18,6 +23,7 @@ from diffeo2d import (
     self_compose_m,
     sqrt_field,
 )
+from diffeo2d import fields as fields_module
 from diffeo2d.errors import ConvergenceError, DomainError, ShapeError
 from diffeo2d.fields import field_rms
 from diffeo2d.lie import _newton_step
@@ -97,7 +103,8 @@ class TestInvert:
         gap = np.array([[0.3, -1.0], [-0.2, 2.0]])
         d_row = np.array([[0.5, -1.0], [0.25, 0.0]])
         d_col = np.array([[0.5, 0.0], [1.0, -0.5]])
-        step = _newton_step(gap, d_row, d_col, 0.5)
+        step = np.empty_like(gap)
+        _newton_step(gap, d_row, d_col, 0.5, step)
         jac = np.array([[1.0 + d_row[0, 0], d_col[0, 0]], [d_row[1, 0], 1.0 + d_col[1, 0]]])
         assert np.allclose(jac @ step[:, 0], -gap[:, 0], rtol=0.0, atol=1e-15)
         assert np.array_equal(step[:, 1], -0.5 * gap[:, 1])
@@ -306,3 +313,104 @@ def test_depth_and_power_range_messages(call, bad, message):
     with pytest.raises(DomainError) as info:
         call(phi, bad)
     assert str(info.value) == message
+
+
+def banded(monkeypatch, bands):
+    """Give every DisplacedGrid made from here on ``bands`` row bands, on
+    any grid of at least that many rows."""
+    monkeypatch.setattr(fields_module, "_BAND_PIXELS", 1)
+    monkeypatch.setattr(fields_module, "_usable_cpus", lambda: bands)
+
+
+def solve_or_error(solve):
+    """The solve's result, or its error's type, message and numbers."""
+    try:
+        return solve()
+    except (ConvergenceError, DomainError) as err:
+        return type(err), str(err), getattr(err, "residual", None), getattr(err, "iterations", None)
+
+
+def huge_field(grid):
+    # Overflows to inf within a few iterations of either solver, which then
+    # rejects the non-finite sample points.
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, grid.shape + (2,)) * 1.5e308
+    return DisplacementField(grid, u)
+
+
+class TestBands:
+    def test_threads_are_joined_after_every_solve(self, monkeypatch):
+        banded(monkeypatch, 2)
+        seen = []
+        place = fields_module._Band.stencil
+
+        def counted(band, w):
+            seen.append(threading.active_count())
+            return place(band, w)
+
+        monkeypatch.setattr(fields_module._Band, "stencil", counted)
+        _, phi = suite_field(0)
+        one_iteration = SolverConfig(max_iterations=1)
+        solves = [
+            lambda: sqrt_field(phi),
+            lambda: log_field(phi, 2),
+            lambda: invert(phi),
+            lambda: sqrt_field(phi, one_iteration),
+            lambda: log_field(phi, 2, one_iteration),
+            lambda: invert(phi, one_iteration),
+            lambda: sqrt_field(huge_field(phi.grid)),
+            lambda: invert(huge_field(phi.grid)),
+        ]
+        before = threading.active_count()
+        for solve in solves:
+            seen.clear()
+            with np.errstate(all="ignore"):
+                solve_or_error(solve)
+            assert max(seen) == before + 1  # one pool thread for band 1
+            assert threading.active_count() == before
+
+    def test_the_lowest_failing_band_raises_once_every_band_is_done(self, monkeypatch):
+        banded(monkeypatch, 3)
+        done = []
+
+        def task(band, failing, slow):
+            if band.rows.start == slow:
+                time.sleep(0.05)
+            done.append(band.rows.start)
+            if band.rows.start in failing:
+                raise ConvergenceError(f"band at row {band.rows.start}")
+
+        with fields_module.DisplacedGrid(Grid(9, 4)) as displaced:
+            for failing, slow, raised in (({0, 3, 6}, 6, 0), ({3, 6}, 3, 3), ({6}, 0, 6)):
+                done.clear()
+                with pytest.raises(ConvergenceError, match=f"band at row {raised}$"):
+                    displaced.run(task, failing, slow)
+                assert sorted(done) == [0, 3, 6]
+
+    def test_one_band_starts_no_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a solve on one band started a pool")
+
+        monkeypatch.setattr(fields_module, "ThreadPoolExecutor", no_pool)
+        # One usable CPU at 160^2, or two CPUs below the band size.
+        _, small = suite_field(0)
+        _, big = suite_field(0, grid=Grid(160, 160))
+        for cpus, field in ((1, big), (2, small)):
+            monkeypatch.setattr(fields_module, "_usable_cpus", lambda cpus=cpus: cpus)
+            assert band_count(field.grid.shape) == 1
+            sqrt_field(field)
+            invert(field)
+        monkeypatch.setattr(fields_module, "_usable_cpus", lambda: 2)
+        assert band_count(big.grid.shape) == 2
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_a_multiprocessing_child_solves_on_one_band(self, monkeypatch):
+        monkeypatch.setattr(fields_module, "_usable_cpus", lambda: 2)
+        assert band_count((256, 256)) == 2
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(band_count, ((256, 256),)).get(timeout=60) == 1
+
+
+def band_count(shape):
+    return len(fields_module.DisplacedGrid(Grid(*shape)).bands)

@@ -2,7 +2,9 @@
 loop, the identity law, inversion and the file parsers, on inputs drawn by
 hypothesis (deterministic profile registered in conftest.py)."""
 
+import itertools
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from diffeo2d import (
     root_chain,
     sqrt_field,
 )
-from diffeo2d.errors import ConvergenceError, FileFormatError
+from diffeo2d import fields as fields_module
+from diffeo2d.errors import ConvergenceError, DomainError, FileFormatError
 from diffeo2d.fields import (
     DisplacedGrid,
     Stencil,
@@ -304,6 +307,67 @@ def test_self_composed_is_compose(field):
     planar = field.u.transpose(2, 0, 1).copy()
     out = DisplacedGrid(field.grid).self_composed(planar, np.empty_like(planar))
     assert _bits(out.transpose(1, 2, 0)) == _bits(compose(field, field).u)
+
+
+@st.composite
+def band_fields(draw):
+    """Fields on grids of 5-40 rows and columns: smooth ones of up to 1 px,
+    on which the solvers converge; per-pixel noise of up to 2 px, on which
+    ``sqrt_field`` mostly runs out of iterations; and noise of up to 1e307
+    or 1.5e308 px, which overflows to non-finite sample points."""
+    h = draw(st.integers(5, 40))
+    w = draw(st.integers(5, 40))
+    scale = draw(st.sampled_from([1.0, 1.0, 2.0, 1e307, 1.5e308]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(-1.0, 1.0, (h, w, 2))
+    if scale == 1.0:
+        u = gaussian_filter(u, (2.0, 2.0, 0.0))
+        u /= np.abs(u).max()
+    return DisplacementField(Grid(h, w), u * scale)
+
+
+def _solutions(field):
+    """The bits of sqrt_field's, a 3-level root_chain's and invert's
+    results on ``field``, or their errors' types, messages and numbers, at
+    50 iterations (the smooth fields take about 10) and at one."""
+    out = []
+    solves = (sqrt_field, lambda f, c: root_chain(f, 3, c), invert)
+    budgets = (SolverConfig(max_iterations=50), SolverConfig(max_iterations=1))
+    for solve, cfg in itertools.product(solves, budgets):
+        try:
+            with np.errstate(all="ignore"):
+                sol = solve(field, cfg)
+        except (ConvergenceError, DomainError) as err:
+            out.append((type(err), str(err), repr(getattr(err, "residual", None)),
+                        getattr(err, "iterations", None)))
+        else:
+            fields = [root.u for root in sol.roots] if hasattr(sol, "roots") else [sol.field.u]
+            residuals = sol.residuals if hasattr(sol, "roots") else [sol.residual]
+            iterations = sol.iterations
+            out.append(([_bits(u) for u in fields], [repr(r) for r in residuals], iterations))
+    return out
+
+
+@settings(max_examples=30)
+@given(band_fields())
+def test_solves_are_bit_identical_at_every_band_count(field):
+    # Each band samples the whole field and writes its own rows; every RMS
+    # sums the whole grid on the calling thread. So the fields, residuals,
+    # iteration counts and errors must not depend on the number of bands.
+    # Up to four bands, more than most hosts' CPUs, switch threads often.
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for bands in (1, 2, 3, 4):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fields_module, "_BAND_PIXELS", 1)
+                patch.setattr(fields_module, "_usable_cpus", lambda bands=bands: bands)
+                assert len(DisplacedGrid(field.grid).bands) == bands
+                results.append(_solutions(field))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1:] == results[:1] * 3
 
 
 @given(
