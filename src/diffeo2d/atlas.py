@@ -11,19 +11,20 @@ splits the images, in order, into one contiguous chunk per usable CPU
 each chunk in a forked worker process: one :func:`register_pairs` loop over
 the chunk, then the forward and backward log of each pair. The step runs
 in-process, as one chunk of all images, when there is one usable CPU, when
-``fork`` is unavailable, when it is called from a daemonic process (which
-may not have children) or while another thread is alive (a forked child
-could block on a lock that thread holds). Each pair registers bit for bit
+``fork`` is unavailable, when it is called in a ``multiprocessing`` child
+(whose siblings hold the other CPUs, and which may be daemonic and so may
+not have children) or while another thread is alive (a forked child could
+block on a lock that thread holds). Each pair registers bit for bit
 as it does alone, so the step's result is byte-identical whatever the
 split, and its errors are those of the one-chunk run (see
-:func:`atlas_step`). The split comes from ``fields._chunks``, which also
-cuts a large grid's rows into the bands of a ``fields.DisplacedGrid``.
+:func:`atlas_step`). The worker count comes from ``fields._workers`` and
+the split from ``fields._chunks``, which also size and cut a large grid's
+rows into the bands of a ``fields.DisplacedGrid``.
 
 A root or inverse solve on a large grid runs on row bands in threads of its
 own and joins them before it returns or raises, so a step that follows one
 in the same process still finds no other thread alive. A worker solves on
-one band: it is a ``multiprocessing`` child, and its siblings hold the
-other CPUs.
+one band, by the same rule that keeps it from starting a pool.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     require_finite,
     require_integer,
 )
-from .fields import ScalarImage, _chunks, _usable_cpus, warp_image
+from .fields import ScalarImage, _chunks, _workers, warp_image
 from .latent import _principal_axes, _truncate, decode_root, encode
 from .lie import SolverConfig, log_field
 from .registration import RegistrationConfig, register_pairs
@@ -173,15 +174,11 @@ def _logs_in_chunks(atlas, images, cfg):
 
 
 def _worker_count(n_images):
-    """One worker per usable CPU, at most one per image; one, in-process,
-    when forking is unavailable or unsafe (see the module docstring)."""
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-        or threading.active_count() > 1
-    ):
+    """``fields._workers`` for one worker per image; one, in-process, when
+    forking is unavailable or unsafe (see the module docstring)."""
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return 1
-    return min(n_images, _usable_cpus())
+    return _workers(n_images)
 
 
 def _image_failed(idx, err):

@@ -113,25 +113,42 @@ def _code(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated code: {text!r}") from None
 
 
-def _seed(text):
-    """``--seed``, checked as it is parsed so that an error names the value typed."""
-    try:
-        seed = int(text)
-        check_seed(seed)
-    except DomainError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    return seed
+def _checked_int(check):
+    """A parser type for an int flag that ``check`` accepts, checked as it
+    is parsed so that an error names the flag and the value typed."""
+
+    def parse(text):
+        try:
+            value = int(text)
+            check(value)
+        except DomainError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        return value
+
+    return parse
+
+
+def _at_least(minimum):
+    """A parser type for a count of at least ``minimum``."""
+
+    def check(value):
+        if value < minimum:
+            raise DomainError(f"must be >= {minimum}, got {value}")
+
+    return _checked_int(check)
+
+
+_seed = _checked_int(check_seed)
 
 
 def _subject_seeds(seed, n):
     """The seeds of the ``n`` generated subjects of ``synth`` and
     ``validate``: one 64-bit state from each child that
     ``np.random.SeedSequence(seed).spawn(n)`` makes, numpy's rule for
-    independent streams, so no two (seed, subject) pairs share a field.
-    None for ``n <= 0``, as ``range(n)`` gives."""
-    children = np.random.SeedSequence(seed).spawn(max(n, 0))
+    independent streams, so no two (seed, subject) pairs share a field."""
+    children = np.random.SeedSequence(seed).spawn(n)
     return [int(child.generate_state(1, np.uint64)[0]) for child in children]
 
 
@@ -159,7 +176,7 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--subjects", type=int, default=0)
+    p.add_argument("--subjects", type=_at_least(0), default=0)
     p.add_argument("--amplitude", type=float, default=3.0)
     p.add_argument("--smoothing", type=float, default=4.0)
     p.add_argument("--depth", type=int, default=6)
@@ -288,7 +305,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="root-chain, negation, and latent consistency checks")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--count", type=int, default=4)
+    p.add_argument("--count", type=_at_least(2), default=4)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--amplitude", type=float, default=3.0)

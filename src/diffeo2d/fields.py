@@ -69,8 +69,11 @@ whole field. The pixel work is elementwise and every sum over the grid stays
 on the calling thread, so the results are bit for bit those of one band.
 Below ``_BAND_PIXELS`` pixels a band, with one usable CPU, or in a
 ``multiprocessing`` child, there is one band and no thread: the GIL that
-small numpy calls hold makes threads slower there. ``_usable_cpus`` and
-``_chunks`` also split ``atlas_step``'s subjects among its workers.
+small numpy calls hold makes threads slower there. One rule, ``_workers``,
+sizes both the bands and ``atlas_step``'s pool of forked workers, so a
+child of that pool, or of any other, solves on one band and starts no pool
+of its own; ``_chunks`` splits the rows into bands and the subjects among
+the workers.
 """
 
 from __future__ import annotations
@@ -400,21 +403,29 @@ class Stencil:
         top += v11
         return top
 
-    def sample_grad(self, values: np.ndarray):
-        """Sample plus its exact derivative w.r.t. the point coordinates.
+    def sample_grad(
+        self,
+        values: np.ndarray,
+        out: np.ndarray | None = None,
+        grad: np.ndarray | None = None,
+    ):
+        """Sample plus its exact derivative w.r.t. the point coordinates, of
+        every plane of ``(*lead, *shape)`` values.
 
         Returns (value, d/d_row, d/d_col). The derivative is zero where the
-        coordinate is clamped: on the domain edge or outside it.
+        coordinate is clamped: on the domain edge or outside it. The value
+        goes into ``out``, a ``(*lead, *points)`` float64 array, and the
+        derivatives into ``grad``, ``(2, *lead, *points)``, when given;
+        otherwise into fresh arrays.
         """
-        lead = values.shape[: values.ndim - len(self.shape)]
-        out = np.empty(lead + self.fr.shape)
-        grad = np.empty((2,) + out.shape)
-        # A unit axis makes every plane "the last along the last axis".
-        self.sample(
-            values.reshape(lead + (1,) + self.shape),
-            out.reshape(lead + (1,) + self.fr.shape),
-            grad,
-        )
+        lead = values.ndim - len(self.shape)
+        if out is None:
+            out = np.empty(values.shape[:lead] + self.fr.shape)
+        if grad is None:
+            grad = np.empty((2,) + out.shape)
+        # A unit axis after the leading axes makes every plane "the last
+        # along the last axis".
+        self.sample(np.expand_dims(values, lead), np.expand_dims(out, lead), grad)
         return out, grad[0], grad[1]
 
     def splat(
@@ -489,14 +500,21 @@ def _chunks(n, parts):
 _BAND_PIXELS = 12288
 
 
-def _band_count(shape) -> int:
-    """Row bands for a solve on a grid of ``shape``: one per usable CPU, at
-    most one per ``_BAND_PIXELS`` pixels and one per row; one in a
-    ``multiprocessing`` child, whose siblings hold the other CPUs."""
-    h, w = shape
+def _workers(limit) -> int:
+    """Workers for at most ``limit`` independent pieces of work: one per
+    usable CPU, and at least one. A ``multiprocessing`` child, whose
+    siblings hold the other CPUs, gets one. The row bands of a solve and
+    ``atlas_step``'s pool are both sized here."""
     if multiprocessing.parent_process() is not None:
         return 1
-    return max(1, min(_usable_cpus(), h * w // _BAND_PIXELS, h))
+    return max(1, min(limit, _usable_cpus()))
+
+
+def _band_count(shape) -> int:
+    """Row bands for a solve on a grid of ``shape``: :func:`_workers` for at
+    most one band per ``_BAND_PIXELS`` pixels and one per row."""
+    h, w = shape
+    return _workers(min(h * w // _BAND_PIXELS, h))
 
 
 class _Band:
@@ -542,9 +560,10 @@ class DisplacedGrid:
 
     The grid splits its rows into ``_band_count`` contiguous bands of
     ``_chunks``; a 2-CPU host gets two bands from about 157^2 up and one
-    below.
-    The solver hands :meth:`run` the per-pixel part of an iteration, which
-    reads the whole field, read-only, and writes its band's rows, and keeps
+    below, and a ``multiprocessing`` child gets one at any size.
+    The solver hands :meth:`run` the per-pixel part of an iteration, such
+    as :meth:`_Band.self_composed`, which reads the whole field, read-only,
+    and writes its band's rows; the solver keeps
     whatever sums over the grid (RMS values, stop tests) on the calling
     thread, so its results are bit for bit those of one band. Used as a
     context manager, a grid of several bands opens a thread pool that the
@@ -593,12 +612,6 @@ class DisplacedGrid:
         errors += [e for e in (f.exception() for f in futures) if e is not None]
         if errors:
             raise errors[0]
-
-    def self_composed(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """w + w(x + w) into ``out`` on every band (see
-        :meth:`_Band.self_composed`); returns ``out``."""
-        self.run(_Band.self_composed, w, out)
-        return out
 
 
 def _sq_lengths(u: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:

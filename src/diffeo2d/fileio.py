@@ -154,6 +154,23 @@ def write_field(path, field: DisplacementField | LogField | ScalarImage) -> None
         raise DomainError(f"cannot serialize {type(field).__name__} as MFLD")
 
 
+def _payload(payload: bytes, count, h, w, path) -> np.ndarray:
+    """The ``count`` float64 values of a file's ``payload``, read-only,
+    checked in this order: the payload is exactly ``count`` values long,
+    every value is finite, and the grid ``h`` x ``w`` is at least 2x2."""
+    expected = count * 8
+    if len(payload) != expected:
+        raise TruncatedPayloadError(
+            f"{path}: payload is {len(payload)} bytes, expected {expected}"
+        )
+    flat = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise NonFiniteDataError(f"{path}: payload contains non-finite values")
+    if h < 2 or w < 2:
+        raise FieldFileError(f"{path}: grid must be at least 2x2, got {h}x{w}")
+    return flat
+
+
 def _read_mfld(data: bytes, path=""):
     if len(data) < _MFLD_HEADER.size:
         raise TruncatedPayloadError(f"{path}: file shorter than MFLD header")
@@ -164,18 +181,8 @@ def _read_mfld(data: bytes, path=""):
         raise BadVersionError(f"{path}: unsupported version {version}")
     if channels not in (1, 2):
         raise UnsupportedChannelsError(f"{path}: unsupported channel count {channels}")
-    expected = h * w * channels * 8
-    payload = data[_MFLD_HEADER.size :]
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(h, w, channels).copy()
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    if h < 2 or w < 2:
-        raise FieldFileError(f"{path}: grid must be at least 2x2, got {h}x{w}")
-    return values
+    flat = _payload(data[_MFLD_HEADER.size :], h * w * channels, h, w, path)
+    return flat.reshape(h, w, channels).copy()
 
 
 def read_field(path, as_log: bool = False):
@@ -231,17 +238,7 @@ def read_basis(path) -> LogEuclideanBasis:
     if version != _BASIS_VERSION or sign_version != 1:
         raise BadVersionError(f"{path}: unsupported version {version}")
     n_field = h * w * 2
-    expected = (n_field * (1 + dim) + dim) * 8
-    payload = data[_BASIS_HEADER.size :]
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    flat = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(flat)):
-        raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    if h < 2 or w < 2:
-        raise FieldFileError(f"{path}: grid must be at least 2x2, got {h}x{w}")
+    flat = _payload(data[_BASIS_HEADER.size :], n_field * (1 + dim) + dim, h, w, path)
     if dim < 1:
         raise FieldFileError(f"{path}: basis dimension must be >= 1")
     grid = Grid(h, w)

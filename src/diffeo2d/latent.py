@@ -55,10 +55,6 @@ class LogEuclideanBasis:
         return self.components.shape[0]
 
 
-def _flatten(v: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(v).reshape(-1)
-
-
 def fit_basis(
     logfields: list[LogField], dim: int, symmetrize: bool = True
 ) -> LogEuclideanBasis:
@@ -116,7 +112,7 @@ def _principal_axes(logfields: list[LogField], symmetrize: bool) -> _Axes:
     grid = logfields[0].grid
     x = np.empty((len(logfields), 2 * grid.n_pixels))
     for row, lf in zip(x, logfields):
-        row[:] = _flatten(lf.v)
+        row[:] = lf.v.ravel()
     n = len(logfields) * (2 if symmetrize else 1)
     if symmetrize:
         mean_flat = np.zeros(x.shape[1])
@@ -155,7 +151,7 @@ def encode(basis: LogEuclideanBasis, v: LogField) -> np.ndarray:
     """Latent code: projections of v - mean onto the components."""
     if v.grid != basis.grid:
         raise ShapeError("log field grid does not match basis grid")
-    centered = _flatten(v.v - basis.mean.v)
+    centered = (v.v - basis.mean.v).ravel()
     return basis.components.reshape(basis.dim, -1) @ centered
 
 

@@ -152,10 +152,6 @@ class _ChannelLastRMS:
         self._squares = np.empty(tuple(shape) + (2,))
         self._planar = self._squares.transpose(2, 0, 1)
 
-    def __call__(self, a: np.ndarray) -> float:
-        self.square(a)
-        return self.value()
-
     def square(self, a: np.ndarray, rows: slice = slice(None)):
         """Hold the squares of the ``rows`` of ``a``."""
         a = a[:, rows]
@@ -179,8 +175,7 @@ def _inverse_gap(stencil: Stencil, u: np.ndarray, w: np.ndarray, gap, grad):
     """F = w + u(x + w) into ``gap``, and dF/dw - I, the derivatives of u
     along rows and columns, into ``grad`` (``(2, *gap.shape)``), at the
     stencil's points x + w."""
-    # A unit axis makes both planes of u "the last along the last axis".
-    stencil.sample(u[:, None], gap[:, None], grad)
+    stencil.sample_grad(u, gap, grad)
     gap += w
 
 
@@ -269,7 +264,8 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
             if converged:
                 iterations = it
                 break
-    residual = rms(f_w)
+    rms.square(f_w)
+    residual = rms.value()
     np.copyto(result, w.transpose(1, 2, 0))
     inv = DisplacementField(grid, result)
     if iterations is None:

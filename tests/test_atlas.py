@@ -197,10 +197,9 @@ def population32():
                   ((1.0, 0.0), (-1.0, 0.5), (0.0, -1.5), (0.5, 1.0), (-0.5, -0.5))]
 
 
-@pytest.fixture
-def forked_registrations(monkeypatch):
-    """Counts the register_pairs calls that run outside this process, in
-    memory that forked workers share."""
+def count_forked_registrations(monkeypatch):
+    """Counts the register_pairs calls that run outside the calling process,
+    in memory that forked workers share."""
     count = multiprocessing.Value("i", 0)
     here = os.getpid()
     register = atlas_module.register_pairs
@@ -213,6 +212,11 @@ def forked_registrations(monkeypatch):
 
     monkeypatch.setattr(atlas_module, "register_pairs", counted)
     return count
+
+
+@pytest.fixture
+def forked_registrations(monkeypatch):
+    return count_forked_registrations(monkeypatch)
 
 
 @pytest.fixture
@@ -233,7 +237,7 @@ def parent_registrations(monkeypatch):
 
 
 def step_with_cpus(monkeypatch, cpus, atlas, images, cfg):
-    monkeypatch.setattr(atlas_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fields_module, "_usable_cpus", lambda: cpus)
     return atlas_step(AtlasState(atlas=atlas), images, cfg)
 
 
@@ -333,7 +337,6 @@ class TestChunkedStep:
         # after one in the same process still forks its workers.
         monkeypatch.setattr(fields_module, "_BAND_PIXELS", 1)
         monkeypatch.setattr(fields_module, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(atlas_module, "_usable_cpus", lambda: 2)
         grid = Grid(16, 16)
         assert len(fields_module.DisplacedGrid(grid).bands) == 2
         log_field(constant_field(grid, 1.0, 0.5), 2)
@@ -342,7 +345,7 @@ class TestChunkedStep:
     def test_step_runs_in_process_in_a_daemonic_process(self, monkeypatch):
         # A daemonic process may not start workers: the step must not try.
         base, images = population32()
-        monkeypatch.setattr(atlas_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fields_module, "_usable_cpus", lambda: 2)
         fork = multiprocessing.get_context("fork")
         receive, send = fork.Pipe(duplex=False)
 
@@ -359,6 +362,36 @@ class TestChunkedStep:
         daemon.join()
         alone = step_with_cpus(monkeypatch, 1, base, images, CHUNK_CFG)
         assert got == alone.atlas.values.tobytes()
+
+    def test_step_runs_in_process_in_any_multiprocessing_child(self, monkeypatch):
+        # A non-daemonic child may fork, but its siblings hold the other
+        # CPUs: like a daemonic one, it gets one worker and one band, and
+        # its step starts no worker of its own.
+        base, images = population32()
+        monkeypatch.setattr(fields_module, "_usable_cpus", lambda: 2)
+        fork = multiprocessing.get_context("fork")
+        receive, send = fork.Pipe(duplex=False)
+
+        def step():
+            try:
+                with pytest.MonkeyPatch.context() as patch:
+                    forked = count_forked_registrations(patch)
+                    counts = (fields_module._band_count((256, 256)), atlas_module._worker_count(8))
+                    state = atlas_step(AtlasState(atlas=base), images, CHUNK_CFG)
+                    send.send((counts, forked.value, state.atlas.values.tobytes()))
+            except Exception as err:
+                send.send(repr(err))
+
+        child = fork.Process(target=step, daemon=False)
+        child.start()
+        assert receive.poll(120)
+        got = receive.recv()
+        child.join(60)
+        assert child.exitcode == 0
+        assert fields_module._band_count((256, 256)) == 2
+        assert atlas_module._worker_count(8) == 2
+        alone = step_with_cpus(monkeypatch, 1, base, images, CHUNK_CFG)
+        assert got == ((1, 1), 0, alone.atlas.values.tobytes())
 
 
 def test_two_image_step_factors_its_population_once(monkeypatch):

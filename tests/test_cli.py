@@ -67,7 +67,9 @@ def test_subject_seeds_are_distinct_across_seeds():
     assert len(set(seeds)) == len(seeds)
     assert all(isinstance(x, int) and x >= 0 for x in seeds)
     assert cli._subject_seeds(0, 3) == cli._subject_seeds(0, 5)[:3]
-    assert cli._subject_seeds(0, 0) == cli._subject_seeds(0, -1) == []
+    # A negative count never gets here: the parser rejects it
+    # (test_count_flags_are_checked_as_parsed).
+    assert cli._subject_seeds(0, 0) == []
 
 
 class TestFieldCommands:
@@ -358,6 +360,22 @@ def test_negative_seed_usage_error(tmp_path, small_inputs, argv, capsys):
     assert run(*[tok.format(d=small_inputs, out=tmp_path) for tok in argv.split()]) == 1
     assert capsys.readouterr().err == (
         "usage error: argument --seed: seed must be a non-negative integer, got -1\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("synth --subjects -2 --out-dir {out}/s", "argument --subjects: must be >= 0, got -2"),
+    ("synth --subjects 1.5 --out-dir {out}/s", "argument --subjects: invalid int value: '1.5'"),
+    ("validate --count -1 --out-csv {out}/v.csv", "argument --count: must be >= 2, got -1"),
+    ("validate --count 1 --out-csv {out}/v.csv", "argument --count: must be >= 2, got 1"),
+])
+def test_count_flags_are_checked_as_parsed(tmp_path, argv, error, capsys):
+    # The parser checks --subjects and --count as it checks --seed: the
+    # error names the flag and the value typed, and nothing is written.
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv.format(out=out).split(), "--json-summary", out / "run.json") == 1
+    assert capsys.readouterr().err == f"usage error: {error}\n"
+    assert not out.exists()
 
 
 def test_losses_manifest_names_every_input(tmp_path, small_inputs):

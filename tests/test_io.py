@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,52 @@ class TestMfld:
         p.write_bytes(struct.pack("<4sHIIB", b"MFLD", 1, h, w, channels) + bytes(8 * n))
         with pytest.raises(FieldFileError):
             read_field(p)
+
+
+def _mfld_file(h, w, values):
+    return struct.pack("<4sHIIB", b"MFLD", 1, h, w, 2) + struct.pack(f"<{len(values)}d", *values)
+
+
+def _basis_file(h, w, values):
+    header = struct.pack("<4sHIIHBBd", b"MLEB", 1, h, w, 1, 1, 1, 0.0)
+    return header + struct.pack(f"<{len(values)}d", *values)
+
+
+# Per file kind: the bytes of a file of (h, w, values), its payload's value
+# count on an h x w grid (two channels; a basis of one component), and its
+# reader.
+PAYLOADS = {
+    "mfld": (_mfld_file, lambda h, w: 2 * h * w, read_field),
+    "basis": (_basis_file, lambda h, w: 4 * h * w + 1, read_basis),
+}
+
+
+@pytest.mark.parametrize("kind", list(PAYLOADS))
+@pytest.mark.parametrize("h, w, defect, error, message", [
+    (3, 4, "short", TruncatedPayloadError, "payload is {got} bytes, expected {want}"),
+    (3, 4, "long", TruncatedPayloadError, "payload is {got} bytes, expected {want}"),
+    (3, 4, "nan", NonFiniteDataError, "payload contains non-finite values"),
+    (3, 4, "inf", NonFiniteDataError, "payload contains non-finite values"),
+    (1, 5, None, FieldFileError, "grid must be at least 2x2, got 1x5"),
+    # The checks run in order: length, then finiteness, then the grid.
+    (1, 5, "short", TruncatedPayloadError, "payload is {got} bytes, expected {want}"),
+    (1, 5, "nan", NonFiniteDataError, "payload contains non-finite values"),
+])
+def test_payload_checks_keep_their_order_types_and_messages(
+    tmp_path, kind, h, w, defect, error, message
+):
+    # MFLD and basis files share one payload check; each still raises the
+    # same exception, with the same message, for the same defect.
+    write, count, read = PAYLOADS[kind]
+    n = count(h, w)
+    values = [0.0] * {"short": n - 1, "long": n + 1}.get(defect, n)
+    if defect in ("nan", "inf"):
+        values[-1] = float(defect)
+    p = tmp_path / f"{kind}.bin"
+    p.write_bytes(write(h, w, values))
+    with pytest.raises(error) as info:
+        read(p)
+    assert str(info.value) == f"{p}: " + message.format(got=8 * len(values), want=8 * n)
 
 
 class TestBasisFile:

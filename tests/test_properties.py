@@ -39,12 +39,14 @@ from diffeo2d.errors import ConvergenceError, DomainError, FileFormatError
 from diffeo2d.fields import (
     DisplacedGrid,
     Stencil,
+    _Band,
     field_rms,
     grid_coords,
     sample_values,
     sample_values_grad,
     splat_values,
 )
+from diffeo2d.lie import _inverse_gap
 from diffeo2d.registration import _smooth
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -267,6 +269,40 @@ def test_rebuilt_stencil_matches_fresh(vp, data):
         assert np.array_equal(placed_stencil.outside, (points <= 0.0) | (points >= edge))
 
 
+@given(values_and_points(), st.data())
+def test_sample_grad_into_buffers_is_its_fresh_result(vp, data):
+    # sample_grad writes into the caller's buffers, strided views included,
+    # the bits it returns in fresh arrays. _inverse_gap, which takes the
+    # same sample of a (2, H, W) field into the same kind of buffers, gives
+    # that sample plus w and its derivatives, bit for bit what
+    # Stencil.sample gives with a unit axis after the component axis.
+    u, p = vp
+    h, w = u.shape[-2:]
+    stencil = Stencil(p[:, 0].copy(), p[:, 1].copy(), (h, w))
+    fresh = stencil.sample_grad(u)
+    shape = u.shape[:-2] + p.shape[:1]
+    out = np.full(shape + (3,), np.nan)[..., 1]
+    grad = np.full((2,) + shape + (2,), np.nan)[..., 0]
+    got = stencil.sample_grad(u, out, grad)
+    assert got[0] is out
+    for a, b in zip(got, fresh):
+        assert _bits(a) == _bits(b)
+
+    field = data.draw(arrays(np.float64, (2, h, w), elements=finite))
+    w_points = data.draw(arrays(np.float64, (2,) + p.shape[:1], elements=finite))
+    value, d_row, d_col = stencil.sample_grad(field)
+    gap = np.full((2,) + p.shape[:1], np.nan)
+    gap_grad = np.full((2,) + gap.shape, np.nan)
+    _inverse_gap(stencil, field, w_points, gap, gap_grad)
+    assert _bits(gap) == _bits(value + w_points)
+    assert _bits(gap_grad) == _bits(np.stack([d_row, d_col]))
+    unit_gap, unit_grad = np.empty_like(gap), np.empty_like(gap_grad)
+    stencil.sample(field[:, None], unit_gap[:, None], unit_grad)
+    unit_gap += w_points
+    assert _bits(gap) == _bits(unit_gap)
+    assert _bits(gap_grad) == _bits(unit_grad)
+
+
 @st.composite
 def reaching_fields(draw, max_side=7):
     """Displacement fields whose points x + u land on nodes, between them
@@ -305,7 +341,8 @@ def _reference_sqrt(field, cfg):
 @given(reaching_fields())
 def test_self_composed_is_compose(field):
     planar = field.u.transpose(2, 0, 1).copy()
-    out = DisplacedGrid(field.grid).self_composed(planar, np.empty_like(planar))
+    out = np.empty_like(planar)
+    DisplacedGrid(field.grid).run(_Band.self_composed, planar, out)
     assert _bits(out.transpose(1, 2, 0)) == _bits(compose(field, field).u)
 
 

@@ -2,11 +2,16 @@
 
 import importlib
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 from diffeo2d import fields, lie
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_perfbench_target_resolves(monkeypatch):
@@ -29,3 +34,20 @@ def test_lie_still_binds_the_fields_sampling_functions():
     which the tracer rebinds; ``lie``'s solvers no longer call either."""
     assert lie.compose is fields.compose
     assert lie.sample_values is fields.sample_values
+
+
+def test_traced_algebra256_smoke_run_is_correct(tmp_path):
+    """One traced smoke run of algebra256, from a copy of the benchmark and
+    the library, so that nothing is written under the checkout. It runs the
+    tracer's rebinding and checks that the traced and untraced digests of
+    exp_field, log_field, invert and the MFLD and basis round trips agree."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "perfbench").mkdir()
+    for path in PERFBENCH.glob("*.py"):
+        shutil.copy(path, tmp_path / "perfbench")
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "algebra256", "--seed", "5",
+           "--smoke", "--trace", "1", "--seconds", "0.1"]
+    proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True, proc.stdout
