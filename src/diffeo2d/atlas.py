@@ -40,13 +40,14 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
+    RankError,
     check_integer,
     check_seed,
     require_finite,
     require_integer,
 )
 from .fields import ScalarImage, _chunks, _workers, warp_image
-from .latent import _principal_axes, _truncate, decode_root, encode
+from .latent import decode_root, encode, fit_basis
 from .lie import SolverConfig, log_field
 from .registration import RegistrationConfig, register_pairs
 
@@ -191,16 +192,17 @@ def _image_failed(idx, err):
 
 
 def _fit_population_basis(logs, dim):
-    """Fit a symmetrized basis of ``min(dim, rank)`` components from one
-    SVD of the population.
+    """Fit a symmetrized basis of ``min(dim, rank)`` components through
+    :func:`fit_basis`: one SVD, and a second only when the population is
+    rank-deficient (its rank is below ``min(dim, len(logs))``).
 
     Returns None when the population is numerically rank zero (e.g. an
     identical-image population registers to all-zero logs).
     """
-    axes = _principal_axes(logs, symmetrize=True)
-    if axes.rank < 1:
-        return None
-    return _truncate(axes, min(dim, axes.rank))
+    try:
+        return fit_basis(logs, min(dim, len(logs)))  # the rank is at most len(logs)
+    except RankError as err:
+        return fit_basis(logs, err.rank) if err.rank else None
 
 
 def estimate_atlas(

@@ -88,10 +88,12 @@ _ATLAS_FLAGS = (
 
 
 def _add_flags(p, cls, table):
+    """Every int field of a config is a count of at least 1."""
     defaults = cls()
     for flag, name in table:
         default = getattr(defaults, name)
-        p.add_argument(flag, type=type(default), default=default)
+        kind = _at_least(1) if isinstance(default, int) else type(default)
+        p.add_argument(flag, type=kind, default=default)
 
 
 def _config(args, cls, table, **fixed):
@@ -173,13 +175,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate phantom images and deformed subjects")
     p.add_argument("--kind", default="ring_with_bump",
                    choices=["ring_with_bump", "four_label_phantom", "gaussian_blobs"])
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--height", type=_at_least(2), default=64)
+    p.add_argument("--width", type=_at_least(2), default=64)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subjects", type=_at_least(0), default=0)
     p.add_argument("--amplitude", type=float, default=3.0)
     p.add_argument("--smoothing", type=float, default=4.0)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_at_least(1), default=6)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_common(p, _cmd_synth)
 
@@ -209,14 +211,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("log", help="logarithm map via inverse scaling and squaring")
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_at_least(1), default=6)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_log)
 
     p = sub.add_parser("exp", help="exponential map via scaling and squaring")
     p.add_argument("--log", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_at_least(1), default=6)
     _add_common(p, _cmd_exp)
 
     p = sub.add_parser("compose", help="compose two fields (outer o inner)")
@@ -227,7 +229,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("roots", help="chain of successive square roots")
     p.add_argument("--field", type=Path, required=True)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_at_least(1), default=6)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--residual-csv", type=Path, default=None)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
@@ -240,7 +242,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit-basis", help="fit a PCA basis over log fields")
     p.add_argument("--logs", type=Path, nargs="+", required=True)
-    p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--dim", type=_at_least(1), default=8)
     p.add_argument("--no-symmetrize", action="store_true")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--variance-csv", type=Path, default=None)
@@ -264,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--basis", type=Path, required=True)
     p.add_argument("--mode", type=int, required=True)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_at_least(1), default=6)
     p.add_argument("--out", type=Path, required=True)
     _add_common(p, _cmd_modes)
 
@@ -274,7 +276,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=Path, default=None)
     p.add_argument("--b", type=Path, default=None)
     p.add_argument("--basis", type=Path, default=None)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_at_least(1), default=6)
     p.add_argument("--out-csv", type=Path, default=None)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_losses)
@@ -306,11 +308,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("validate", help="root-chain, negation, and latent consistency checks")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--count", type=_at_least(2), default=4)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--height", type=_at_least(2), default=64)
+    p.add_argument("--width", type=_at_least(2), default=64)
     p.add_argument("--amplitude", type=float, default=3.0)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--basis-dim", type=int, default=4)
+    p.add_argument("--n", type=_at_least(1), default=6)
+    p.add_argument("--basis-dim", type=_at_least(1), default=4)
     p.add_argument("--out-csv", type=Path, required=True)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_validate)

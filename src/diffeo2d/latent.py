@@ -9,7 +9,6 @@ invert (up to the log-negation error).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +65,11 @@ def fit_basis(
     rows, then [X; −X] = ([U; −U]/√2)(√2·S)Vᵀ, so the SVD of X alone gives
     the augmented components, and √2·S its singular values. Singular
     values, total variance, rank tolerance and the sample-count check all
-    count the 2·len(logfields) augmented samples. Component signs are fixed
-    by making each component's largest-magnitude entry positive, so fitting
-    is reproducible.
+    count the 2·len(logfields) augmented samples. The logs are copied once
+    into one (len(logfields), 2·H·W) buffer, centred in place when not
+    symmetrized, and factored by one SVD. Component signs are fixed by
+    making each component's largest-magnitude entry positive, so fitting is
+    reproducible.
     """
     if len(logfields) < 2:
         raise DomainError("need at least 2 log fields to fit a basis")
@@ -83,37 +84,9 @@ def fit_basis(
     if dim > n:
         raise DomainError(f"dimension {dim} exceeds sample count {n}")
 
-    axes = _principal_axes(logfields, symmetrize)
-    if axes.rank < dim:
-        raise RankError(
-            f"samples span rank {axes.rank}, cannot fit {dim} components", rank=axes.rank
-        )
-    return _truncate(axes, dim)
-
-
-class _Axes(NamedTuple):
-    """Principal axes of a population of n samples (2·len(logs) when
-    symmetrized): the flat mean, the singular values of the centred
-    samples, the right singular vectors as rows of ``vt``, and the rank."""
-
-    grid: Grid
-    mean: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-    n: int
-    rank: int
-    symmetrized: bool
-
-
-def _principal_axes(logfields: list[LogField], symmetrize: bool) -> _Axes:
-    """One SVD of the logs, copied once into a (len(logfields), 2·H·W)
-    buffer and centred in place; a symmetrized population is factored
-    without its negated half (see :func:`fit_basis`)."""
-    grid = logfields[0].grid
     x = np.empty((len(logfields), 2 * grid.n_pixels))
     for row, lf in zip(x, logfields):
         row[:] = lf.v.ravel()
-    n = len(logfields) * (2 if symmetrize else 1)
     if symmetrize:
         mean_flat = np.zeros(x.shape[1])
     else:
@@ -124,26 +97,23 @@ def _principal_axes(logfields: list[LogField], symmetrize: bool) -> _Axes:
         s *= np.sqrt(2.0)
     tol = s[0] * max(n, x.shape[1]) * np.finfo(np.float64).eps
     rank = int(np.count_nonzero(s > tol))
-    return _Axes(grid, mean_flat, s, vt, n, rank, symmetrize)
+    del x, row  # the loop's last row view would keep the samples alive
+    if rank < dim:
+        raise RankError(f"samples span rank {rank}, cannot fit {dim} components", rank=rank)
 
-
-def _truncate(axes: _Axes, dim: int) -> LogEuclideanBasis:
-    """The basis of the leading ``dim`` axes, each signed so that its
-    largest-magnitude entry is positive."""
-    comps = axes.vt[:dim].copy()
+    comps = vt[:dim].copy()
     for k in range(dim):
         j = int(np.argmax(np.abs(comps[k])))
         if comps[k, j] < 0:
             comps[k] = -comps[k]
-    grid = axes.grid
     shape = (grid.height, grid.width, 2)
     return LogEuclideanBasis(
         grid=grid,
-        mean=LogField(grid, axes.mean.reshape(shape)),
+        mean=LogField(grid, mean_flat.reshape(shape)),
         components=comps.reshape((dim,) + shape),
-        singular_values=axes.s[:dim] / np.sqrt(axes.n),
-        symmetrized=axes.symmetrized,
-        total_variance=float(np.sum(axes.s * axes.s) / axes.n),
+        singular_values=s[:dim] / np.sqrt(n),
+        symmetrized=symmetrize,
+        total_variance=float(np.sum(s * s) / n),
     )
 
 

@@ -114,19 +114,14 @@ def phantom_intensity(spec: PhantomSpec, points: np.ndarray) -> np.ndarray:
     resampling/symmetry checks that must not inherit interpolation error.
     """
     p = np.asarray(points, dtype=np.float64)
-    cr, cc = spec.center
-    dr = p[..., 0] - cr
-    dc = p[..., 1] - cc
     if spec.kind == "ring_with_bump":
-        r = np.hypot(dr, dc)
-        theta = np.arctan2(dc, dr)
-        ang = np.angle(np.exp(1j * (theta - spec.bump_angle)))
+        r, ang = _polar(spec, p)
         radius = spec.radius + spec.bump_amplitude * np.exp(
             -((ang / spec.bump_width) ** 2)
         )
         return np.exp(-(((r - radius) / spec.ring_thickness) ** 2))
     if spec.kind == "four_label_phantom":
-        r = np.hypot(dr, dc)
+        r, _ = _polar(spec, p)
         shells = _four_label_radii(spec)
         levels = np.array([1.0, 0.45, 0.8, 0.25])
         out = np.zeros_like(r)
@@ -138,13 +133,22 @@ def phantom_intensity(spec: PhantomSpec, points: np.ndarray) -> np.ndarray:
     if spec.kind == "gaussian_blobs":
         rng = np.random.default_rng(spec.seed)
         centers, sigmas = _blob_geometry(spec, rng)
-        out = np.zeros_like(dr)
+        out = np.zeros(p.shape[:-1])
         for (br, bc), s in zip(centers, sigmas):
             out = out + np.exp(
                 -((p[..., 0] - br) ** 2 + (p[..., 1] - bc) ** 2) / (2 * s * s)
             )
         return np.clip(out, 0.0, 1.0)
     raise DomainError(f"unknown phantom kind {spec.kind!r}")
+
+
+def _polar(spec: PhantomSpec, points: np.ndarray):
+    """Distance of (..., 2) ``points`` from the phantom centre, and their
+    angle from ``bump_angle``, wrapped to (−π, π]."""
+    cr, cc = spec.center
+    dr = points[..., 0] - cr
+    dc = points[..., 1] - cc
+    return np.hypot(dr, dc), np.angle(np.exp(1j * (np.arctan2(dc, dr) - spec.bump_angle)))
 
 
 def _four_label_radii(spec: PhantomSpec):
@@ -169,18 +173,13 @@ def make_phantom(spec: PhantomSpec) -> tuple[ScalarImage, LabelImage]:
     """Deterministic image in [0, 1] plus a consistent label partition."""
     grid = spec.grid
     coords = grid_coords(grid)
-    cr, cc = spec.center
-    dr = coords[..., 0] - cr
-    dc = coords[..., 1] - cc
-    r = np.hypot(dr, dc)
     if spec.kind == "ring_with_bump":
         intensity = phantom_intensity(spec, coords)
         labels = np.zeros(grid.shape, dtype=np.int64)
         on_ring = intensity >= 0.5
         labels[on_ring] = 1
         if spec.bump_amplitude > 0:
-            theta = np.arctan2(dc, dr)
-            ang = np.angle(np.exp(1j * (theta - spec.bump_angle)))
+            _, ang = _polar(spec, coords)
             labels[on_ring & (np.abs(ang) <= spec.bump_width)] = 2
         return ScalarImage(grid, intensity), LabelImage(grid, labels)
     if spec.kind == "four_label_phantom":
@@ -188,6 +187,7 @@ def make_phantom(spec: PhantomSpec) -> tuple[ScalarImage, LabelImage]:
         # Slight blur gives SSD registration usable gradients at boundaries.
         intensity = gaussian_filter(raw, 1.0, mode="nearest")
         labels = np.zeros(grid.shape, dtype=np.int64)
+        r, _ = _polar(spec, coords)
         shells = _four_label_radii(spec)
         prev = 0.0
         for idx, radius in enumerate(shells, start=1):

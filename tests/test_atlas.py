@@ -12,9 +12,11 @@ from diffeo2d import (
     Grid,
     PhantomSpec,
     RegistrationConfig,
+    LogField,
     ScalarImage,
     atlas_step,
     estimate_atlas,
+    fit_basis,
     make_phantom,
     pixelwise_mean_atlas,
     warp_image,
@@ -404,3 +406,45 @@ def test_two_image_step_factors_its_population_once(monkeypatch):
     state = step_with_cpus(monkeypatch, 1, base, images, cfg)
     assert shapes == [(4, 2 * GRID32.n_pixels)]
     assert state.mean_latent.shape == (4,)
+
+
+def gaussian_logs(count, seed, grid=Grid(16, 16)):
+    rng = np.random.default_rng(seed)
+    return [LogField(grid, rng.standard_normal(grid.shape + (2,))) for _ in range(count)]
+
+
+def assert_same_basis(got, want):
+    assert np.array_equal(got.mean.v, want.mean.v)
+    assert np.array_equal(got.components, want.components)
+    assert np.array_equal(got.singular_values, want.singular_values)
+    assert got.total_variance == want.total_variance
+    assert got.symmetrized and want.symmetrized
+
+
+class TestFitPopulationBasis:
+    """A step fits its basis through ``latent.fit_basis``, bit for bit."""
+
+    def test_full_rank_population_is_factored_once(self, monkeypatch):
+        logs = gaussian_logs(6, 0)
+        want = fit_basis(logs, 4)
+        shapes = record_svd_shapes(monkeypatch)
+        assert_same_basis(atlas_module._fit_population_basis(logs, 4), want)
+        assert shapes == [(6, logs[0].v.size)]
+
+    def test_dim_above_the_log_count_takes_one_component_a_log(self):
+        logs = gaussian_logs(3, 1)
+        assert_same_basis(atlas_module._fit_population_basis(logs, 8), fit_basis(logs, 3))
+
+    def test_rank_deficient_population_takes_its_rank(self, monkeypatch):
+        logs = gaussian_logs(3, 2)
+        population = logs + logs[:2]  # 5 logs of rank 3
+        shapes = record_svd_shapes(monkeypatch)
+        got = atlas_module._fit_population_basis(population, 8)
+        assert len(shapes) == 2  # the rank test, then the fit at the rank
+        assert got.dim == 3
+        assert_same_basis(got, fit_basis(population, 3))
+
+    def test_all_zero_logs_give_no_basis(self):
+        grid = Grid(16, 16)
+        logs = [LogField(grid, np.zeros(grid.shape + (2,))) for _ in range(4)]
+        assert atlas_module._fit_population_basis(logs, 4) is None

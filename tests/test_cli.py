@@ -367,10 +367,26 @@ def test_negative_seed_usage_error(tmp_path, small_inputs, argv, capsys):
     ("synth --subjects 1.5 --out-dir {out}/s", "argument --subjects: invalid int value: '1.5'"),
     ("validate --count -1 --out-csv {out}/v.csv", "argument --count: must be >= 2, got -1"),
     ("validate --count 1 --out-csv {out}/v.csv", "argument --count: must be >= 2, got 1"),
+    ("validate --n 0 --out-csv {out}/v.csv", "argument --n: must be >= 1, got 0"),
+    ("validate --basis-dim 0 --out-csv {out}/v.csv", "argument --basis-dim: must be >= 1, got 0"),
+    ("validate --width 1 --out-csv {out}/v.csv", "argument --width: must be >= 2, got 1"),
+    ("synth --height 1 --out-dir {out}/s", "argument --height: must be >= 2, got 1"),
+    ("synth --depth 0 --out-dir {out}/s", "argument --depth: must be >= 1, got 0"),
+    ("exp --log {out}/l.mfld --n -1 --out {out}/e.mfld", "argument --n: must be >= 1, got -1"),
+    ("fit-basis --logs {out}/a {out}/b --dim 0 --out {out}/b.mleb",
+     "argument --dim: must be >= 1, got 0"),
+    ("atlas --images {out}/images --depth 0 --out-dir {out}/a",
+     "argument --depth: must be >= 1, got 0"),
+    ("atlas --images {out}/images --max-iter 0 --out-dir {out}/a",
+     "argument --max-iter: must be >= 1, got 0"),
+    ("register --a {out}/a.pgm --b {out}/b.pgm --levels 0", "argument --levels: must be >= 1, got 0"),
+    ("invert --field {out}/f.mfld --out {out}/i.mfld --max-iterations 0",
+     "argument --max-iterations: must be >= 1, got 0"),
 ])
 def test_count_flags_are_checked_as_parsed(tmp_path, argv, error, capsys):
-    # The parser checks --subjects and --count as it checks --seed: the
-    # error names the flag and the value typed, and nothing is written.
+    # The parser checks every count flag, and every int config flag, as it
+    # checks --seed: the error names the flag and the value typed, and
+    # nothing is written.
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(*argv.format(out=out).split(), "--json-summary", out / "run.json") == 1

@@ -18,6 +18,7 @@ from diffeo2d import (
     random_log_field,
 )
 from diffeo2d.errors import DomainError, ShapeError
+from diffeo2d.fields import grid_coords
 
 from conftest import GRID64
 
@@ -71,6 +72,24 @@ class TestPhantom:
         with pytest.raises(DomainError):
             PhantomSpec(kind="ring_with_bump", grid=Grid(16, 16), seed=0,
                         ring_radius=7.0)
+
+
+@pytest.mark.parametrize("kind", ["ring_with_bump", "gaussian_blobs"])
+@pytest.mark.parametrize("bump_angle", [0.0, 2.0, 3.0, -3.0])
+def test_phantom_image_is_its_intensity_function_at_the_nodes(kind, bump_angle):
+    spec = PhantomSpec(kind=kind, grid=Grid(48, 40), seed=5, bump_angle=bump_angle,
+                       bump_amplitude=2.0, bump_width=0.6, blob_sigma=3.0)
+    image, labels = make_phantom(spec)
+    coords = grid_coords(spec.grid)
+    assert np.array_equal(image.values, phantom_intensity(spec, coords))
+    if kind == "ring_with_bump":
+        # The bump label, from the angle to bump_angle wrapped into (−π, π].
+        theta = np.arctan2(coords[..., 1] - spec.center[1], coords[..., 0] - spec.center[0])
+        ang = np.mod(theta - bump_angle + np.pi, 2 * np.pi) - np.pi
+        on_ring = image.values >= 0.5
+        assert np.array_equal(labels.labels == 2, on_ring & (np.abs(ang) <= spec.bump_width))
+        assert np.array_equal(labels.labels == 1, on_ring & (labels.labels != 2))
+        assert (labels.labels == 2).any()
 
 
 @pytest.mark.parametrize("name", [

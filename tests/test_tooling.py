@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from diffeo2d import fields, lie
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,18 +38,24 @@ def test_lie_still_binds_the_fields_sampling_functions():
     assert lie.sample_values is fields.sample_values
 
 
-def test_traced_algebra256_smoke_run_is_correct(tmp_path):
-    """One traced smoke run of algebra256, from a copy of the benchmark and
+@pytest.mark.parametrize("workload", ["algebra256", "atlas8"])
+def test_traced_smoke_run_is_correct(tmp_path, workload):
+    """One traced smoke run of a workload, from a copy of the benchmark and
     the library, so that nothing is written under the checkout. It runs the
-    tracer's rebinding and checks that the traced and untraced digests of
-    exp_field, log_field, invert and the MFLD and basis round trips agree."""
+    tracer's rebinding and checks that the traced and untraced digests
+    agree: of exp_field, log_field, invert and the MFLD and basis round
+    trips for algebra256, of the atlas step for atlas8, whose basis fit the
+    tracer must see as one ``latent.fit_basis`` call an op."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "perfbench").mkdir()
     for path in PERFBENCH.glob("*.py"):
         shutil.copy(path, tmp_path / "perfbench")
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "algebra256", "--seed", "5",
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "5",
            "--smoke", "--trace", "1", "--seconds", "0.1"]
     proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True, proc.stdout
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True, proc.stdout
+    if workload == "atlas8":
+        assert summary["metrics"]["latent.fit_basis.calls"]["value"] == 1, proc.stdout
