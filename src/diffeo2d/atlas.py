@@ -143,7 +143,7 @@ def _register_and_log(atlas, images, cfg):
     try:
         regs = register_pairs([atlas] * len(images), images, cfg.reg_config)
     except ConvergenceError as err:
-        raise _image_failed(err.index, err) from err
+        raise err.within(f"atlas step failed on image {err.index}", err.index) from err
     logs = []
     for idx, reg in enumerate(regs):
         try:
@@ -152,7 +152,7 @@ def _register_and_log(atlas, images, cfg):
                 log_field(reg.phi_ba, cfg.root_depth, cfg.solver),
             ))
         except ConvergenceError as err:
-            raise _image_failed(idx, err) from err
+            raise err.within(f"atlas step failed on image {idx}", idx) from err
     return logs
 
 
@@ -180,15 +180,6 @@ def _worker_count(n_images):
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return 1
     return _workers(n_images)
-
-
-def _image_failed(idx, err):
-    return ConvergenceError(
-        f"atlas step failed on image {idx}: {err}",
-        residual=err.residual,
-        iterations=err.iterations,
-        index=idx,
-    )
 
 
 def _fit_population_basis(logs, dim):

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     FileFormatError,
     RankError,
     ShapeError,
+    check_power_of_two,
     check_seed,
 )
 from .fields import (
@@ -104,7 +106,8 @@ def _config(args, cls, table, **fixed):
 
 def _add_common(p, run):
     p.add_argument("--json-summary", type=Path, default=None, help="write a run manifest")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; results are thread-count-invariant")
+    p.add_argument("--threads", type=_at_least(1), default=1,
+                   help="accepted for compatibility; results are thread-count-invariant")
     p.set_defaults(run=run)
 
 
@@ -140,6 +143,14 @@ def _at_least(minimum):
             raise DomainError(f"must be >= {minimum}, got {value}")
 
     return _checked_int(check)
+
+
+def _at_most(flag, value, maximum, what):
+    """Raise UsageError unless ``value`` <= ``maximum``: the upper bound of
+    a flag that depends on the inputs, checked once they are read, in the
+    words of a parser error."""
+    if value > maximum:
+        raise UsageError(f"argument {flag}: must be <= {maximum} ({what}), got {value}")
 
 
 _seed = _checked_int(check_seed)
@@ -257,14 +268,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decode", help="reconstruct a log field (or root) from a code")
     p.add_argument("--basis", type=Path, required=True)
     p.add_argument("--z", type=_code, required=True, help="comma-separated code")
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_checked_int(partial(check_power_of_two, "m")), default=None,
                    help="power-of-two root: emit the deformation exp(decode(z)/m)")
     p.add_argument("--out", type=Path, required=True)
     _add_common(p, _cmd_decode)
 
     p = sub.add_parser("modes", help="deformation at c std devs along a PCA mode")
     p.add_argument("--basis", type=Path, required=True)
-    p.add_argument("--mode", type=int, required=True)
+    p.add_argument("--mode", type=_at_least(1), required=True)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--n", type=_at_least(1), default=6)
     p.add_argument("--out", type=Path, required=True)
@@ -285,7 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--images", type=Path, required=True, help="directory of PGM images")
     # --init and --seed sit between the atlas flags, as --help lists them.
     _add_flags(p, AtlasConfig, _ATLAS_FLAGS[:2])
-    p.add_argument("--init", type=int, default=None)
+    p.add_argument("--init", type=_at_least(0), default=None)
     p.add_argument("--seed", type=_seed, default=0)
     _add_flags(p, AtlasConfig, _ATLAS_FLAGS[2:])
     p.add_argument("--out-dir", type=Path, required=True)
@@ -484,6 +495,7 @@ def _cmd_decode(args):
 
 def _cmd_modes(args):
     basis = read_basis(args.basis)
+    _at_most("--mode", args.mode, basis.dim, "the basis dimension")
     write_field(args.out, pca_mode_field(basis, args.mode, args.scale, args.n))
     return ({"basis": str(args.basis)},
             {"mode": args.mode, "scale": args.scale, "n": args.n}, {})
@@ -522,6 +534,8 @@ def _cmd_atlas(args):
     if len(paths) < 2:
         raise UsageError(f"need at least 2 PGM images in {args.images}")
     images = [read_pgm(p) for p in paths]
+    if args.init is not None:
+        _at_most("--init", args.init, len(images) - 1, f"{len(images)} images")
     reg_config = _config(args, RegistrationConfig, _REG_FLAGS)
     cfg = _config(args, AtlasConfig, _ATLAS_FLAGS, reg_config=reg_config)
     atlas, history = estimate_atlas(images, cfg, init_index=args.init, seed=args.seed)

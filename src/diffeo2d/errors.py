@@ -77,6 +77,12 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
         self.index = index
 
+    def within(self, prefix, index=None) -> "ConvergenceError":
+        """This failure as part of a larger one: the message
+        ``"{prefix}: {self}"``, with the same residual and iterations and
+        the given ``index``. Raise it ``from`` this error."""
+        return ConvergenceError(f"{prefix}: {self}", self.residual, self.iterations, index)
+
 
 class RankError(ValueError):
     """A sample matrix is rank-deficient for the requested dimension."""

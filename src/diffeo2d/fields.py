@@ -519,15 +519,23 @@ def _band_count(shape) -> int:
 
 class _Band:
     """One contiguous block of rows of a :class:`DisplacedGrid`: its own
-    stencil of the points x + w on those rows and its own finiteness mask.
-    The methods take whole ``(2, H, W)`` arrays and read and write the
-    band's rows of them; samples gather from the whole field."""
+    stencil of the points x + w on those rows, its own finiteness mask and
+    a planar view of its rows of the grid's ``(H, W, 2)`` squares. The
+    methods take whole ``(2, H, W)`` arrays and read and write the band's
+    rows of them; samples gather from the whole field."""
 
-    def __init__(self, x: np.ndarray, rows: slice):
+    def __init__(self, x: np.ndarray, rows: slice, squares: np.ndarray):
         self.rows = rows
         self._x = x[:, rows]
         self._finite = np.empty(self._x.shape, dtype=bool)
         self._stencil = Stencil.empty(self._x.shape[1:], x.shape[1:])
+        self._squares = squares.transpose(2, 0, 1)[:, rows]
+
+    def square(self, a: np.ndarray):
+        """The squares of the band's rows of the ``(2, H, W)`` array ``a``,
+        into the grid's squares, for :meth:`DisplacedGrid.rms`."""
+        a = a[:, self.rows]
+        np.multiply(a, a, out=self._squares)
 
     def stencil(self, w: np.ndarray) -> Stencil:
         """The stencil of x + w on the band's rows; raises DomainError if a
@@ -565,16 +573,31 @@ class DisplacedGrid:
     as :meth:`_Band.self_composed`, which reads the whole field, read-only,
     and writes its band's rows; the solver keeps
     whatever sums over the grid (RMS values, stop tests) on the calling
-    thread, so its results are bit for bit those of one band. Used as a
-    context manager, a grid of several bands opens a thread pool that the
-    exit shuts down and joins: no thread outlives a solve, so
+    thread, so its results are bit for bit those of one band.
+
+    Stop tests and residuals are RMS values summed in ``(H, W, 2)`` order,
+    so they carry the bits of ``field_rms`` on the channel-last field:
+    ``np.mean`` sums a contiguous array in memory order, and a planar mean
+    can differ in the last bits. So the grid keeps the squares in the
+    solver's ``(H, W, 2)`` buffer ``squares``: each band writes its rows
+    (:meth:`_Band.square`), and :meth:`rms` takes the one mean on the
+    calling thread. The solver allocates that buffer right after its planar
+    copy of the input, since where it sits in the heap shows in the peak
+    memory of a process that keeps results: allocated here, after the
+    solver's own arrays, it raised perfbench's algebra256 peak RSS from
+    about 330 to 339-340 MB.
+
+    Used as a context manager, a grid of several bands opens a thread pool
+    that the exit shuts down and joins: no thread outlives a solve, so
     ``atlas_step`` still finds no other thread alive when it forks. At one
     band :meth:`run` is one call on the whole grid, and no pool starts.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, squares: np.ndarray):
         self.x = np.indices(grid.shape, dtype=np.float64)
-        self.bands = [_Band(self.x, rows) for rows in _chunks(grid.height, _band_count(grid.shape))]
+        self._squares = squares
+        bands = _chunks(grid.height, _band_count(grid.shape))
+        self.bands = [_Band(self.x, rows, squares) for rows in bands]
         self._pool = None
 
     def __enter__(self) -> "DisplacedGrid":
@@ -612,6 +635,10 @@ class DisplacedGrid:
         errors += [e for e in (f.exception() for f in futures) if e is not None]
         if errors:
             raise errors[0]
+
+    def rms(self) -> float:
+        """The RMS of the squares the bands last wrote."""
+        return float(np.sqrt(np.mean(self._squares)))
 
 
 def _sq_lengths(u: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:

@@ -84,9 +84,7 @@ def fit_basis(
     if dim > n:
         raise DomainError(f"dimension {dim} exceeds sample count {n}")
 
-    x = np.empty((len(logfields), 2 * grid.n_pixels))
-    for row, lf in zip(x, logfields):
-        row[:] = lf.v.ravel()
+    x = np.stack([lf.v.ravel() for lf in logfields])
     if symmetrize:
         mean_flat = np.zeros(x.shape[1])
     else:
@@ -97,7 +95,7 @@ def fit_basis(
         s *= np.sqrt(2.0)
     tol = s[0] * max(n, x.shape[1]) * np.finfo(np.float64).eps
     rank = int(np.count_nonzero(s > tol))
-    del x, row  # the loop's last row view would keep the samples alive
+    del x  # freed before the components are copied out of vt
     if rank < dim:
         raise RankError(f"samples span rank {rank}, cannot fit {dim} components", rank=rank)
 

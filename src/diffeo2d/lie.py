@@ -25,7 +25,11 @@ residuals and derivatives once, and convert back to a C-contiguous
 ``invert``'s Newton step and its per-pixel step halving are fresh.
 Stopping tests and residuals are RMS values summed in the ``(H, W, 2)``
 order, so they carry the bits that ``field_rms`` and ``field_rms_diff``
-give on the returned fields.
+give on the returned fields: each band writes its squares into an
+``(H, W, 2)`` buffer that the grid holds, and :meth:`DisplacedGrid.rms`
+takes the mean. Each solver allocates that buffer itself, right after its
+planar copy of the input, since the place of the buffer in the heap shows
+in the peak memory of a process that keeps many results.
 
 On a large grid the per-pixel part of an iteration runs on the grid's row
 bands at once (see :class:`fields.DisplacedGrid`): in ``sqrt_field`` the
@@ -57,6 +61,7 @@ from .fields import (
     DisplacementField,
     LogField,
     Stencil,
+    _Band,
     _sq_lengths,
     field_rms_diff,
     self_compose_m,
@@ -137,31 +142,6 @@ class RootChain:
         return rms
 
 
-class _ChannelLastRMS:
-    """RMS of planar ``(2, H, W)`` arrays, summed in ``(H, W, 2)`` order.
-
-    ``np.mean`` sums a contiguous array in memory order, so a planar mean
-    can differ in the last bits from ``field_rms`` of the same field; the
-    squares go into one ``(H, W, 2)`` buffer instead. A banded solve writes
-    the squares of each band's rows (:meth:`square`) on the band's thread
-    and takes the one mean over the grid (:meth:`value`) on the calling
-    thread.
-    """
-
-    def __init__(self, shape):
-        self._squares = np.empty(tuple(shape) + (2,))
-        self._planar = self._squares.transpose(2, 0, 1)
-
-    def square(self, a: np.ndarray, rows: slice = slice(None)):
-        """Hold the squares of the ``rows`` of ``a``."""
-        a = a[:, rows]
-        np.multiply(a, a, out=self._planar[:, rows])
-
-    def value(self) -> float:
-        """The RMS of the squares held."""
-        return float(np.sqrt(np.mean(self._squares)))
-
-
 def _not_converged(what, residual, cfg: SolverConfig) -> ConvergenceError:
     return ConvergenceError(
         f"{what} did not converge in {cfg.max_iterations} iterations "
@@ -202,14 +182,14 @@ def _band_gap(band, u, w, gap, grad):
     _inverse_gap(band.stencil(w), u, w[:, rows], gap[:, rows], grad[:, :, rows])
 
 
-def _newton_move(band, u, w, f_w, grad, damping, step, rms, w_new, gap):
+def _newton_move(band, u, w, f_w, grad, damping, step, w_new, gap):
     """On one band's rows: the step from w, where F is ``f_w`` and grad u
-    is ``grad``, and its squares for ``rms``; then w_new = w + step, and F
-    and grad u at w_new into ``gap`` and ``grad``."""
+    is ``grad``, and its squares; then w_new = w + step, and F and grad u
+    at w_new into ``gap`` and ``grad``."""
     rows = band.rows
     d_row, d_col = grad[:, :, rows]
     _newton_step(f_w[:, rows], d_row, d_col, damping, step[:, rows])
-    rms.square(step, rows)
+    band.square(step)
     np.add(w[:, rows], step[:, rows], out=w_new[:, rows])
     _band_gap(band, u, w_new, gap, grad)
 
@@ -235,7 +215,7 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
     grid = field.grid
     tol_sq = cfg.tolerance * cfg.tolerance
     u = field.u.transpose(2, 0, 1).copy()
-    rms = _ChannelLastRMS(grid.shape)
+    squares = np.empty(grid.shape + (2,))
     # The returned field goes into an array allocated before the loop's
     # buffers. Allocated after them, it sat above their freed space in the
     # heap, and perfbench's algebra256, which keeps results, peaked about
@@ -250,22 +230,22 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
     w_new, step, f_w, gap = (np.empty_like(u) for _ in range(4))
     grad = np.empty((2,) + u.shape)
     iterations = None
-    with DisplacedGrid(grid) as displaced:
+    with DisplacedGrid(grid, squares) as displaced:
         displaced.run(_band_gap, u, w, f_w, grad)
         for it in range(1, cfg.max_iterations + 1):
-            displaced.run(_newton_move, u, w, f_w, grad, cfg.damping, step, rms, w_new, gap)
+            displaced.run(_newton_move, u, w, f_w, grad, cfg.damping, step, w_new, gap)
             # The stop test reads the full step: a halved step is short
             # because the residual did not drop, not because w is near the
             # root.
-            converged = rms.value() < cfg.tolerance
+            converged = displaced.rms() < cfg.tolerance
             _halve_steps(displaced, u, w, w_new, step, f_w, gap, grad, tol_sq, cfg.damping)
             w, w_new = w_new, w
             f_w, gap = gap, f_w
             if converged:
                 iterations = it
                 break
-    rms.square(f_w)
-    residual = rms.value()
+        displaced.run(_Band.square, f_w)
+    residual = displaced.rms()
     np.copyto(result, w.transpose(1, 2, 0))
     inv = DisplacementField(grid, result)
     if iterations is None:
@@ -310,23 +290,23 @@ def _halve_steps(displaced, u, w, w_new, step, f_w, gap, grad, tol_sq, damping):
         move(retry, -damping * f_w[:, retry])
 
 
-def _picard_step(band, u, w, damping, step, rms, w_next):
+def _picard_step(band, u, w, damping, step, w_next):
     """On one band's rows: step = damping * (u - (w + w(x + w))), formed
-    in place, its squares for ``rms``, and w_next = w + step."""
+    in place, its squares, and w_next = w + step."""
     rows = band.rows
     composed = band.self_composed(w, out=step)
     np.subtract(u[:, rows], composed, out=composed)
     composed *= damping
-    rms.square(step, rows)
+    band.square(step)
     np.add(w[:, rows], composed, out=w_next[:, rows])
 
 
-def _composition_gap(band, u, w, out, rms):
+def _composition_gap(band, u, w, out):
     """F(w) - u = w + w(x + w) - u on one band's rows, into ``out``, and
-    its squares for ``rms``."""
+    its squares."""
     composed = band.self_composed(w, out=out)
     composed -= u[:, band.rows]
-    rms.square(out, band.rows)
+    band.square(out)
 
 
 def sqrt_field(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> FieldSolution:
@@ -339,22 +319,22 @@ def sqrt_field(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> 
     """
     grid = field.grid
     u = field.u.transpose(2, 0, 1).copy()
-    rms = _ChannelLastRMS(grid.shape)
+    squares = np.empty(grid.shape + (2,))
     # Every band reads all of w, so the update goes into w_next, and the
     # two swap once all bands are done.
     w = 0.5 * u
     step, w_next = np.empty_like(u), np.empty_like(u)
     iterations = None
-    with DisplacedGrid(grid) as displaced:
+    with DisplacedGrid(grid, squares) as displaced:
         for it in range(1, cfg.max_iterations + 1):
-            displaced.run(_picard_step, u, w, cfg.damping, step, rms, w_next)
+            displaced.run(_picard_step, u, w, cfg.damping, step, w_next)
             w, w_next = w_next, w
-            if rms.value() < cfg.tolerance:
+            if displaced.rms() < cfg.tolerance:
                 iterations = it
                 break
         # F(w) - u, as field_rms_diff(self_compose_m(root, 2), field) forms it.
-        displaced.run(_composition_gap, u, w, step, rms)
-    residual = rms.value()
+        displaced.run(_composition_gap, u, w, step)
+    residual = displaced.rms()
     root = DisplacementField(grid, w.transpose(1, 2, 0))
     if iterations is None:
         raise _not_converged("square root", residual, cfg)
@@ -375,11 +355,7 @@ def root_chain(
         try:
             sol = sqrt_field(current, cfg)
         except ConvergenceError as err:
-            raise ConvergenceError(
-                f"root chain failed at level {level}: {err}",
-                residual=err.residual,
-                iterations=err.iterations,
-            ) from err
+            raise err.within(f"root chain failed at level {level}") from err
         chain.roots.append(sol.field)
         chain.residuals.append(sol.residual)
         chain.iterations.append(sol.iterations)

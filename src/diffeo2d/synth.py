@@ -121,15 +121,7 @@ def phantom_intensity(spec: PhantomSpec, points: np.ndarray) -> np.ndarray:
         )
         return np.exp(-(((r - radius) / spec.ring_thickness) ** 2))
     if spec.kind == "four_label_phantom":
-        r, _ = _polar(spec, p)
-        shells = _four_label_radii(spec)
-        levels = np.array([1.0, 0.45, 0.8, 0.25])
-        out = np.zeros_like(r)
-        prev = 0.0
-        for radius, level in zip(shells, levels):
-            out = np.where((r >= prev) & (r < radius), level, out)
-            prev = radius
-        return out
+        return np.array([1.0, 0.45, 0.8, 0.25, 0.0])[_four_label_shell(spec, p)]
     if spec.kind == "gaussian_blobs":
         rng = np.random.default_rng(spec.seed)
         centers, sigmas = _blob_geometry(spec, rng)
@@ -151,9 +143,12 @@ def _polar(spec: PhantomSpec, points: np.ndarray):
     return np.hypot(dr, dc), np.angle(np.exp(1j * (np.arctan2(dc, dr) - spec.bump_angle)))
 
 
-def _four_label_radii(spec: PhantomSpec):
+def _four_label_shell(spec: PhantomSpec, points: np.ndarray) -> np.ndarray:
+    """The shell of the four-label phantom that holds each of the (..., 2)
+    ``points``: 0 to 3 from the centre out, inside the radii 0.35, 0.6, 0.8
+    and 1 times ``spec.radius``, and 4 outside."""
     r = spec.radius
-    return (0.35 * r, 0.6 * r, 0.8 * r, r)
+    return np.searchsorted([0.35 * r, 0.6 * r, 0.8 * r, r], _polar(spec, points)[0], side="right")
 
 
 def _blob_geometry(spec: PhantomSpec, rng):
@@ -186,13 +181,7 @@ def make_phantom(spec: PhantomSpec) -> tuple[ScalarImage, LabelImage]:
         raw = phantom_intensity(spec, coords)
         # Slight blur gives SSD registration usable gradients at boundaries.
         intensity = gaussian_filter(raw, 1.0, mode="nearest")
-        labels = np.zeros(grid.shape, dtype=np.int64)
-        r, _ = _polar(spec, coords)
-        shells = _four_label_radii(spec)
-        prev = 0.0
-        for idx, radius in enumerate(shells, start=1):
-            labels[(r >= prev) & (r < radius)] = 5 - idx
-            prev = radius
+        labels = np.array([4, 3, 2, 1, 0], dtype=np.int64)[_four_label_shell(spec, coords)]
         return ScalarImage(grid, np.clip(intensity, 0.0, 1.0)), LabelImage(grid, labels)
     if spec.kind == "gaussian_blobs":
         intensity = phantom_intensity(spec, coords)

@@ -340,7 +340,7 @@ class TestChunkedStep:
         monkeypatch.setattr(fields_module, "_BAND_PIXELS", 1)
         monkeypatch.setattr(fields_module, "_usable_cpus", lambda: 2)
         grid = Grid(16, 16)
-        assert len(fields_module.DisplacedGrid(grid).bands) == 2
+        assert len(fields_module.DisplacedGrid(grid, np.empty((16, 16, 2))).bands) == 2
         log_field(constant_field(grid, 1.0, 0.5), 2)
         assert atlas_module._worker_count(8) == 2
 

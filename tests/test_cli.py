@@ -12,11 +12,16 @@ from diffeo2d import (
     Grid,
     RandomFieldSpec,
     cli,
+    decode_root,
     fields,
     lie,
     random_log_field,
+    read_basis,
     read_field,
+    read_pgm,
+    warp_image,
     write_field,
+    write_pgm,
 )
 from diffeo2d.cli import build_parser, main
 
@@ -382,6 +387,16 @@ def test_negative_seed_usage_error(tmp_path, small_inputs, argv, capsys):
     ("register --a {out}/a.pgm --b {out}/b.pgm --levels 0", "argument --levels: must be >= 1, got 0"),
     ("invert --field {out}/f.mfld --out {out}/i.mfld --max-iterations 0",
      "argument --max-iterations: must be >= 1, got 0"),
+    ("synth --threads 0 --out-dir {out}/s", "argument --threads: must be >= 1, got 0"),
+    ("synth --threads -5 --out-dir {out}/s", "argument --threads: must be >= 1, got -5"),
+    ("decode --basis {out}/b.mleb --z=0.5 --m 0 --out {out}/f.mfld",
+     "argument --m: m must be a positive power of two, got 0"),
+    ("decode --basis {out}/b.mleb --z=0.5 --m 3 --out {out}/f.mfld",
+     "argument --m: m must be a positive power of two, got 3"),
+    ("modes --basis {out}/b.mleb --mode 0 --out {out}/f.mfld",
+     "argument --mode: must be >= 1, got 0"),
+    ("atlas --images {out}/images --init -1 --out-dir {out}/a",
+     "argument --init: must be >= 0, got -1"),
 ])
 def test_count_flags_are_checked_as_parsed(tmp_path, argv, error, capsys):
     # The parser checks every count flag, and every int config flag, as it
@@ -497,3 +512,58 @@ def test_chain_commands_report_every_root_level(tmp_path, small_inputs, command,
     metrics = json.loads(summary.read_text())["metrics"]
     chain = lie.root_chain(read_field(field), 3)
     assert metrics == {"residuals_px": chain.residuals, "iterations": chain.iterations}
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("modes --basis {d}/basis.mleb --mode 2 --out {out}/f.mfld",
+     "argument --mode: must be <= 1 (the basis dimension), got 2"),
+    ("atlas --images {d}/images --init 2 --out-dir {out}/a",
+     "argument --init: must be <= 1 (2 images), got 2"),
+])
+def test_index_bounds_from_the_inputs_name_the_flag(tmp_path, small_inputs, argv, error, capsys):
+    # The upper bounds of --mode (the basis dimension) and --init (the image
+    # count) are checked once the inputs are read, before any output.
+    out = tmp_path / "out"
+    argv = argv.format(d=small_inputs, out=out).split()
+    capsys.readouterr()
+    assert run(*argv, "--json-summary", out / "run.json") == 1
+    assert capsys.readouterr().err == f"usage error: {error}\n"
+    assert not out.exists()
+
+
+def test_atlas_needs_two_images(tmp_path, small_inputs, capsys):
+    images = tmp_path / "images"
+    images.mkdir()
+    shutil.copy(small_inputs / "image.pgm", images)
+    summary = tmp_path / "run.json"
+    capsys.readouterr()
+    assert run("atlas", "--images", images, "--out-dir", tmp_path / "a",
+               "--json-summary", summary) == 1
+    assert capsys.readouterr().err == f"usage error: need at least 2 PGM images in {images}\n"
+    assert not summary.exists() and not (tmp_path / "a").exists()
+
+
+def test_jacobian_out_is_the_determinant_map(tmp_path, small_inputs):
+    field = small_inputs / "subject_000_field.mfld"
+    out = tmp_path / "det.mfld"
+    assert run("jacobian", "--field", field, "--out", out) == 0
+    expected = fields.jacobian_determinant(read_field(field))
+    assert read_field(out).values.tobytes() == expected.values.tobytes()
+
+
+def test_decode_root_file_is_decode_root(tmp_path, small_inputs):
+    basis = small_inputs / "basis.mleb"
+    out = tmp_path / "root.mfld"
+    assert run("decode", "--basis", basis, "--z=0.5", "--m", 2, "--out", out) == 0
+    expected = tmp_path / "expected.mfld"
+    write_field(expected, decode_root(read_basis(basis), np.array([0.5]), 2))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_warp_without_labels_warps_the_image(tmp_path, small_inputs):
+    image, field = small_inputs / "image.pgm", small_inputs / "subject_000_field.mfld"
+    out = tmp_path / "warped.pgm"
+    assert run("warp", "--image", image, "--field", field, "--out", out) == 0
+    expected = tmp_path / "expected.pgm"
+    write_pgm(expected, warp_image(read_pgm(image), read_field(field)))
+    assert out.read_bytes() == expected.read_bytes()

@@ -32,3 +32,18 @@ def test_exception_survives_pickle(cls):
         assert getattr(copy, name, None) == getattr(err, name, None)
     assert vars(copy) == vars(err)
 
+
+
+@pytest.mark.parametrize("index", [None, 0, 5])
+def test_convergence_error_within_keeps_its_numbers(index):
+    # A failure inside a larger solve is reported with the larger solve's
+    # prefix and the inner failure's residual and iterations.
+    inner = errors.ConvergenceError("square root did not converge", residual=0.5,
+                                    iterations=7, index=2)
+    outer = inner.within("root chain failed at level 3", index)
+    assert type(outer) is errors.ConvergenceError
+    assert str(outer) == "root chain failed at level 3: square root did not converge"
+    assert (outer.residual, outer.iterations, outer.index) == (0.5, 7, index)
+    copy = pickle.loads(pickle.dumps(outer))
+    assert (str(copy), copy.residual, copy.iterations, copy.index) == (
+        str(outer), 0.5, 7, index)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from diffeo2d import (
     Grid,
+    LogEuclideanBasis,
     LogField,
     RandomFieldSpec,
     decode,
@@ -368,6 +369,14 @@ class TestExplainedVariance:
         ev = explained_variance(basis)
         assert all(ev[i] >= ev[i + 1] for i in range(len(ev) - 1))
         assert sum(ev) <= 1.0 + 1e-12
+
+    def test_zero_total_variance_explains_nothing(self):
+        grid = Grid(4, 4)
+        components = np.zeros((2, 4, 4, 2))
+        components[0, 0, 0, 0] = components[1, 0, 0, 1] = 1.0
+        basis = LogEuclideanBasis(grid, LogField(grid, np.zeros((4, 4, 2))), components,
+                                  np.zeros(2), symmetrized=True, total_variance=0.0)
+        assert explained_variance(basis) == [0.0, 0.0]
 
 
 class TestLatentNegationChain:

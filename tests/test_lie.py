@@ -379,7 +379,7 @@ class TestBands:
             if band.rows.start in failing:
                 raise ConvergenceError(f"band at row {band.rows.start}")
 
-        with fields_module.DisplacedGrid(Grid(9, 4)) as displaced:
+        with fields_module.DisplacedGrid(Grid(9, 4), np.empty((9, 4, 2))) as displaced:
             for failing, slow, raised in (({0, 3, 6}, 6, 0), ({3, 6}, 3, 3), ({6}, 0, 6)):
                 done.clear()
                 with pytest.raises(ConvergenceError, match=f"band at row {raised}$"):
@@ -413,4 +413,4 @@ class TestBands:
 
 
 def band_count(shape):
-    return len(fields_module.DisplacedGrid(Grid(*shape)).bands)
+    return len(fields_module.DisplacedGrid(Grid(*shape), np.empty(shape + (2,))).bands)

@@ -106,6 +106,12 @@ class TestLatentInvLoss:
         z = np.zeros(4)
         assert latent_inv_loss(z, z) == pytest.approx(0.0)
 
+    def test_one_zero_code_has_cosine_zero(self):
+        # No angle to a zero code: cos := 0, so the loss is 1/2 + ||z||^2.
+        z = np.array([0.6, -0.8, 2.0])
+        for za, zb in ((z, np.zeros(3)), (np.zeros(3), z)):
+            assert latent_inv_loss(za, zb) == 0.5 + float(np.dot(z, z))
+
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -342,7 +342,7 @@ def _reference_sqrt(field, cfg):
 def test_self_composed_is_compose(field):
     planar = field.u.transpose(2, 0, 1).copy()
     out = np.empty_like(planar)
-    DisplacedGrid(field.grid).run(_Band.self_composed, planar, out)
+    DisplacedGrid(field.grid, np.empty(field.u.shape)).run(_Band.self_composed, planar, out)
     assert _bits(out.transpose(1, 2, 0)) == _bits(compose(field, field).u)
 
 
@@ -390,7 +390,8 @@ def _solutions(field):
 def test_solves_are_bit_identical_at_every_band_count(field):
     # Each band samples the whole field and writes its own rows; every RMS
     # sums the whole grid on the calling thread. So the fields, residuals,
-    # iteration counts and errors must not depend on the number of bands.
+    # iteration counts and errors must not depend on the number of bands,
+    # and the grid's RMS of the bands' squares is field_rms of the field.
     # Up to four bands, more than most hosts' CPUs, switch threads often.
     results = []
     interval = sys.getswitchinterval()
@@ -400,7 +401,11 @@ def test_solves_are_bit_identical_at_every_band_count(field):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(fields_module, "_BAND_PIXELS", 1)
                 patch.setattr(fields_module, "_usable_cpus", lambda bands=bands: bands)
-                assert len(DisplacedGrid(field.grid).bands) == bands
+                with DisplacedGrid(field.grid, np.empty(field.u.shape)) as displaced, \
+                        np.errstate(over="ignore"):
+                    assert len(displaced.bands) == bands
+                    displaced.run(_Band.square, field.u.transpose(2, 0, 1).copy())
+                    assert _bits(displaced.rms()) == _bits(field_rms(field))
                 results.append(_solutions(field))
     finally:
         sys.setswitchinterval(interval)

@@ -353,6 +353,15 @@ class TestRegisterPairs:
         assert info.value.iterations == iteration
         assert info.value.residual == residual
 
+    def test_pyramid_stops_below_eight_pixels(self):
+        # 12x12 halves once, to 6x6, which is below 8 px and not halved
+        # again: 3 levels asked, 2 run, one history row per iteration.
+        grid = Grid(12, 12)
+        cfg = replace(SUITE_REG_CONFIG, pyramid_levels=3, iterations_per_level=4)
+        (res,) = register_pairs([textured_image(1, grid)], [textured_image(2, grid)], cfg)
+        assert len(res.loss_history) == 2 * cfg.iterations_per_level
+        assert [row[0] for row in res.loss_history] == list(range(8))
+
     def test_rejects_mismatched_inputs(self):
         a = textured_image(0)
         small = ScalarImage(Grid(32, 32), np.zeros((32, 32)))

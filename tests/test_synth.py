@@ -200,3 +200,35 @@ class TestMakeSubject:
         v = LogField(Grid(32, 32), np.zeros((32, 32, 2)))
         with pytest.raises(ShapeError):
             make_subject(phantom, v)
+
+
+def _four_label_by_loops(spec):
+    """The four-label phantom's intensity at every node and its labels, as
+    two loops over the shell radii computed them."""
+    coords = grid_coords(spec.grid)
+    cr, cc = spec.center
+    r = np.hypot(coords[..., 0] - cr, coords[..., 1] - cc)
+    shells = (0.35 * spec.radius, 0.6 * spec.radius, 0.8 * spec.radius, spec.radius)
+    intensity = np.zeros_like(r)
+    labels = np.zeros(spec.grid.shape, dtype=np.int64)
+    prev = 0.0
+    for idx, (radius, level) in enumerate(zip(shells, (1.0, 0.45, 0.8, 0.25)), start=1):
+        inside = (r >= prev) & (r < radius)
+        intensity = np.where(inside, level, intensity)
+        labels[inside] = 5 - idx
+        prev = radius
+    return intensity, labels
+
+
+@pytest.mark.parametrize("shape, ring_radius", [
+    ((64, 64), None), ((32, 32), None), ((33, 47), None), ((40, 24), 5.0),
+    ((64, 64), 20.0), ((64, 64), 11.5), ((31, 30), 0.0), ((48, 48), -3.0),
+])
+def test_four_label_shells_match_the_shell_loops(shape, ring_radius):
+    spec = PhantomSpec(kind="four_label_phantom", grid=Grid(*shape), ring_radius=ring_radius)
+    intensity, labels = _four_label_by_loops(spec)
+    raw = phantom_intensity(spec, grid_coords(spec.grid))
+    assert raw.dtype == intensity.dtype and raw.tobytes() == intensity.tobytes()
+    _, label_image = make_phantom(spec)
+    assert label_image.labels.dtype == np.int64
+    assert label_image.labels.tobytes() == labels.tobytes()

@@ -1,8 +1,12 @@
-"""Checks that the benchmark's tooling still fits the library it measures."""
+"""Checks that the benchmark's tooling still fits the library it measures,
+and that the package's knobs change only on purpose."""
 
+import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from diffeo2d import fields, lie
+from diffeo2d import (
+    AtlasConfig,
+    PhantomSpec,
+    RandomFieldSpec,
+    RegistrationConfig,
+    SolverConfig,
+    fields,
+    lie,
+)
+from diffeo2d.cli import build_parser
+from diffeo2d.metrics import LossWeights
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -59,3 +73,62 @@ def test_traced_smoke_run_is_correct(tmp_path, workload):
     assert summary["correct"] is True, proc.stdout
     if workload == "atlas8":
         assert summary["metrics"]["latent.fit_basis.calls"]["value"] == 1, proc.stdout
+
+
+# Every knob of the package: each subcommand's options, each config's
+# fields. A knob added or removed must change this inventory on purpose.
+SOLVER_OPTIONS = ["--tolerance", "--max-iterations", "--damping"]
+REG_OPTIONS = ["--lambda-sim", "--lambda-reg", "--levels", "--iterations", "--step-size",
+               "--sigma-update", "--sigma-field"]
+COMMON_OPTIONS = ["--json-summary", "--threads"]
+CLI_OPTIONS = {
+    "synth": ["--kind", "--height", "--width", "--seed", "--subjects", "--amplitude",
+              "--smoothing", "--depth", "--out-dir"],
+    "register": ["--a", "--b", "--out-ab", "--out-ba", "--loss-csv", "--gt-field",
+                 *REG_OPTIONS],
+    "invert": ["--field", "--out", *SOLVER_OPTIONS],
+    "sqrt": ["--field", "--out", *SOLVER_OPTIONS],
+    "log": ["--field", "--out", "--n", *SOLVER_OPTIONS],
+    "exp": ["--log", "--out", "--n"],
+    "compose": ["--outer", "--inner", "--out"],
+    "roots": ["--field", "--n", "--out-dir", "--residual-csv", *SOLVER_OPTIONS],
+    "jacobian": ["--field", "--out"],
+    "fit-basis": ["--logs", "--dim", "--no-symmetrize", "--out", "--variance-csv"],
+    "encode": ["--basis", "--log", "--out-csv"],
+    "decode": ["--basis", "--z", "--m", "--out"],
+    "modes": ["--basis", "--mode", "--scale", "--n", "--out"],
+    "losses": ["--phi-ab", "--phi-ba", "--a", "--b", "--basis", "--n", "--out-csv",
+               *SOLVER_OPTIONS],
+    "atlas": ["--images", "--epsilon", "--max-iter", "--init", "--seed", "--basis-dim",
+              "--depth", "--out-dir", *REG_OPTIONS],
+    "warp": ["--image", "--field", "--labels", "--out"],
+    "dice": ["--a", "--b", "--out-csv"],
+    "validate": ["--seed", "--count", "--height", "--width", "--amplitude", "--n",
+                 "--basis-dim", "--out-csv", *SOLVER_OPTIONS],
+}
+CONFIG_FIELDS = {
+    SolverConfig: ["tolerance", "max_iterations", "damping"],
+    RegistrationConfig: ["lambda_sim", "lambda_reg", "pyramid_levels", "iterations_per_level",
+                         "step_size", "update_smoothing_sigma", "field_smoothing_sigma"],
+    AtlasConfig: ["epsilon", "max_outer_iterations", "reg_config", "solver", "basis_dim",
+                  "root_depth"],
+    PhantomSpec: ["kind", "grid", "seed", "ring_radius", "ring_thickness", "bump_angle",
+                  "bump_amplitude", "bump_width", "blob_count", "blob_sigma"],
+    RandomFieldSpec: ["grid", "seed", "smoothing_sigma", "amplitude"],
+    LossWeights: ["alpha_rec", "alpha_inv", "alpha_linv"],
+}
+
+
+def test_knob_inventory():
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, p in commands.items()
+    }
+    assert options == {name: opts + COMMON_OPTIONS for name, opts in CLI_OPTIONS.items()}
+    for cls, names in CONFIG_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+    # No environment variable is a knob either.
+    for path in sorted((ROOT / "src" / "diffeo2d").glob("*.py")):
+        assert not re.search(r"\b(environb?|getenvb?)\b", path.read_text()), path.name
