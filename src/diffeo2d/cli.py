@@ -24,12 +24,14 @@ from .errors import (
     FileFormatError,
     RankError,
     ShapeError,
+    UnsupportedChannelsError,
     check_power_of_two,
     check_seed,
 )
 from .fields import (
     Grid,
     LogField,
+    ScalarImage,
     _nonpositive_percent,
     compose,
     field_rms_diff,
@@ -154,6 +156,15 @@ def _at_most(flag, value, maximum, what):
 
 
 _seed = _checked_int(check_seed)
+
+
+def _read_field(path, as_log=False):
+    """A field input: ``read_field``, but a 1-channel file, a scalar raster
+    such as ``jacobian --out`` writes, is an error of the file."""
+    field = read_field(path, as_log=as_log)
+    if isinstance(field, ScalarImage):
+        raise UnsupportedChannelsError(f"{path}: a 1-channel raster, not a 2-channel field")
+    return field
 
 
 def _subject_seeds(seed, n):
@@ -367,6 +378,11 @@ def _cmd_synth(args):
 def _cmd_register(args):
     a = read_pgm(args.a)
     b = read_pgm(args.b)
+    gt = None
+    if args.gt_field:
+        gt = _read_field(args.gt_field)
+        if gt.grid != a.grid:
+            raise ShapeError(f"argument --gt-field: grid {gt.grid} does not match --a's {a.grid}")
     cfg = _config(args, RegistrationConfig, _REG_FLAGS)
     result = register_pair(a, b, cfg)
     if args.out_ab:
@@ -389,9 +405,8 @@ def _cmd_register(args):
         "neg_jacobian_ba_pct": neg_jacobian_fraction(result.phi_ba),
     }
     inputs = {"a": str(args.a), "b": str(args.b)}
-    if args.gt_field:
+    if gt is not None:
         inputs["gt_field"] = str(args.gt_field)
-        gt = read_field(args.gt_field)
         # gt maps a onto b, so phi_ba recovers gt and phi_ab its inverse.
         d = result.phi_ba.u - gt.u
         metrics["median_endpoint_error_px"] = float(
@@ -403,7 +418,7 @@ def _cmd_register(args):
 def _cmd_solve(args):
     """invert or sqrt. Once its root is solved, sqrt warns if its input folds."""
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
-    field = read_field(args.field)
+    field = _read_field(args.field)
     sol = args.solve(field, cfg)
     if args.command == "sqrt" and neg_jacobian_fraction(field) > 0:
         print("warning: input field has non-positive Jacobian pixels; root may be inaccurate",
@@ -415,28 +430,28 @@ def _cmd_solve(args):
 
 def _cmd_log(args):
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
-    chain = root_chain(read_field(args.field), args.n, cfg)
+    chain = root_chain(_read_field(args.field), args.n, cfg)
     write_field(args.out, chain.log())
     return ({"field": str(args.field)}, {"n": args.n, **asdict(cfg)},
             {"residuals_px": chain.residuals, "iterations": chain.iterations})
 
 
 def _cmd_exp(args):
-    field = exp_field(read_field(args.log, as_log=True), args.n)
+    field = exp_field(_read_field(args.log, as_log=True), args.n)
     write_field(args.out, field)
     return {"log": str(args.log)}, {"n": args.n}, {}
 
 
 def _cmd_compose(args):
-    result = compose(read_field(args.outer), read_field(args.inner))
+    result = compose(_read_field(args.outer), _read_field(args.inner))
     write_field(args.out, result)
     return {"outer": str(args.outer), "inner": str(args.inner)}, {}, {}
 
 
 def _cmd_roots(args):
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
-    chain = root_chain(read_field(args.field), args.n, cfg)
+    chain = root_chain(_read_field(args.field), args.n, cfg)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     for n, root in enumerate(chain.roots):
         write_field(args.out_dir / f"root_{n:02d}.mfld", root)
     if args.residual_csv:
@@ -450,7 +465,7 @@ def _cmd_roots(args):
 
 
 def _cmd_jacobian(args):
-    field = read_field(args.field)
+    field = _read_field(args.field)
     det = jacobian_determinant(field)
     frac = _nonpositive_percent(det.values)
     if args.out:
@@ -461,7 +476,7 @@ def _cmd_jacobian(args):
 
 
 def _cmd_fit_basis(args):
-    logs = [read_field(p, as_log=True) for p in args.logs]
+    logs = [_read_field(p, as_log=True) for p in args.logs]
     basis = fit_basis(logs, args.dim, symmetrize=not args.no_symmetrize)
     write_basis(args.out, basis)
     ev = explained_variance(basis)
@@ -475,7 +490,7 @@ def _cmd_fit_basis(args):
 
 def _cmd_encode(args):
     basis = read_basis(args.basis)
-    z = encode(basis, read_field(args.log, as_log=True))
+    z = encode(basis, _read_field(args.log, as_log=True))
     line = ",".join(repr(float(v)) for v in z)
     print(line)
     if args.out_csv:
@@ -502,13 +517,16 @@ def _cmd_modes(args):
 
 
 def _cmd_losses(args):
-    phi_ab = read_field(args.phi_ab)
-    phi_ba = read_field(args.phi_ba)
+    if (args.a is None) != (args.b is None):
+        given, missing = ("--a", "--b") if args.b is None else ("--b", "--a")
+        raise UsageError(f"argument {missing}: required with {given}")
+    phi_ab = _read_field(args.phi_ab)
+    phi_ba = _read_field(args.phi_ba)
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     inputs = {"phi_ab": str(args.phi_ab), "phi_ba": str(args.phi_ba)}
     metrics = {}
     metrics["icon_loss"] = icon_loss(phi_ab, phi_ba)
-    if args.a and args.b:
+    if args.a:
         inputs.update(a=str(args.a), b=str(args.b))
         metrics["sim_loss"] = sim_loss(read_pgm(args.a), read_pgm(args.b), phi_ab, phi_ba)
     chain_ab = root_chain(phi_ab, args.n, cfg)
@@ -555,7 +573,7 @@ def _cmd_atlas(args):
 
 
 def _cmd_warp(args):
-    field = read_field(args.field)
+    field = _read_field(args.field)
     if args.labels:
         out = warp_labels(read_pgm_labels(args.image), field)
     else:

@@ -33,10 +33,13 @@ def check_integer(name, value):
 
 
 def check_depth(name, value):
-    """Raise DomainError unless the depth ``value`` is an integer >= 1."""
+    """Raise DomainError unless the depth ``value`` is an integer from 1 to
+    1023: a depth n scales by 2.0 ** n, which overflows from n = 1024."""
     check_integer(name, value)
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")
+    if value > 1023:
+        raise DomainError(f"{name} must be <= 1023, got {value}")
 
 
 def check_power_of_two(name, value):

@@ -518,17 +518,18 @@ def _band_count(shape) -> int:
 
 
 class _Band:
-    """One contiguous block of rows of a :class:`DisplacedGrid`: its own
-    stencil of the points x + w on those rows, its own finiteness mask and
+    """One contiguous block of rows of a :class:`DisplacedGrid`: the
+    coordinates ``x`` of those rows, its own stencil of the points x + w
+    there, its own finiteness mask and
     a planar view of its rows of the grid's ``(H, W, 2)`` squares. The
     methods take whole ``(2, H, W)`` arrays and read and write the band's
     rows of them; samples gather from the whole field."""
 
     def __init__(self, x: np.ndarray, rows: slice, squares: np.ndarray):
         self.rows = rows
-        self._x = x[:, rows]
-        self._finite = np.empty(self._x.shape, dtype=bool)
-        self._stencil = Stencil.empty(self._x.shape[1:], x.shape[1:])
+        self.x = x[:, rows]
+        self._finite = np.empty(self.x.shape, dtype=bool)
+        self._stencil = Stencil.empty(self.x.shape[1:], x.shape[1:])
         self._squares = squares.transpose(2, 0, 1)[:, rows]
 
     def square(self, a: np.ndarray):
@@ -543,7 +544,7 @@ class _Band:
         w = w[:, self.rows]
         if not np.isfinite(w, out=self._finite).all():
             raise DomainError("sample points must be finite")
-        return self._stencil.displace(self._x, w)
+        return self._stencil.displace(self.x, w)
 
     def self_composed(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """w + w(x + w) on the band's rows, into the same rows of ``out``:
@@ -594,10 +595,10 @@ class DisplacedGrid:
     """
 
     def __init__(self, grid: Grid, squares: np.ndarray):
-        self.x = np.indices(grid.shape, dtype=np.float64)
+        x = np.indices(grid.shape, dtype=np.float64)
         self._squares = squares
         bands = _chunks(grid.height, _band_count(grid.shape))
-        self.bands = [_Band(self.x, rows, squares) for rows in bands]
+        self.bands = [_Band(x, rows, squares) for rows in bands]
         self._pool = None
 
     def __enter__(self) -> "DisplacedGrid":

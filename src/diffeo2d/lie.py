@@ -35,11 +35,12 @@ On a large grid the per-pixel part of an iteration runs on the grid's row
 bands at once (see :class:`fields.DisplacedGrid`): in ``sqrt_field`` the
 finiteness check, placement, sample, damped step, the step's squares and
 w + step, in ``invert`` the Newton step, its squares, the move to w + step,
-placement and sample with derivative. Every band reads all of w, so w + step
-goes into a second buffer and the two swap once every band is done. The
-means over the grid, the stop tests and ``invert``'s step halving run on
-the calling thread, so every result is the same bit for bit at any band
-count, and a solve joins its threads before it returns or raises.
+placement, sample with derivative and the step halving. Every band reads all
+of w, so w + step goes into a second buffer and the two swap once every band
+is done. Only the means over the grid and the stop tests run on the calling
+thread. The halving is per pixel, so every result is the same bit for bit
+at any band count, and a solve joins its threads before it returns or
+raises.
 """
 
 from __future__ import annotations
@@ -182,16 +183,17 @@ def _band_gap(band, u, w, gap, grad):
     _inverse_gap(band.stencil(w), u, w[:, rows], gap[:, rows], grad[:, :, rows])
 
 
-def _newton_move(band, u, w, f_w, grad, damping, step, w_new, gap):
+def _newton_move(band, u, w, f_w, grad, damping, step, w_new, gap, tol_sq):
     """On one band's rows: the step from w, where F is ``f_w`` and grad u
     is ``grad``, and its squares; then w_new = w + step, and F and grad u
-    at w_new into ``gap`` and ``grad``."""
+    at w_new into ``gap`` and ``grad``; then :func:`_halve_steps`."""
     rows = band.rows
     d_row, d_col = grad[:, :, rows]
     _newton_step(f_w[:, rows], d_row, d_col, damping, step[:, rows])
     band.square(step)
     np.add(w[:, rows], step[:, rows], out=w_new[:, rows])
     _band_gap(band, u, w_new, gap, grad)
+    _halve_steps(band, u, w, w_new, step, f_w, gap, grad, tol_sq, damping)
 
 
 def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> FieldSolution:
@@ -233,15 +235,13 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
     with DisplacedGrid(grid, squares) as displaced:
         displaced.run(_band_gap, u, w, f_w, grad)
         for it in range(1, cfg.max_iterations + 1):
-            displaced.run(_newton_move, u, w, f_w, grad, cfg.damping, step, w_new, gap)
-            # The stop test reads the full step: a halved step is short
-            # because the residual did not drop, not because w is near the
-            # root.
-            converged = displaced.rms() < cfg.tolerance
-            _halve_steps(displaced, u, w, w_new, step, f_w, gap, grad, tol_sq, cfg.damping)
+            displaced.run(_newton_move, u, w, f_w, grad, cfg.damping, step, w_new, gap, tol_sq)
             w, w_new = w_new, w
             f_w, gap = gap, f_w
-            if converged:
+            # The stop test reads the full step, squared before any
+            # halving: a halved step is short because the residual did not
+            # drop, not because w is near the root.
+            if displaced.rms() < cfg.tolerance:
                 iterations = it
                 break
         displaced.run(_Band.square, f_w)
@@ -253,8 +253,9 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
     return FieldSolution(inv, residual, iterations)
 
 
-def _halve_steps(displaced, u, w, w_new, step, f_w, gap, grad, tol_sq, damping):
-    """Safeguard the step from w to w_new per pixel, in place.
+def _halve_steps(band, u, w, w_new, step, f_w, gap, grad, tol_sq, damping):
+    """Safeguard the step from w to w_new per pixel, in place, on one
+    band's rows.
 
     ``f_w`` is F at w; ``gap`` and ``grad`` hold F and grad u at w_new and
     follow it. A pixel whose squared residual did not drop below its value
@@ -264,11 +265,13 @@ def _halve_steps(displaced, u, w, w_new, step, f_w, gap, grad, tol_sq, damping):
     accepted where it lands: near a fold the Newton direction can point
     uphill at every length, and the Picard step moves the pixel on.
     """
-    w, w_new, step, f_w, gap = (a.reshape(2, -1) for a in (w, w_new, step, f_w, gap))
-    grad = grad.reshape(2, 2, -1)
+    # A band's rows are contiguous in each plane, so these are views.
+    r = band.rows
+    w, w_new, step, f_w, gap = (a[:, r].reshape(2, -1) for a in (w, w_new, step, f_w, gap))
+    grad = grad[:, :, r].reshape(2, 2, -1)
     before = _sq_lengths(f_w)
     shape = u.shape[1:]
-    rows, cols = displaced.x.reshape(2, -1)
+    rows, cols = band.x.reshape(2, -1)
 
     def move(idx, new_step):
         step[:, idx] = new_step

@@ -109,7 +109,7 @@ def sim_loss(
 def _mean_sq_displacement(u: np.ndarray) -> float:
     """Mean over pixels of the squared displacement norm (components summed)
     of an (H, W, 2) field."""
-    return float(_mean_sq_planes(np.moveaxis(u, -1, 0)))
+    return float(_grid_mean(_sq_lengths(np.moveaxis(u, -1, 0))))
 
 
 def icon_loss(phi_ab: DisplacementField, phi_ba: DisplacementField) -> float:
@@ -166,14 +166,9 @@ def frozen_loss_and_grad(
     _sample_partner(other, var, work, image=True)
     # The partner's similarity term is constant; it is included so that the
     # value is the full loss.
-    loss = (
-        lambda_sim * _mean_sq(var.at[2])
-        + lambda_sim * _mean_sq(other.at[2])
-        + lambda_reg * _mean_sq_planes(other.at[:2])
-        + lambda_reg * _mean_sq_planes(var.at[:2])
-    )
+    loss = float(_pair_terms(lambda_sim, lambda_reg, var, other, work)[2])
     grad = _gradient(var, other, lambda_sim, lambda_reg, work)
-    return float(loss), np.moveaxis(grad, 0, -1)
+    return loss, np.moveaxis(grad, 0, -1)
 
 
 # The optimizer works on planar fields: a (2, ...) array of the row and the
@@ -185,16 +180,6 @@ def _grid_mean(x: np.ndarray) -> np.ndarray:
     """Mean over the last two (grid) axes: the sum and the division that
     ``np.mean`` makes, without its wrapper."""
     return np.add.reduce(x, axis=(-2, -1)) / (x.shape[-2] * x.shape[-1])
-
-
-def _mean_sq(r: np.ndarray) -> np.ndarray:
-    """Mean square over the last two (grid) axes."""
-    return _grid_mean(r * r)
-
-
-def _mean_sq_planes(u: np.ndarray) -> np.ndarray:
-    """Mean squared displacement norm of a planar field, per subject."""
-    return _grid_mean(_sq_lengths(u))
 
 
 # Planes of one pyramid level's scratch block, shared by both directions,
@@ -378,10 +363,9 @@ def _check_length(u, diagonal, sq, iteration, level):
         )
 
 
-def _history_terms(cfg, ab, ba, work, iteration, level):
-    """Per-pair (l_sim, l_reg, l_p) from the residuals of the first
-    half-step at the fields after ``iteration``, summed as
-    :func:`primary_loss` does.
+def _pair_terms(lambda_sim, lambda_reg, ab, ba, work):
+    """Per-pair (l_sim, l_reg, l_p) of :func:`primary_loss`, summed as it
+    sums them, from the residuals of the first half-step.
 
     The squares go into ``work``, one plane per term (the squared lengths
     of r1 and r2 in planes 2 and 4), so that one reduction takes all the
@@ -395,12 +379,18 @@ def _history_terms(cfg, ab, ba, work, iteration, level):
     means = _grid_mean(sq)
     l_sim = means[0] + means[1]
     l_reg = means[2] + means[4]
-    l_p = cfg.lambda_sim * l_sim + cfg.lambda_reg * l_reg
-    finite = np.isfinite(l_p)
+    return l_sim, l_reg, lambda_sim * l_sim + lambda_reg * l_reg
+
+
+def _history_terms(cfg, ab, ba, work, iteration, level):
+    """:func:`_pair_terms` at the fields after ``iteration``; raises
+    divergence if a pair's loss is not finite."""
+    terms = _pair_terms(cfg.lambda_sim, cfg.lambda_reg, ab, ba, work)
+    finite = np.isfinite(terms[2])
     if not finite.all():
         n = int(np.argmin(finite))
-        raise _diverged(n, l_p[n], "non-finite loss", iteration, level)
-    return l_sim, l_reg, l_p
+        raise _diverged(n, terms[2][n], "non-finite loss", iteration, level)
+    return terms
 
 
 def _evaluate(ab: _Side, ba: _Side, work: np.ndarray, image: bool):
@@ -412,8 +402,10 @@ def _evaluate(ab: _Side, ba: _Side, work: np.ndarray, image: bool):
 def _descend_pyramid(pyramid, cfg):
     """The loop of :func:`register_pairs` over the image pyramid, finest
     level first in ``pyramid`` (which it empties): the final planar fields
-    u_AB and u_BA, and the iteration numbers and terms of the history."""
-    fields = None  # the previous level's (u_AB, u_BA)
+    u_AB and u_BA, their consistency residuals u_AB + u_BA(x + u_AB) and
+    u_BA + u_AB(x + u_BA), and the iteration numbers and terms of the
+    history."""
+    fields = None  # the previous level's (u_AB, u_BA, residuals)
     iterations: list[int] = []
     terms: list[tuple] = []
     global_it = 0
@@ -453,7 +445,7 @@ def _descend_pyramid(pyramid, cfg):
         _evaluate(ab, ba, work, image=True)
         iterations.append(global_it - 1)
         terms.append(_history_terms(cfg, ab, ba, work, global_it - 1, level))
-        fields = (ab.u, ba.u)
+        fields = (ab.u, ba.u, ab.at[:2], ba.at[:2])
         del ab, ba, work
 
     return (*fields, iterations, terms)
@@ -470,6 +462,11 @@ def register_pairs(
     All images share one grid. The pairs share the loop, the stencils and
     the smoothing calls, one subject-batch of arrays per half-step, but no
     values: each result is bit for bit the one the pair gives alone.
+    ``final_inverse_consistency`` is the larger ``field_rms`` of the two
+    compositions of the final fields, phi_AB o phi_BA and phi_BA o phi_AB.
+    It is read off the consistency residuals of the loop's last
+    evaluation, which are those compositions' displacements formed with
+    the operations and operands of :func:`fields.compose`, so with its bits.
 
     Coarse-to-fine alternating descent on both direction fields: each
     iteration steps u_AB, then u_BA, on the frozen-partner objective.
@@ -493,15 +490,18 @@ def register_pairs(
             break
         pyramid.append(tuple(_downsample(v) for v in pyramid[-1]))
     with np.errstate(over="ignore"):  # overflow is divergence; see _check_length
-        u_ab, u_ba, iterations, terms = _descend_pyramid(pyramid, cfg)
+        u_ab, u_ba, r_ab, r_ba, iterations, terms = _descend_pyramid(pyramid, cfg)
 
     grid = fixed[0].grid
+
+    def field(planes, n):  # pair n of planar fields, as an (H, W, 2) field
+        return DisplacementField(grid, np.stack(planes[:, n], axis=-1))
+
     per_pair = np.array(terms).transpose(2, 0, 1).tolist()  # (pair, row, term)
     results = []
     for n, rows in enumerate(per_pair):
-        phi_ab = DisplacementField(grid, np.stack(u_ab[:, n], axis=-1))
-        phi_ba = DisplacementField(grid, np.stack(u_ba[:, n], axis=-1))
-        final_ic = max(field_rms(compose(phi_ab, phi_ba)), field_rms(compose(phi_ba, phi_ab)))
+        phi_ab, phi_ba = field(u_ab, n), field(u_ba, n)
+        final_ic = max(field_rms(field(r_ba, n)), field_rms(field(r_ab, n)))
         history = [(it, *row) for it, row in zip(iterations, rows)]
         results.append(RegistrationResult(phi_ab, phi_ba, history, final_ic))
     return results

@@ -122,16 +122,15 @@ def phantom_intensity(spec: PhantomSpec, points: np.ndarray) -> np.ndarray:
         return np.exp(-(((r - radius) / spec.ring_thickness) ** 2))
     if spec.kind == "four_label_phantom":
         return np.array([1.0, 0.45, 0.8, 0.25, 0.0])[_four_label_shell(spec, p)]
-    if spec.kind == "gaussian_blobs":
-        rng = np.random.default_rng(spec.seed)
-        centers, sigmas = _blob_geometry(spec, rng)
-        out = np.zeros(p.shape[:-1])
-        for (br, bc), s in zip(centers, sigmas):
-            out = out + np.exp(
-                -((p[..., 0] - br) ** 2 + (p[..., 1] - bc) ** 2) / (2 * s * s)
-            )
-        return np.clip(out, 0.0, 1.0)
-    raise DomainError(f"unknown phantom kind {spec.kind!r}")
+    # gaussian_blobs, the one kind left: PhantomSpec admits no other.
+    rng = np.random.default_rng(spec.seed)
+    centers, sigmas = _blob_geometry(spec, rng)
+    out = np.zeros(p.shape[:-1])
+    for (br, bc), s in zip(centers, sigmas):
+        out = out + np.exp(
+            -((p[..., 0] - br) ** 2 + (p[..., 1] - bc) ** 2) / (2 * s * s)
+        )
+    return np.clip(out, 0.0, 1.0)
 
 
 def _polar(spec: PhantomSpec, points: np.ndarray):
@@ -168,26 +167,21 @@ def make_phantom(spec: PhantomSpec) -> tuple[ScalarImage, LabelImage]:
     """Deterministic image in [0, 1] plus a consistent label partition."""
     grid = spec.grid
     coords = grid_coords(grid)
+    intensity = phantom_intensity(spec, coords)
     if spec.kind == "ring_with_bump":
-        intensity = phantom_intensity(spec, coords)
         labels = np.zeros(grid.shape, dtype=np.int64)
         on_ring = intensity >= 0.5
         labels[on_ring] = 1
         if spec.bump_amplitude > 0:
             _, ang = _polar(spec, coords)
             labels[on_ring & (np.abs(ang) <= spec.bump_width)] = 2
-        return ScalarImage(grid, intensity), LabelImage(grid, labels)
-    if spec.kind == "four_label_phantom":
-        raw = phantom_intensity(spec, coords)
-        # Slight blur gives SSD registration usable gradients at boundaries.
-        intensity = gaussian_filter(raw, 1.0, mode="nearest")
+    elif spec.kind == "four_label_phantom":
         labels = np.array([4, 3, 2, 1, 0], dtype=np.int64)[_four_label_shell(spec, coords)]
-        return ScalarImage(grid, np.clip(intensity, 0.0, 1.0)), LabelImage(grid, labels)
-    if spec.kind == "gaussian_blobs":
-        intensity = phantom_intensity(spec, coords)
+        # Slight blur gives SSD registration usable gradients at boundaries.
+        intensity = np.clip(gaussian_filter(intensity, 1.0, mode="nearest"), 0.0, 1.0)
+    else:
         labels = (intensity >= 0.5).astype(np.int64)
-        return ScalarImage(grid, intensity), LabelImage(grid, labels)
-    raise DomainError(f"unknown phantom kind {spec.kind!r}")
+    return ScalarImage(grid, intensity), LabelImage(grid, labels)
 
 
 def random_log_field(spec: RandomFieldSpec) -> LogField:

@@ -88,6 +88,12 @@ class TestAtlasStep:
         with pytest.raises(DomainError):
             atlas_step(state, [img], FAST_ATLAS_CFG)
 
+    def test_grid_mismatch(self):
+        img = blob_image()
+        small = ScalarImage(Grid(32, 32), img.values[:32, :32])
+        with pytest.raises(DomainError, match="^all images must share the atlas grid$"):
+            atlas_step(AtlasState(atlas=img), [img, small], FAST_ATLAS_CFG)
+
     def test_zero_norm_atlas_rejected(self):
         img = blob_image()
         state = AtlasState(atlas=ScalarImage(GRID64, np.zeros((64, 64))))
@@ -140,6 +146,11 @@ class TestEstimateAtlas:
         _, history = estimate_atlas([plus, minus], cfg, init_index=0)
         assert not history[-1].converged
 
+    @pytest.mark.parametrize("n_images", [0, 1])
+    def test_too_few_images(self, n_images):
+        with pytest.raises(DomainError, match="^atlas estimation needs at least 2 images$"):
+            estimate_atlas([blob_image()] * n_images, FAST_ATLAS_CFG)
+
     def test_bad_init_index(self):
         img = blob_image()
         with pytest.raises(DomainError):
@@ -162,6 +173,19 @@ class TestEstimateAtlas:
 def test_atlas_config_rejects_non_finite_epsilon(bad):
     with pytest.raises(DomainError, match="epsilon"):
         AtlasConfig(epsilon=bad)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"epsilon": 0.0}, "epsilon must be > 0"),
+    ({"epsilon": -1e-3}, "epsilon must be > 0"),
+    ({"max_outer_iterations": 0}, "max_outer_iterations must be >= 1"),
+    ({"basis_dim": 0}, "basis_dim and root_depth must be >= 1"),
+    ({"root_depth": -1}, "basis_dim and root_depth must be >= 1"),
+])
+def test_atlas_config_range_checks(kwargs, message):
+    with pytest.raises(DomainError) as info:
+        AtlasConfig(**kwargs)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", ["max_outer_iterations", "basis_dim", "root_depth"])

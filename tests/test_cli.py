@@ -567,3 +567,85 @@ def test_warp_without_labels_warps_the_image(tmp_path, small_inputs):
     expected = tmp_path / "expected.pgm"
     write_pgm(expected, warp_image(read_pgm(image), read_field(field)))
     assert out.read_bytes() == expected.read_bytes()
+
+
+# Every field input of every command, given a 1-channel MFLD ({s}, the kind
+# of file ``jacobian --out`` writes); {d} is the input directory and {out}
+# the test's own.
+SCALAR_FIELD_ARGS = [
+    "invert --field {s} --out {out}/f.mfld",
+    "sqrt --field {s} --out {out}/f.mfld",
+    "log --field {s} --n 2 --out {out}/f.mfld",
+    "roots --field {s} --n 2 --out-dir {out}/r",
+    "exp --log {s} --n 2 --out {out}/f.mfld",
+    "compose --outer {s} --inner {d}/subject_000_field.mfld --out {out}/f.mfld",
+    "compose --outer {d}/subject_000_field.mfld --inner {s} --out {out}/f.mfld",
+    "jacobian --field {s} --out {out}/j.mfld",
+    "warp --image {d}/image.pgm --field {s} --out {out}/w.pgm",
+    "losses --phi-ab {s} --phi-ba {d}/subject_001_field.mfld --n 2 --out-csv {out}/l.csv",
+    "losses --phi-ab {d}/subject_000_field.mfld --phi-ba {s} --n 2 --out-csv {out}/l.csv",
+    "fit-basis --logs {d}/subject_000_log.mfld {s} --dim 1 --out {out}/b.mleb",
+    "encode --basis {d}/basis.mleb --log {s} --out-csv {out}/z.csv",
+    "register --a {d}/image.pgm --b {d}/subject_000_image.pgm --gt-field {s} --levels 1 "
+    "--iterations 2 --out-ab {out}/ab.mfld",
+]
+
+
+@pytest.mark.parametrize("argv", SCALAR_FIELD_ARGS, ids=lambda argv: argv.split()[0])
+def test_a_scalar_raster_is_not_a_field(tmp_path, small_inputs, argv, capsys):
+    # read_field loads a 1-channel file as a ScalarImage; a command that
+    # needs a field says so, as an error of the file, before any output.
+    scalar = tmp_path / "det.mfld"
+    write_field(scalar, fields.jacobian_determinant(read_field(
+        small_inputs / "subject_000_field.mfld")))
+    out = tmp_path / "out"
+    argv = argv.format(s=scalar, d=small_inputs, out=out).split()
+    capsys.readouterr()
+    assert run(*argv, "--json-summary", out / "run.json") == 2
+    assert capsys.readouterr().err == (
+        f"io error: {scalar}: a 1-channel raster, not a 2-channel field\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    # A ground truth on another grid than the images, checked before the
+    # registration runs and writes --out-ab.
+    ("register --a {d}/image.pgm --b {d}/subject_000_image.pgm --gt-field {t}/gt.mfld "
+     "--levels 1 --iterations 2 --out-ab {out}/ab.mfld", 1,
+     "usage error: argument --gt-field: grid Grid(height=16, width=16) does not match "
+     "--a's Grid(height=32, width=32)"),
+    # The similarity term needs both images.
+    ("losses --phi-ab {d}/subject_000_field.mfld --phi-ba {d}/subject_001_field.mfld "
+     "--a {d}/image.pgm --n 2 --out-csv {out}/l.csv", 1,
+     "usage error: argument --b: required with --a"),
+    ("losses --phi-ab {d}/subject_000_field.mfld --phi-ba {d}/subject_001_field.mfld "
+     "--b {d}/image.pgm --n 2 --out-csv {out}/l.csv", 1,
+     "usage error: argument --a: required with --b"),
+    # A depth of 1024 or more would scale by 2.0 ** n, which overflows.
+    ("exp --log {d}/subject_000_log.mfld --n 1100 --out {out}/e.mfld", 1,
+     "usage error: exp depth must be <= 1023, got 1100"),
+    ("log --field {d}/subject_000_field.mfld --n 1024 --out {out}/l.mfld", 1,
+     "usage error: root chain depth must be <= 1023, got 1024"),
+    ("validate --n 1100 --out-csv {out}/v.csv", 1,
+     "usage error: exp depth must be <= 1023, got 1100"),
+], ids=["gt-field-grid", "losses-a-alone", "losses-b-alone", "exp-depth", "log-depth",
+        "validate-depth"])
+def test_inputs_that_do_not_fit_are_refused_before_any_output(
+    tmp_path, small_inputs, argv, code, error, capsys
+):
+    write_field(tmp_path / "gt.mfld", DisplacementField(Grid(16, 16), np.zeros((16, 16, 2))))
+    out = tmp_path / "out"
+    argv = argv.format(d=small_inputs, t=tmp_path, out=out).split()
+    capsys.readouterr()
+    assert run(*argv, "--json-summary", out / "run.json") == code
+    assert capsys.readouterr().err == f"{error}\n"
+    assert not out.exists()
+
+
+def test_synth_refuses_a_subject_depth_above_1023(tmp_path, capsys):
+    summary = tmp_path / "run.json"
+    capsys.readouterr()
+    assert run("synth", "--subjects", 1, "--depth", 1100, "--out-dir", tmp_path / "s",
+               "--json-summary", summary) == 1
+    assert capsys.readouterr().err == "usage error: exp depth must be <= 1023, got 1100\n"
+    assert not summary.exists()

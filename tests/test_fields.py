@@ -45,6 +45,24 @@ def test_grid_rejects_non_integer_size(shape):
     assert Grid(np.int64(8), 8).shape == (8, 8)
 
 
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (0, 0), (-2, 5)])
+def test_grid_rejects_a_size_below_two(shape):
+    with pytest.raises(DomainError) as info:
+        Grid(*shape)
+    assert str(info.value) == f"grid must be at least 2x2, got {shape[0]}x{shape[1]}"
+
+
+@pytest.mark.parametrize("labels, error, message", [
+    (np.zeros((3, 4)), DomainError, "labels must be an integer array"),
+    (np.zeros((4, 3), dtype=int), ShapeError, "label shape (4, 3) != grid (3, 4)"),
+    (np.full((3, 4), -1), DomainError, "labels must be non-negative"),
+])
+def test_label_image_checks(labels, error, message):
+    with pytest.raises(error) as info:
+        LabelImage(Grid(3, 4), labels)
+    assert str(info.value) == message
+
+
 class TestIdentity:
     def test_all_zero(self):
         f = identity_field(Grid(4, 4))
@@ -83,6 +101,12 @@ class TestSampleField:
         f = identity_field(Grid(4, 4))
         with pytest.raises(DomainError):
             sample_field(f, (np.nan, 0.0))
+
+    @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0), [[1.0, 2.0]], 1.0])
+    def test_point_must_be_a_pair(self, point):
+        f = identity_field(Grid(4, 4))
+        with pytest.raises(ShapeError, match="^point must be a pair of coordinates$"):
+            sample_field(f, point)
 
 
 class TestCompose:

@@ -23,6 +23,7 @@ from diffeo2d import (
 )
 from diffeo2d.errors import (
     BadMagicError,
+    DomainError,
     BadVersionError,
     FieldFileError,
     NonFiniteDataError,
@@ -110,6 +111,21 @@ class TestPgm:
             with pytest.raises(PgmParseError):
                 read(p)
 
+    @pytest.mark.parametrize("data", [b"P2\n2 2\n10\n0 11 0 0\n",
+                                      b"P5\n2 2\n100\n\x00\x00\xc8\x00"])
+    def test_value_above_maxval_is_parse_error(self, tmp_path, data):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(data)
+        for read in (read_pgm, read_pgm_labels):
+            with pytest.raises(PgmParseError, match="^pixel value exceeds maxval"):
+                read(p)
+
+    def test_labels_above_65535_are_not_written(self, tmp_path):
+        p = tmp_path / "l.pgm"
+        with pytest.raises(DomainError, match="^labels above 65535 cannot be stored as PGM$"):
+            write_pgm(p, LabelImage(Grid(2, 2), np.array([[0, 65536], [1, 2]])))
+        assert not p.exists()
+
     def test_overlong_integer_is_parse_error(self, tmp_path):
         p = tmp_path / "x.pgm"
         p.write_bytes(b"P2\n" + b"9" * 5000 + b" 2\n255\n")
@@ -167,6 +183,12 @@ class TestMfld:
         p.write_bytes(header + struct.pack("<d", 0.0))
         with pytest.raises(BadVersionError):
             read_field(p)
+
+    def test_other_types_are_not_written(self, tmp_path):
+        p = tmp_path / "x.mfld"
+        with pytest.raises(DomainError, match="^cannot serialize LabelImage as MFLD$"):
+            write_field(p, LabelImage(Grid(2, 2), np.zeros((2, 2), dtype=int)))
+        assert not p.exists()
 
     def test_unsupported_channels(self, tmp_path):
         import struct
@@ -305,6 +327,20 @@ class TestBasisFile:
         p.write_bytes(header + bytes(8 * (h * w * 2 * (1 + dim) + dim)))
         with pytest.raises(FieldFileError):
             read_basis(p)
+
+    @pytest.mark.parametrize("magic, version, sign_version, error, message", [
+        (b"XLEB", 1, 1, BadMagicError, "bad magic b'XLEB'"),
+        (b"MLEB", 2, 1, BadVersionError, "unsupported version 2"),
+        (b"MLEB", 1, 2, BadVersionError, "unsupported version 1"),
+    ])
+    def test_bad_magic_and_version(self, tmp_path, magic, version, sign_version, error,
+                                   message):
+        p = tmp_path / "h.mleb"
+        header = struct.pack("<4sHIIHBBd", magic, version, 2, 2, 1, 1, sign_version, 0.0)
+        p.write_bytes(header + bytes(8 * (2 * 2 * 2 * 2 + 1)))
+        with pytest.raises(error) as info:
+            read_basis(p)
+        assert str(info.value) == f"{p}: {message}"
 
     def test_ascending_singular_values_rejected(self, tmp_path):
         basis = self.make_basis()

@@ -48,6 +48,36 @@ def two_mode_population(n=24, seed=0, grid=GRID64, scales=(3.0, 1.0)):
     return fields, v1, v2
 
 
+def _basis(components, singular_values, grid=Grid(3, 4)):
+    return LogEuclideanBasis(grid, LogField(grid, np.zeros((3, 4, 2))), components,
+                             singular_values, symmetrized=True, total_variance=1.0)
+
+
+@pytest.mark.parametrize("components, singular_values, error, message", [
+    (np.zeros((3, 4, 2)), [1.0], ShapeError, "components must have shape (d, H, W, 2)"),
+    (np.zeros((1, 4, 3, 2)), [1.0], ShapeError, "components must have shape (d, H, W, 2)"),
+    (np.zeros((2, 3, 4, 2)), [1.0], ShapeError, "one singular value per component required"),
+    (np.zeros((2, 3, 4, 2)), [1.0, 2.0], DomainError, "singular values must be descending"),
+])
+def test_basis_argument_checks(components, singular_values, error, message):
+    with pytest.raises(error) as info:
+        _basis(components, singular_values)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("logs, dim, error, message", [
+    ([unit_log(1)], 1, DomainError, "need at least 2 log fields to fit a basis"),
+    ([unit_log(1), unit_log(2, Grid(32, 32))], 1, ShapeError,
+     "all log fields must share one grid"),
+    ([unit_log(1), unit_log(2)], 0, DomainError, "latent dimension must be >= 1"),
+    ([unit_log(1), unit_log(2)], 5, DomainError, "dimension 5 exceeds sample count 4"),
+])
+def test_fit_basis_argument_checks(logs, dim, error, message):
+    with pytest.raises(error) as info:
+        fit_basis(logs, dim)
+    assert str(info.value) == message
+
+
 class TestFitBasis:
     def test_symmetric_pair_single_mode(self):
         v = unit_log(1)

@@ -24,6 +24,7 @@ from diffeo2d import (
     sqrt_field,
 )
 from diffeo2d import fields as fields_module
+from diffeo2d import lie as lie_module
 from diffeo2d.errors import ConvergenceError, DomainError, ShapeError
 from diffeo2d.fields import field_rms
 from diffeo2d.lie import _newton_step
@@ -271,6 +272,19 @@ def test_solver_config_rejects_non_finite(name, bad):
         SolverConfig(**{name: bad})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tolerance": 0.0}, "tolerance must be > 0"),
+    ({"tolerance": -1e-6}, "tolerance must be > 0"),
+    ({"max_iterations": 0}, "max_iterations must be >= 1"),
+    ({"damping": 0.0}, "damping must be in (0, 1]"),
+    ({"damping": 1.5}, "damping must be in (0, 1]"),
+])
+def test_solver_config_range_checks(kwargs, message):
+    with pytest.raises(DomainError) as info:
+        SolverConfig(**kwargs)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("bad", [2.5, np.float64(2.0)])
 def test_solver_config_rejects_non_integer(bad):
     with pytest.raises(DomainError, match="max_iterations"):
@@ -306,6 +320,11 @@ def test_depth_and_power_reject_non_integers(call, name, bad):
                      "exp depth must be >= 1, got -1", id="exp_field"),
         pytest.param(self_compose_m, 6, "m must be a positive power of two, got 6",
                      id="self_compose_m"),
+        # 2.0 ** 1024 overflows.
+        pytest.param(root_chain, 1024, "root chain depth must be <= 1023, got 1024",
+                     id="root_chain_too_deep"),
+        pytest.param(lambda phi, n: exp_field(LogField(phi.grid, phi.u), n), 1100,
+                     "exp depth must be <= 1023, got 1100", id="exp_field_too_deep"),
     ],
 )
 def test_depth_and_power_range_messages(call, bad, message):
@@ -385,6 +404,26 @@ class TestBands:
                 with pytest.raises(ConvergenceError, match=f"band at row {raised}$"):
                     displaced.run(task, failing, slow)
                 assert sorted(done) == [0, 3, 6]
+
+    def test_invert_halves_steps_in_its_band_tasks(self, monkeypatch):
+        # Each band safeguards its own rows' steps, on its own thread; the
+        # calling thread takes only the means and the stop tests.
+        banded(monkeypatch, 3)
+        calls = []
+        halve = lie_module._halve_steps
+
+        def recorded(band, *args):
+            calls.append((threading.get_ident(), band.rows.start, band.x.shape))
+            return halve(band, *args)
+
+        monkeypatch.setattr(lie_module, "_halve_steps", recorded)
+        _, phi = suite_field(3, grid=Grid(26, 24))
+        sol = invert(phi)
+        assert len(calls) == 3 * sol.iterations
+        assert sorted({(row, shape) for _, row, shape in calls}) == [
+            (0, (2, 9, 24)), (9, (2, 9, 24)), (18, (2, 8, 24))]
+        main = threading.get_ident()
+        assert all((thread == main) == (row == 0) for thread, row, _ in calls)
 
     def test_one_band_starts_no_pool(self, monkeypatch):
         def no_pool(*args):

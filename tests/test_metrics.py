@@ -200,6 +200,12 @@ class TestDiceReport:
         assert per_label == {1: 1.0, 2: 1.0}
         assert mean == 1.0
 
+    def test_grid_mismatch(self):
+        a = LabelImage(Grid(8, 8), np.zeros((8, 8), dtype=np.int64))
+        b = LabelImage(Grid(8, 6), np.zeros((8, 6), dtype=np.int64))
+        with pytest.raises(ShapeError, match="^label images must share a grid$"):
+            dice_report(a, b)
+
     def test_half_matched(self):
         g = Grid(8, 8)
         a = np.zeros((8, 8), dtype=np.int64)

@@ -23,7 +23,8 @@ from diffeo2d import (
     sim_loss,
     warp_image,
 )
-from diffeo2d import RandomFieldSpec
+from diffeo2d import RandomFieldSpec, registration
+from diffeo2d.fields import compose, field_rms
 from diffeo2d.errors import ConvergenceError, DomainError, ShapeError
 from diffeo2d.registration import frozen_loss_and_grad, mse
 
@@ -152,6 +153,23 @@ class TestFrozenGradient:
                 frozen_loss_and_grad(a, a, u_var, u_other, 1.0, 1.0)
 
 
+    def test_loss_is_primary_loss_bit_for_bit(self):
+        # With the partner's sample computed here, the frozen objective at
+        # the base point is primary_loss, summed in the same order.
+        grid = Grid(20, 18)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a, b = (ScalarImage(grid, rng.random((20, 18))) for _ in range(2))
+            u_ab, u_ba = rng.normal(size=(2, 20, 18, 2))
+            lambda_sim, lambda_reg = rng.uniform(0.1, 2.0, 2)
+            cfg = RegistrationConfig(lambda_sim=lambda_sim, lambda_reg=lambda_reg)
+            loss, _ = frozen_loss_and_grad(a, b, u_ab, u_ba, lambda_sim, lambda_reg)
+            expected = primary_loss(
+                a, b, DisplacementField(grid, u_ab), DisplacementField(grid, u_ba), cfg
+            )
+            assert loss == expected
+
+
 class TestRegisterPair:
     def test_self_registration_near_identity(self):
         a = textured_image(4)
@@ -265,6 +283,26 @@ class TestRegisterPairs:
             assert res.loss_history == one.loss_history
             assert res.final_inverse_consistency == one.final_inverse_consistency
 
+    @pytest.mark.parametrize("n_pairs", [1, 3, 8])
+    def test_final_inverse_consistency_is_the_compositions_rms(self, n_pairs, monkeypatch):
+        # The loop's last consistency residuals are the displacements of
+        # both compositions of the final fields, so the result needs no
+        # compose of its own and carries the bits of the two composes.
+        grid = Grid(24, 20)
+        cfg = replace(SUITE_REG_CONFIG, pyramid_levels=2, iterations_per_level=15)
+        fixed = [textured_image(40 + k, grid) for k in range(n_pairs)]
+        moving = [warp_image(a, suite_field(140 + k, amplitude=2.0, grid=grid)[1])
+                  for k, a in enumerate(fixed)]
+        calls = []
+        monkeypatch.setattr(registration, "compose", lambda *f: calls.append(f))
+        results = register_pairs(fixed, moving, cfg)
+        assert calls == []
+        monkeypatch.undo()
+        for res in results:
+            expected = max(field_rms(compose(res.phi_ab, res.phi_ba)),
+                           field_rms(compose(res.phi_ba, res.phi_ab)))
+            assert res.final_inverse_consistency == expected
+
     def test_matches_reference_descent_loop(self):
         # register_pairs is plain alternating descent: u_AB steps on the
         # frozen-partner gradient, smoothed by gaussian_filter, then u_BA
@@ -353,6 +391,22 @@ class TestRegisterPairs:
         assert info.value.iterations == iteration
         assert info.value.residual == residual
 
+    def test_non_finite_loss_is_divergence(self):
+        # Images of 0 and 1e155 keep every displacement short, but their
+        # squared difference, 1e310, overflows: pair 1 diverges on its first
+        # loss, behind a pair that registers an image to itself.
+        grid = Grid(16, 16)
+        a = textured_image(1, grid)
+        zero, huge = (ScalarImage(grid, np.full((16, 16), v)) for v in (0.0, 1e155))
+        cfg = RegistrationConfig(pyramid_levels=1, iterations_per_level=5)
+        with pytest.raises(ConvergenceError) as info:
+            register_pairs([a, zero], [a, huge], cfg)
+        assert str(info.value) == (
+            "registration diverged at iteration 0 (level 0): non-finite loss")
+        assert info.value.index == 1
+        assert info.value.iterations == 0
+        assert info.value.residual == np.inf
+
     def test_pyramid_stops_below_eight_pixels(self):
         # 12x12 halves once, to 6x6, which is below 8 px and not halved
         # again: 3 levels asked, 2 run, one history row per iteration.
@@ -385,6 +439,21 @@ def test_config_rejects_non_finite(name, bad):
     # OverflowError, or as divergence, instead of a domain error.
     with pytest.raises(DomainError, match=name):
         RegistrationConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lambda_sim": -1.0}, "loss weights must be >= 0"),
+    ({"lambda_reg": -1e-9}, "loss weights must be >= 0"),
+    ({"pyramid_levels": 0}, "pyramid_levels and iterations_per_level must be >= 1"),
+    ({"iterations_per_level": -3}, "pyramid_levels and iterations_per_level must be >= 1"),
+    ({"step_size": 0.0}, "step_size must be > 0"),
+    ({"update_smoothing_sigma": -0.5}, "smoothing sigmas must be >= 0"),
+    ({"field_smoothing_sigma": -0.5}, "smoothing sigmas must be >= 0"),
+])
+def test_config_range_checks(kwargs, message):
+    with pytest.raises(DomainError) as info:
+        RegistrationConfig(**kwargs)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", ["pyramid_levels", "iterations_per_level"])

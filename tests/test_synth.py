@@ -116,6 +116,18 @@ def test_random_field_spec_rejects_non_finite(name, bad):
         RandomFieldSpec(GRID64, seed=0, **{name: bad})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"smoothing_sigma": 0.0}, "smoothing_sigma must be > 0"),
+    ({"amplitude": -0.5}, "amplitude must be >= 0"),
+    ({"amplitude": 8.5}, "amplitude exceeds min(grid)/8; the diffeomorphism guarantee "
+                         "requires small deformations"),
+])
+def test_random_field_spec_range_checks(kwargs, message):
+    with pytest.raises(DomainError) as info:
+        RandomFieldSpec(GRID64, seed=0, **kwargs)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("bad", [-1, 2.5, np.nan])
 @pytest.mark.parametrize("make", [
     lambda seed: PhantomSpec(kind="ring_with_bump", grid=GRID64, seed=seed),

@@ -52,14 +52,16 @@ def test_lie_still_binds_the_fields_sampling_functions():
     assert lie.sample_values is fields.sample_values
 
 
-@pytest.mark.parametrize("workload", ["algebra256", "atlas8"])
+@pytest.mark.parametrize("workload", ["algebra256", "atlas8", "register64"])
 def test_traced_smoke_run_is_correct(tmp_path, workload):
     """One traced smoke run of a workload, from a copy of the benchmark and
     the library, so that nothing is written under the checkout. It runs the
     tracer's rebinding and checks that the traced and untraced digests
     agree: of exp_field, log_field, invert and the MFLD and basis round
     trips for algebra256, of the atlas step for atlas8, whose basis fit the
-    tracer must see as one ``latent.fit_basis`` call an op."""
+    tracer must see as one ``latent.fit_basis`` call an op, and of the
+    registration for register64, which reads its final inverse
+    consistency off its own loop and so makes no ``fields.compose`` call."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "perfbench").mkdir()
     for path in PERFBENCH.glob("*.py"):
@@ -73,6 +75,8 @@ def test_traced_smoke_run_is_correct(tmp_path, workload):
     assert summary["correct"] is True, proc.stdout
     if workload == "atlas8":
         assert summary["metrics"]["latent.fit_basis.calls"]["value"] == 1, proc.stdout
+    if workload == "register64":
+        assert summary["metrics"]["fields.compose.calls"]["value"] == 0, proc.stdout
 
 
 # Every knob of the package: each subcommand's options, each config's
