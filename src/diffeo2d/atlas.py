@@ -41,6 +41,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     RankError,
+    check_depth,
     check_integer,
     check_seed,
     require_finite,
@@ -63,13 +64,14 @@ class AtlasConfig:
 
     def __post_init__(self):
         require_finite(self, "epsilon")
-        require_integer(self, "max_outer_iterations", "basis_dim", "root_depth")
+        require_integer(self, "max_outer_iterations", "basis_dim")
         if not (self.epsilon > 0):
             raise DomainError("epsilon must be > 0")
         if self.max_outer_iterations < 1:
             raise DomainError("max_outer_iterations must be >= 1")
-        if self.basis_dim < 1 or self.root_depth < 1:
-            raise DomainError("basis_dim and root_depth must be >= 1")
+        if self.basis_dim < 1:
+            raise DomainError("basis_dim must be >= 1")
+        check_depth("root_depth", self.root_depth)
 
 
 @dataclass

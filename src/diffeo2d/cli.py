@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .atlas import AtlasConfig, estimate_atlas, pixelwise_mean_atlas
 from .errors import (
+    MAX_DEPTH,
     ConvergenceError,
     DomainError,
     FileFormatError,
@@ -92,11 +93,14 @@ _ATLAS_FLAGS = (
 
 
 def _add_flags(p, cls, table):
-    """Every int field of a config is a count of at least 1."""
+    """Every int field of a config is a count of at least 1, but the one
+    of ``--depth``, a depth."""
     defaults = cls()
     for flag, name in table:
         default = getattr(defaults, name)
         kind = _at_least(1) if isinstance(default, int) else type(default)
+        if flag == "--depth":
+            kind = _depth
         p.add_argument(flag, type=kind, default=default)
 
 
@@ -137,14 +141,22 @@ def _checked_int(check):
     return parse
 
 
-def _at_least(minimum):
-    """A parser type for a count of at least ``minimum``."""
+def _at_least(minimum, maximum=None):
+    """A parser type for a count of at least ``minimum`` and, given
+    ``maximum``, at most ``maximum``."""
 
     def check(value):
         if value < minimum:
             raise DomainError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise DomainError(f"must be <= {maximum}, got {value}")
 
     return _checked_int(check)
+
+
+# The type of every depth flag (``--n``, ``--depth``): errors.check_depth's
+# range, checked before anything is read or written.
+_depth = _at_least(1, MAX_DEPTH)
 
 
 def _at_most(flag, value, maximum, what):
@@ -203,7 +215,7 @@ def build_parser() -> _Parser:
     p.add_argument("--subjects", type=_at_least(0), default=0)
     p.add_argument("--amplitude", type=float, default=3.0)
     p.add_argument("--smoothing", type=float, default=4.0)
-    p.add_argument("--depth", type=_at_least(1), default=6)
+    p.add_argument("--depth", type=_depth, default=6)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_common(p, _cmd_synth)
 
@@ -233,14 +245,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("log", help="logarithm map via inverse scaling and squaring")
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n", type=_at_least(1), default=6)
+    p.add_argument("--n", type=_depth, default=6)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_log)
 
     p = sub.add_parser("exp", help="exponential map via scaling and squaring")
     p.add_argument("--log", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n", type=_at_least(1), default=6)
+    p.add_argument("--n", type=_depth, default=6)
     _add_common(p, _cmd_exp)
 
     p = sub.add_parser("compose", help="compose two fields (outer o inner)")
@@ -251,7 +263,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("roots", help="chain of successive square roots")
     p.add_argument("--field", type=Path, required=True)
-    p.add_argument("--n", type=_at_least(1), default=6)
+    p.add_argument("--n", type=_depth, default=6)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--residual-csv", type=Path, default=None)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
@@ -288,7 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("--basis", type=Path, required=True)
     p.add_argument("--mode", type=_at_least(1), required=True)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--n", type=_at_least(1), default=6)
+    p.add_argument("--n", type=_depth, default=6)
     p.add_argument("--out", type=Path, required=True)
     _add_common(p, _cmd_modes)
 
@@ -298,7 +310,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=Path, default=None)
     p.add_argument("--b", type=Path, default=None)
     p.add_argument("--basis", type=Path, default=None)
-    p.add_argument("--n", type=_at_least(1), default=6)
+    p.add_argument("--n", type=_depth, default=6)
     p.add_argument("--out-csv", type=Path, default=None)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_losses)
@@ -333,7 +345,7 @@ def build_parser() -> _Parser:
     p.add_argument("--height", type=_at_least(2), default=64)
     p.add_argument("--width", type=_at_least(2), default=64)
     p.add_argument("--amplitude", type=float, default=3.0)
-    p.add_argument("--n", type=_at_least(1), default=6)
+    p.add_argument("--n", type=_depth, default=6)
     p.add_argument("--basis-dim", type=_at_least(1), default=4)
     p.add_argument("--out-csv", type=Path, required=True)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
@@ -348,22 +360,20 @@ def build_parser() -> _Parser:
 
 
 def _cmd_synth(args):
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     grid = Grid(args.height, args.width)
     spec = PhantomSpec(kind=args.kind, grid=grid, seed=args.seed)
     image, labels = make_phantom(spec)
+    # Every subject is made before anything is written, so a subject that
+    # fails leaves no output behind.
+    specs = [RandomFieldSpec(grid, seed=seed, smoothing_sigma=args.smoothing,
+                             amplitude=args.amplitude)
+             for seed in _subject_seeds(args.seed, args.subjects)]
+    subjects = [make_subject((image, labels), random_log_field(spec), args.depth)
+                for spec in specs]
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(args.out_dir / "image.pgm", image)
     write_pgm(args.out_dir / "labels.pgm", labels)
-    for i, seed in enumerate(_subject_seeds(args.seed, args.subjects)):
-        v = random_log_field(
-            RandomFieldSpec(
-                grid,
-                seed=seed,
-                smoothing_sigma=args.smoothing,
-                amplitude=args.amplitude,
-            )
-        )
-        subj = make_subject((image, labels), v, args.depth)
+    for i, subj in enumerate(subjects):
         stem = args.out_dir / f"subject_{i:03d}"
         write_pgm(f"{stem}_image.pgm", subj.image)
         write_pgm(f"{stem}_labels.pgm", subj.labels)

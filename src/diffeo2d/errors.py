@@ -32,14 +32,19 @@ def check_integer(name, value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+# The deepest depth: a depth n scales by 2.0 ** n, which overflows from
+# n = 1024.
+MAX_DEPTH = 1023
+
+
 def check_depth(name, value):
     """Raise DomainError unless the depth ``value`` is an integer from 1 to
-    1023: a depth n scales by 2.0 ** n, which overflows from n = 1024."""
+    ``MAX_DEPTH``."""
     check_integer(name, value)
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")
-    if value > 1023:
-        raise DomainError(f"{name} must be <= 1023, got {value}")
+    if value > MAX_DEPTH:
+        raise DomainError(f"{name} must be <= {MAX_DEPTH}, got {value}")
 
 
 def check_power_of_two(name, value):

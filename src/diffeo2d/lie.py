@@ -22,7 +22,9 @@ to the last, and resample through one :class:`fields.DisplacedGrid`, whose
 stencils are re-placed every iteration. Both allocate their fields, steps,
 residuals and derivatives once, and convert back to a C-contiguous
 ``(H, W, 2)`` field once, at the end; only the temporaries inside
-``invert``'s Newton step and its per-pixel step halving are fresh.
+``invert``'s Newton step and its step safeguard are fresh. The safeguard
+allocates only for the pixels that retry: their candidate steps, one
+stencil over all of them and one sample with derivative there.
 Stopping tests and residuals are RMS values summed in the ``(H, W, 2)``
 order, so they carry the bits that ``field_rms`` and ``field_rms_diff``
 give on the returned fields: each band writes its squares into an
@@ -35,10 +37,10 @@ On a large grid the per-pixel part of an iteration runs on the grid's row
 bands at once (see :class:`fields.DisplacedGrid`): in ``sqrt_field`` the
 finiteness check, placement, sample, damped step, the step's squares and
 w + step, in ``invert`` the Newton step, its squares, the move to w + step,
-placement, sample with derivative and the step halving. Every band reads all
-of w, so w + step goes into a second buffer and the two swap once every band
-is done. Only the means over the grid and the stop tests run on the calling
-thread. The halving is per pixel, so every result is the same bit for bit
+placement, sample with derivative and the step safeguard. Every band reads
+all of w, so w + step goes into a second buffer and the two swap once every
+band is done. Only the means over the grid and the stop tests run on the
+calling thread. The safeguard is per pixel, so every result is the same bit for bit
 at any band count, and a solve joins its threads before it returns or
 raises.
 """
@@ -73,9 +75,9 @@ from .fields import (
 # lie.sample_values, such as perfbench's tracer tests.
 from .fields import compose, sample_values  # noqa: F401
 
-# invert takes a Newton step where det(I + grad u) exceeds this, and halves
-# a pixel's step at most this many times while its residual does not drop,
-# then takes the damped Picard step instead.
+# invert takes a Newton step where det(I + grad u) exceeds this. Where a
+# pixel's residual does not drop, it tries the step halved 1 to this many
+# times, then the damped Picard step.
 _MIN_NEWTON_DET = 1e-3
 _MAX_HALVINGS = 6
 
@@ -152,14 +154,6 @@ def _not_converged(what, residual, cfg: SolverConfig) -> ConvergenceError:
     )
 
 
-def _inverse_gap(stencil: Stencil, u: np.ndarray, w: np.ndarray, gap, grad):
-    """F = w + u(x + w) into ``gap``, and dF/dw - I, the derivatives of u
-    along rows and columns, into ``grad`` (``(2, *gap.shape)``), at the
-    stencil's points x + w."""
-    stencil.sample_grad(u, gap, grad)
-    gap += w
-
-
 def _newton_step(gap, d_row, d_col, damping, out):
     """-J^-1 F per pixel into ``out``, J = I + grad u, where det J >
     _MIN_NEWTON_DET; the damped Picard step -damping F elsewhere."""
@@ -176,11 +170,13 @@ def _newton_step(gap, d_row, d_col, damping, out):
 
 
 def _band_gap(band, u, w, gap, grad):
-    """:func:`_inverse_gap` at x + w on one band's rows of the
-    ``(2, H, W)`` arrays ``w`` and ``gap`` and the ``(2, 2, H, W)``
+    """F = w + u(x + w) into ``gap``, and dF/dw - I, the derivatives of u
+    along rows and columns, into ``grad``, at x + w on one band's rows of
+    the ``(2, H, W)`` arrays ``w`` and ``gap`` and the ``(2, 2, H, W)``
     ``grad``."""
     rows = band.rows
-    _inverse_gap(band.stencil(w), u, w[:, rows], gap[:, rows], grad[:, :, rows])
+    band.stencil(w).sample_grad(u, gap[:, rows], grad[:, :, rows])
+    gap[:, rows] += w[:, rows]
 
 
 def _newton_move(band, u, w, f_w, grad, damping, step, w_new, gap, tol_sq):
@@ -203,9 +199,10 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
     Jacobian I + grad u(x + w) from :meth:`fields.Stencil.sample`'s
     derivative. Starting at w = -u, each iteration takes a Newton step where
     det(I + grad u) > 1e-3 and the damped Picard step -damping * F
-    elsewhere, then halves the step of each pixel whose |F| did not drop
-    (at most 6 times; pixels already within the tolerance are accepted), as
-    a line search would. A pixel that no halving improves takes the damped
+    elsewhere. Where a pixel's |F| did not drop (pixels already within the
+    tolerance are accepted), it backtracks as a line search would: it moves
+    by the first of its step halved 1 to 6 times that lowers |F|, all six
+    tried at once. A pixel that no halving improves takes the damped
     Picard step instead: the fixed-point iteration of Chen et al., "A
     simple fixed-point approach to invert a deformation field" (Med. Phys.
     2008), which the Newton steps accelerate. It stops once the RMS of the
@@ -259,38 +256,43 @@ def _halve_steps(band, u, w, w_new, step, f_w, gap, grad, tol_sq, damping):
 
     ``f_w`` is F at w; ``gap`` and ``grad`` hold F and grad u at w_new and
     follow it. A pixel whose squared residual did not drop below its value
-    at w (where that exceeds ``tol_sq``) has its step halved and is
-    re-evaluated alone, at most ``_MAX_HALVINGS`` times. A pixel that still
-    did not improve takes the damped Picard step -damping * F(w) instead,
-    accepted where it lands: near a fold the Newton direction can point
-    uphill at every length, and the Picard step moves the pixel on.
+    at w (where that exceeds ``tol_sq``) retries. Its candidate steps are
+    the step halved 1 to ``_MAX_HALVINGS`` times, then the damped Picard
+    step -damping * F(w), all evaluated at once through one stencil; it
+    moves by the first that lowers its residual, or else by the Picard
+    step, accepted where it lands: near a fold the Newton direction can
+    point uphill at every length, and the Picard step moves the pixel on.
+    ``step`` keeps the full step, which the stop test has already read.
     """
     # A band's rows are contiguous in each plane, so these are views.
     r = band.rows
     w, w_new, step, f_w, gap = (a[:, r].reshape(2, -1) for a in (w, w_new, step, f_w, gap))
     grad = grad[:, :, r].reshape(2, 2, -1)
     before = _sq_lengths(f_w)
-    shape = u.shape[1:]
-    rows, cols = band.x.reshape(2, -1)
-
-    def move(idx, new_step):
-        step[:, idx] = new_step
-        w_new[:, idx] = w[:, idx] + new_step
-        stencil = Stencil(rows[idx] + w_new[0, idx], cols[idx] + w_new[1, idx], shape)
-        g = np.empty((2, idx.size))
-        g_grad = np.empty((2, 2, idx.size))
-        _inverse_gap(stencil, u, w_new[:, idx], g, g_grad)
-        gap[:, idx], grad[:, :, idx] = g, g_grad
-        return g
-
     retry = np.flatnonzero((_sq_lengths(gap) >= before) & (before > tol_sq))
-    for _ in range(_MAX_HALVINGS):
-        if retry.size == 0:
-            return
-        g = move(retry, 0.5 * step[:, retry])
-        retry = retry[_sq_lengths(g) >= before[retry]]
-    if retry.size:
-        move(retry, -damping * f_w[:, retry])
+    if retry.size == 0:
+        return
+    # Candidate k of a pixel is its step halved k + 1 times, by successive
+    # products with 0.5 (one product with 0.5**(k+1) rounds differently
+    # where the step underflows); the last candidate is the Picard step.
+    steps = np.full((2, _MAX_HALVINGS + 1, retry.size), 0.5)
+    steps[:, 0] *= step[:, retry]
+    np.multiply.accumulate(steps[:, :-1], axis=1, out=steps[:, :-1])
+    steps[:, -1] = -damping * f_w[:, retry]
+    moved = w[:, None, retry] + steps
+    x = band.x.reshape(2, -1)[:, None, retry]
+    stencil = Stencil.empty(moved.shape[1:], u.shape[1:]).displace(x, moved)
+    g, g_grad = np.empty_like(moved), np.empty((2,) + moved.shape)
+    stencil.sample_grad(u, g, g_grad)
+    g += moved
+    # The first candidate whose residual is not >= the pixel's at w, which
+    # takes NaN as a drop; the Picard step where there is none.
+    dropped = ~(_sq_lengths(g) >= before[retry])
+    dropped[-1] = True
+    first, pixel = dropped.argmax(axis=0), np.arange(retry.size)
+    w_new[:, retry] = moved[:, first, pixel]
+    gap[:, retry] = g[:, first, pixel]
+    grad[:, :, retry] = g_grad[:, :, first, pixel]
 
 
 def _picard_step(band, u, w, damping, step, w_next):

@@ -179,8 +179,10 @@ def test_atlas_config_rejects_non_finite_epsilon(bad):
     ({"epsilon": 0.0}, "epsilon must be > 0"),
     ({"epsilon": -1e-3}, "epsilon must be > 0"),
     ({"max_outer_iterations": 0}, "max_outer_iterations must be >= 1"),
-    ({"basis_dim": 0}, "basis_dim and root_depth must be >= 1"),
-    ({"root_depth": -1}, "basis_dim and root_depth must be >= 1"),
+    ({"basis_dim": 0}, "basis_dim must be >= 1"),
+    ({"root_depth": -1}, "root_depth must be >= 1, got -1"),
+    # errors.check_depth's range: a depth n scales by 2.0 ** n.
+    ({"root_depth": 1024}, "root_depth must be <= 1023, got 1024"),
 ])
 def test_atlas_config_range_checks(kwargs, message):
     with pytest.raises(DomainError) as info:

@@ -367,6 +367,20 @@ def test_negative_seed_usage_error(tmp_path, small_inputs, argv, capsys):
         "usage error: argument --seed: seed must be a non-negative integer, got -1\n")
 
 
+# One command line per depth flag, ending in the flag: every input it names
+# is missing, so only the parser can refuse it.
+DEPTH_ARGV = [
+    "synth --out-dir {out}/s --depth",
+    "log --field {out}/f.mfld --out {out}/l.mfld --n",
+    "exp --log {out}/l.mfld --out {out}/e.mfld --n",
+    "roots --field {out}/f.mfld --out-dir {out}/r --n",
+    "modes --basis {out}/b.mleb --mode 1 --out {out}/m.mfld --n",
+    "losses --phi-ab {out}/ab.mfld --phi-ba {out}/ba.mfld --n",
+    "atlas --images {out}/images --out-dir {out}/a --depth",
+    "validate --out-csv {out}/v.csv --n",
+]
+
+
 @pytest.mark.parametrize("argv, error", [
     ("synth --subjects -2 --out-dir {out}/s", "argument --subjects: must be >= 0, got -2"),
     ("synth --subjects 1.5 --out-dir {out}/s", "argument --subjects: invalid int value: '1.5'"),
@@ -397,6 +411,10 @@ def test_negative_seed_usage_error(tmp_path, small_inputs, argv, capsys):
      "argument --mode: must be >= 1, got 0"),
     ("atlas --images {out}/images --init -1 --out-dir {out}/a",
      "argument --init: must be >= 0, got -1"),
+    # Every depth flag, at both ends of errors.check_depth's range.
+    *[(f"{argv} {value}", f"argument {argv.split()[-1]}: {error}")
+      for argv in DEPTH_ARGV
+      for value, error in ((0, "must be >= 1, got 0"), (1024, "must be <= 1023, got 1024"))],
 ])
 def test_count_flags_are_checked_as_parsed(tmp_path, argv, error, capsys):
     # The parser checks every count flag, and every int config flag, as it
@@ -621,15 +639,18 @@ def test_a_scalar_raster_is_not_a_field(tmp_path, small_inputs, argv, capsys):
     ("losses --phi-ab {d}/subject_000_field.mfld --phi-ba {d}/subject_001_field.mfld "
      "--b {d}/image.pgm --n 2 --out-csv {out}/l.csv", 1,
      "usage error: argument --a: required with --b"),
-    # A depth of 1024 or more would scale by 2.0 ** n, which overflows.
+    # A depth of 1024 or more would scale by 2.0 ** n, which overflows; the
+    # parser refuses it before any input is read.
     ("exp --log {d}/subject_000_log.mfld --n 1100 --out {out}/e.mfld", 1,
-     "usage error: exp depth must be <= 1023, got 1100"),
+     "usage error: argument --n: must be <= 1023, got 1100"),
     ("log --field {d}/subject_000_field.mfld --n 1024 --out {out}/l.mfld", 1,
-     "usage error: root chain depth must be <= 1023, got 1024"),
+     "usage error: argument --n: must be <= 1023, got 1024"),
     ("validate --n 1100 --out-csv {out}/v.csv", 1,
-     "usage error: exp depth must be <= 1023, got 1100"),
+     "usage error: argument --n: must be <= 1023, got 1100"),
+    ("atlas --images {d} --depth 1100 --out-dir {out}/a", 1,
+     "usage error: argument --depth: must be <= 1023, got 1100"),
 ], ids=["gt-field-grid", "losses-a-alone", "losses-b-alone", "exp-depth", "log-depth",
-        "validate-depth"])
+        "validate-depth", "atlas-depth"])
 def test_inputs_that_do_not_fit_are_refused_before_any_output(
     tmp_path, small_inputs, argv, code, error, capsys
 ):
@@ -647,5 +668,16 @@ def test_synth_refuses_a_subject_depth_above_1023(tmp_path, capsys):
     capsys.readouterr()
     assert run("synth", "--subjects", 1, "--depth", 1100, "--out-dir", tmp_path / "s",
                "--json-summary", summary) == 1
-    assert capsys.readouterr().err == "usage error: exp depth must be <= 1023, got 1100\n"
+    assert capsys.readouterr().err == "usage error: argument --depth: must be <= 1023, got 1100\n"
     assert not summary.exists()
+    assert not (tmp_path / "s").exists()
+
+
+def test_synth_writes_nothing_when_a_subject_fails(tmp_path, capsys):
+    # Every subject is made before the phantom or any subject is written.
+    out = tmp_path / "s"
+    capsys.readouterr()
+    assert run("synth", "--height", 32, "--width", 32, "--subjects", 1, "--amplitude", 5,
+               "--out-dir", out, "--json-summary", out / "run.json") == 1
+    assert capsys.readouterr().err.startswith("usage error: amplitude exceeds min(grid)/8")
+    assert not out.exists()

@@ -26,7 +26,7 @@ from diffeo2d import (
 from diffeo2d import fields as fields_module
 from diffeo2d import lie as lie_module
 from diffeo2d.errors import ConvergenceError, DomainError, ShapeError
-from diffeo2d.fields import field_rms
+from diffeo2d.fields import Stencil, _sq_lengths, field_rms
 from diffeo2d.lie import _newton_step
 
 from conftest import constant_field, suite_field
@@ -83,10 +83,8 @@ class TestInvert:
         # last halved step left those pixels creeping uphill, and seeds 4, 7
         # and 12 ran out of iterations that way. The damped Picard step
         # moves them on.
-        spec = RandomFieldSpec(Grid(32, 32), seed=seed, amplitude=4.0, smoothing_sigma=1.0)
-        phi = exp_field(random_log_field(spec))
         cfg = SolverConfig()
-        sol = invert(phi, cfg)
+        sol = invert(sharp_field(32, 4.0, seed), cfg)
         assert sol.residual <= 10 * cfg.tolerance
         assert sol.iterations <= 60
 
@@ -453,3 +451,97 @@ class TestBands:
 
 def band_count(shape):
     return len(fields_module.DisplacedGrid(Grid(*shape), np.empty(shape + (2,))).bands)
+
+
+def sharp_field(side, amplitude, seed):
+    """A side x side synth field at smoothing 1, sharp enough that many
+    pixels' Newton steps do not lower their residual."""
+    spec = RandomFieldSpec(Grid(side, side), seed=seed, amplitude=amplitude, smoothing_sigma=1.0)
+    return exp_field(random_log_field(spec))
+
+
+def sequential_halve_steps(band, u, w, w_new, step, f_w, gap, grad, tol_sq, damping):
+    """The reference for lie._halve_steps: the step safeguard as a loop.
+    Each round halves the step of the pixels that still did not lower their
+    residual and evaluates them alone through a stencil of their own, at
+    most _MAX_HALVINGS rounds; the pixels left take the damped Picard step."""
+    r = band.rows
+    w, w_new, step, f_w, gap = (a[:, r].reshape(2, -1) for a in (w, w_new, step, f_w, gap))
+    grad = grad[:, :, r].reshape(2, 2, -1)
+    before = _sq_lengths(f_w)
+    rows, cols = band.x.reshape(2, -1)
+
+    def move(idx, new_step):
+        step[:, idx] = new_step
+        w_new[:, idx] = w[:, idx] + new_step
+        stencil = Stencil(rows[idx] + w_new[0, idx], cols[idx] + w_new[1, idx], u.shape[1:])
+        g, g_grad = np.empty((2, idx.size)), np.empty((2, 2, idx.size))
+        stencil.sample_grad(u, g, g_grad)
+        g += w_new[:, idx]
+        gap[:, idx], grad[:, :, idx] = g, g_grad
+        return g
+
+    retry = np.flatnonzero((_sq_lengths(gap) >= before) & (before > tol_sq))
+    for _ in range(lie_module._MAX_HALVINGS):
+        if retry.size == 0:
+            return
+        g = move(retry, 0.5 * step[:, retry])
+        retry = retry[_sq_lengths(g) >= before[retry]]
+    if retry.size:
+        move(retry, -damping * f_w[:, retry])
+
+
+def solution_bits(solve):
+    """The solve's field, residual and iterations as bytes and hex, or its
+    error's type, message, residual and iterations."""
+    result = solve_or_error(solve)
+    if isinstance(result, tuple):
+        kind, message, residual, iterations = result
+        return kind, message, residual.hex(), iterations
+    return result.field.u.tobytes(), result.residual.hex(), result.iterations
+
+
+class TestSafeguard:
+    # 32^2 fields at amplitude 4, on which many pixels retry (solved in 17,
+    # 19, 24 and 55 iterations), and 64^2 fields at amplitude 8: seeds 5
+    # and 8 do not converge, seed 29 takes 178 iterations.
+    FIELDS = [(32, 4.0, seed) for seed in (4, 7, 12, 25)] + [(64, 8.0, seed) for seed in (5, 8, 29)]
+
+    @pytest.mark.parametrize("bands", [1, 2, 3])
+    def test_matches_its_sequential_reference(self, monkeypatch, bands):
+        # Every candidate of a retrying pixel is evaluated at once; the
+        # pixel takes the one the loop would stop at, so the fields,
+        # residuals, iteration counts and errors are the loop's bit for bit.
+        if bands > 1:
+            banded(monkeypatch, bands)
+        for side, amplitude, seed in self.FIELDS:
+            phi = sharp_field(side, amplitude, seed)
+            got = solution_bits(lambda: invert(phi))
+            with monkeypatch.context() as patch:
+                patch.setattr(lie_module, "_halve_steps", sequential_halve_steps)
+                assert got == solution_bits(lambda: invert(phi)), (side, seed)
+
+    @pytest.mark.parametrize("seed", [4, 7, 12, 25])
+    def test_builds_at_most_one_stencil_per_call(self, monkeypatch, seed):
+        # One stencil over all candidates of all retrying pixels, where the
+        # loop built one a round: up to 7 a call on these fields.
+        built = []
+        allocate = Stencil._allocate
+
+        def counted(self, *args):
+            built.append(self)
+            return allocate(self, *args)
+
+        per_call = []
+        halve = lie_module._halve_steps
+
+        def recorded(*args):
+            start = len(built)
+            halve(*args)
+            per_call.append(len(built) - start)
+
+        monkeypatch.setattr(Stencil, "_allocate", counted)
+        monkeypatch.setattr(lie_module, "_halve_steps", recorded)
+        sol = invert(sharp_field(32, 4.0, seed))
+        assert len(per_call) == sol.iterations
+        assert max(per_call) == 1

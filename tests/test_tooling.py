@@ -23,7 +23,9 @@ from diffeo2d import (
     fields,
     lie,
 )
+from diffeo2d import cli
 from diffeo2d.cli import build_parser
+from diffeo2d.errors import DomainError, check_depth
 from diffeo2d.metrics import LossWeights
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,3 +138,25 @@ def test_knob_inventory():
     # No environment variable is a knob either.
     for path in sorted((ROOT / "src" / "diffeo2d").glob("*.py")):
         assert not re.search(r"\b(environb?|getenvb?)\b", path.read_text()), path.name
+
+
+def test_every_depth_flag_has_the_one_depth_type():
+    # --n and --depth are depths wherever they appear; each is parsed by the
+    # one type that checks errors.check_depth's range, so a new depth flag
+    # with another check fails here.
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    depths = [(name, a) for name, p in commands.items() for a in p._actions
+              if {"--n", "--depth"} & set(a.option_strings)]
+    assert len(depths) == 8
+    for name, action in depths:
+        assert action.type is cli._depth, (name, action.option_strings)
+    # That type accepts exactly the depths check_depth accepts.
+    for value in (-1, 0, 1, 6, 1023, 1024, 1100):
+        try:
+            check_depth("depth", value)
+        except DomainError:
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli._depth(str(value))
+        else:
+            assert cli._depth(str(value)) == value
