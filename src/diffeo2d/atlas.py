@@ -45,9 +45,8 @@ from .errors import (
     check_integer,
     check_seed,
     require_finite,
-    require_integer,
 )
-from .fields import ScalarImage, _chunks, _workers, warp_image
+from .fields import ScalarImage, _check_same_grid, _chunks, _workers, warp_image
 from .latent import decode_root, encode, fit_basis
 from .lie import SolverConfig, log_field
 from .registration import RegistrationConfig, register_pairs
@@ -64,13 +63,10 @@ class AtlasConfig:
 
     def __post_init__(self):
         require_finite(self, "epsilon")
-        require_integer(self, "max_outer_iterations", "basis_dim")
+        check_integer("max_outer_iterations", self.max_outer_iterations, 1)
+        check_integer("basis_dim", self.basis_dim, 1)
         if not (self.epsilon > 0):
             raise DomainError("epsilon must be > 0")
-        if self.max_outer_iterations < 1:
-            raise DomainError("max_outer_iterations must be >= 1")
-        if self.basis_dim < 1:
-            raise DomainError("basis_dim must be >= 1")
         check_depth("root_depth", self.root_depth)
 
 
@@ -106,8 +102,7 @@ def atlas_step(
         raise DomainError("atlas estimation needs at least 2 images")
     atlas = state.atlas
     for img in images:
-        if img.grid != atlas.grid:
-            raise DomainError("all images must share the atlas grid")
+        _check_same_grid(atlas, img)
     atlas_norm = float(np.linalg.norm(atlas.values))
     if atlas_norm == 0.0:
         raise DomainError("degenerate input: atlas has zero intensity norm")
@@ -214,9 +209,7 @@ def estimate_atlas(
     if init_index is None:
         check_seed(seed)
         init_index = int(np.random.default_rng(seed).integers(len(images)))
-    check_integer("init_index", init_index)
-    if not (0 <= init_index < len(images)):
-        raise DomainError(f"init_index {init_index} out of range")
+    check_integer("init_index", init_index, 0, len(images) - 1)
 
     init = images[init_index]
     state = AtlasState(atlas=ScalarImage(init.grid, init.values.copy()))
@@ -233,8 +226,6 @@ def pixelwise_mean_atlas(images: list[ScalarImage]) -> ScalarImage:
     """Per-pixel arithmetic mean; the naive baseline."""
     if not images:
         raise DomainError("need at least one image")
-    grid = images[0].grid
     for img in images:
-        if img.grid != grid:
-            raise DomainError("all images must share one grid")
-    return ScalarImage(grid, np.mean([img.values for img in images], axis=0))
+        _check_same_grid(images[0], img)
+    return ScalarImage(images[0].grid, np.mean([img.values for img in images], axis=0))

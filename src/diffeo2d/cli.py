@@ -26,6 +26,7 @@ from .errors import (
     RankError,
     ShapeError,
     UnsupportedChannelsError,
+    check_integer,
     check_power_of_two,
     check_seed,
 )
@@ -143,15 +144,9 @@ def _checked_int(check):
 
 def _at_least(minimum, maximum=None):
     """A parser type for a count of at least ``minimum`` and, given
-    ``maximum``, at most ``maximum``."""
-
-    def check(value):
-        if value < minimum:
-            raise DomainError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise DomainError(f"must be <= {maximum}, got {value}")
-
-    return _checked_int(check)
+    ``maximum``, at most ``maximum``: ``errors.check_integer``'s range,
+    in a message that the parser prefixes with the flag."""
+    return _checked_int(partial(check_integer, None, minimum=minimum, maximum=maximum))
 
 
 # The type of every depth flag (``--n``, ``--depth``): errors.check_depth's
@@ -165,6 +160,16 @@ def _at_most(flag, value, maximum, what):
     words of a parser error."""
     if value > maximum:
         raise UsageError(f"argument {flag}: must be <= {maximum} ({what}), got {value}")
+
+
+def _same_grid(flag, value, other_flag, other):
+    """Raise ShapeError unless ``value``, read from ``flag``, lies on the
+    grid of ``other``, read from ``other_flag``: the grid check of an input
+    that names both flags, made before any solve."""
+    if value.grid != other.grid:
+        raise ShapeError(
+            f"argument {flag}: grid {value.grid} does not match {other_flag}'s {other.grid}"
+        )
 
 
 _seed = _checked_int(check_seed)
@@ -391,8 +396,7 @@ def _cmd_register(args):
     gt = None
     if args.gt_field:
         gt = _read_field(args.gt_field)
-        if gt.grid != a.grid:
-            raise ShapeError(f"argument --gt-field: grid {gt.grid} does not match --a's {a.grid}")
+        _same_grid("--gt-field", gt, "--a", a)
     cfg = _config(args, RegistrationConfig, _REG_FLAGS)
     result = register_pair(a, b, cfg)
     if args.out_ab:
@@ -487,14 +491,18 @@ def _cmd_jacobian(args):
 
 def _cmd_fit_basis(args):
     logs = [_read_field(p, as_log=True) for p in args.logs]
-    basis = fit_basis(logs, args.dim, symmetrize=not args.no_symmetrize)
+    symmetrize = not args.no_symmetrize
+    # fit_basis's sample count: each log counts twice when symmetrized.
+    what = f"{len(logs)} logs" + (", symmetrized" if symmetrize else "")
+    _at_most("--dim", args.dim, len(logs) * (2 if symmetrize else 1), what)
+    basis = fit_basis(logs, args.dim, symmetrize=symmetrize)
     write_basis(args.out, basis)
     ev = explained_variance(basis)
     if args.variance_csv:
         write_csv(args.variance_csv, ["mode", "explained_variance"],
                   [(k + 1, v) for k, v in enumerate(ev)])
     return ({"logs": [str(p) for p in args.logs]},
-            {"dim": args.dim, "symmetrize": not args.no_symmetrize},
+            {"dim": args.dim, "symmetrize": symmetrize},
             {"explained_variance": ev})
 
 
@@ -534,6 +542,11 @@ def _cmd_losses(args):
     phi_ba = _read_field(args.phi_ba)
     cfg = _config(args, SolverConfig, _SOLVER_FLAGS)
     inputs = {"phi_ab": str(args.phi_ab), "phi_ba": str(args.phi_ba)}
+    # The basis is read and checked before the root chains, the costly part.
+    basis = read_basis(args.basis) if args.basis else None
+    if basis is not None:
+        inputs["basis"] = str(args.basis)
+        _same_grid("--basis", basis, "--phi-ab", phi_ab)
     metrics = {}
     metrics["icon_loss"] = icon_loss(phi_ab, phi_ba)
     if args.a:
@@ -543,9 +556,7 @@ def _cmd_losses(args):
     chain_ba = root_chain(phi_ba, args.n, cfg)
     metrics["rec_loss"] = rec_loss(chain_ab, phi_ab, chain_ba, phi_ba)
     metrics["inv_loss"] = inv_loss(chain_ab, chain_ba)
-    if args.basis:
-        inputs["basis"] = str(args.basis)
-        basis = read_basis(args.basis)
+    if basis is not None:
         z_ab = encode(basis, chain_ab.log())
         z_ba = encode(basis, chain_ba.log())
         metrics["latent_inv_loss"] = latent_inv_loss(z_ab, z_ba)

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the checks that every config
-runs on its float and integer fields, and the integer checks of depth and
-power arguments and of seeds.
+runs on its float fields, the one integer check, :func:`check_integer`,
+which every bound on an integer argument or config field goes through
+(depths, counts, indices, dimensions), the depth and power-of-two checks
+built on it, and the check of seeds.
 
 Every exception here survives ``pickle`` with its type, message and
 attributes, so that one raised in a worker process reaches the caller as
@@ -24,12 +26,21 @@ def require_finite(config, *names):
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def check_integer(name, value):
-    """Raise DomainError unless ``value`` is a Python or numpy integer. Range
-    checks alone let 2.5, inf and NaN through, to fail later (a float in
-    ``range`` or ``&`` is a TypeError) instead of as a domain error."""
+def check_integer(name, value, minimum=None, maximum=None):
+    """Raise DomainError unless ``value`` is a Python or numpy integer from
+    ``minimum`` to ``maximum``, each bound omitted when None: ``"{name} must
+    be >= {minimum}, got {value}"`` below the range, and ``<=`` above it.
+    With ``name`` None the message starts at "must", for a caller that
+    names the value itself (the CLI names the flag).
+    Range checks alone let 2.5, inf and NaN through, to fail later (a float
+    in ``range`` or ``&`` is a TypeError) instead of as a domain error."""
+    must = "must" if name is None else f"{name} must"
     if not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{must} be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{must} be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{must} be <= {maximum}, got {value}")
 
 
 # The deepest depth: a depth n scales by 2.0 ** n, which overflows from
@@ -40,11 +51,7 @@ MAX_DEPTH = 1023
 def check_depth(name, value):
     """Raise DomainError unless the depth ``value`` is an integer from 1 to
     ``MAX_DEPTH``."""
-    check_integer(name, value)
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
-    if value > MAX_DEPTH:
-        raise DomainError(f"{name} must be <= {MAX_DEPTH}, got {value}")
+    check_integer(name, value, 1, MAX_DEPTH)
 
 
 def check_power_of_two(name, value):
@@ -62,14 +69,10 @@ def check_seed(seed):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def require_integer(config, *names):
-    """:func:`check_integer` on each named field of ``config``."""
-    for name in names:
-        check_integer(name, getattr(config, name))
-
-
 class ShapeError(ValueError):
-    """Mismatched grids, array shapes, or vector dimensions."""
+    """Mismatched grids, array shapes, or vector dimensions. Every grid
+    mismatch reads ``"grid mismatch: A vs B"``, from
+    ``fields._check_same_grid``."""
 
 
 class ConvergenceError(RuntimeError):

@@ -538,22 +538,26 @@ class _Band:
         a = a[:, self.rows]
         np.multiply(a, a, out=self._squares)
 
-    def stencil(self, w: np.ndarray) -> Stencil:
-        """The stencil of x + w on the band's rows; raises DomainError if a
-        point is not finite."""
-        w = w[:, self.rows]
+    def composed(self, v: np.ndarray, w: np.ndarray, out: np.ndarray, grad=None) -> np.ndarray:
+        """w + v(x + w) on the band's rows, into the same rows of ``out``:
+        the displacement of ``compose(g, f)`` for the fields g of v and f
+        of w, with the same operations on the same operands, so the same
+        bits. With ``grad``, a ``(2, 2, H, W)`` array, the derivatives of v
+        along rows and columns at x + w go into its band's rows too, as
+        :meth:`Stencil.sample_grad` gives them. ``out`` is a ``(2, H, W)``
+        array other than ``v`` and ``w``; returns its band. Raises
+        DomainError if w is not finite on the band's rows."""
+        rows = self.rows
+        w = w[:, rows]
         if not np.isfinite(w, out=self._finite).all():
             raise DomainError("sample points must be finite")
-        return self._stencil.displace(self.x, w)
-
-    def self_composed(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """w + w(x + w) on the band's rows, into the same rows of ``out``:
-        the displacement of ``compose(f, f)`` for the field f of w, with the
-        same operations on the same operands, so the same bits. ``out`` is a
-        ``(2, H, W)`` array other than ``w``; returns its band."""
-        out = out[:, self.rows]
-        self.stencil(w).sample(w, out=out)
-        out += w[:, self.rows]
+        stencil = self._stencil.displace(self.x, w)
+        out = out[:, rows]
+        if grad is None:
+            stencil.sample(v, out=out)
+        else:
+            stencil.sample_grad(v, out, grad[:, :, rows])
+        out += w
         return out
 
 
@@ -571,7 +575,7 @@ class DisplacedGrid:
     ``_chunks``; a 2-CPU host gets two bands from about 157^2 up and one
     below, and a ``multiprocessing`` child gets one at any size.
     The solver hands :meth:`run` the per-pixel part of an iteration, such
-    as :meth:`_Band.self_composed`, which reads the whole field, read-only,
+    as :meth:`_Band.composed`, which reads the whole field, read-only,
     and writes its band's rows; the solver keeps
     whatever sums over the grid (RMS values, stop tests) on the calling
     thread, so its results are bit for bit those of one band.

@@ -38,6 +38,7 @@ _MFLD_VERSION = 1
 _MFLD_HEADER = struct.Struct("<4sHIIB")
 _BASIS_MAGIC = b"MLEB"
 _BASIS_VERSION = 1
+_BASIS_SIGN_VERSION = 1
 _BASIS_HEADER = struct.Struct("<4sHIIHBBd")
 _ORTHO_TOL = 1e-8
 
@@ -171,14 +172,22 @@ def _payload(payload: bytes, count, h, w, path) -> np.ndarray:
     return flat
 
 
+def _header(data: bytes, header: struct.Struct, magic: bytes, version: int, path, what):
+    """The fields of ``header`` that follow its magic and version, checked
+    in this order: ``data`` is at least a header long, and starts with
+    ``magic`` and ``version``. ``what`` names the header in the error."""
+    if len(data) < header.size:
+        raise TruncatedPayloadError(f"{path}: file shorter than {what} header")
+    found_magic, found_version, *fields = header.unpack_from(data)
+    if found_magic != magic:
+        raise BadMagicError(f"{path}: bad magic {found_magic!r}")
+    if found_version != version:
+        raise BadVersionError(f"{path}: unsupported version {found_version}")
+    return fields
+
+
 def _read_mfld(data: bytes, path=""):
-    if len(data) < _MFLD_HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than MFLD header")
-    magic, version, h, w, channels = _MFLD_HEADER.unpack_from(data)
-    if magic != _MFLD_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != _MFLD_VERSION:
-        raise BadVersionError(f"{path}: unsupported version {version}")
+    h, w, channels = _header(data, _MFLD_HEADER, _MFLD_MAGIC, _MFLD_VERSION, path, "MFLD")
     if channels not in (1, 2):
         raise UnsupportedChannelsError(f"{path}: unsupported channel count {channels}")
     flat = _payload(data[_MFLD_HEADER.size :], h * w * channels, h, w, path)
@@ -216,7 +225,7 @@ def write_basis(path, basis: LogEuclideanBasis) -> None:
                 w,
                 basis.dim,
                 1 if basis.symmetrized else 0,
-                1,  # sign-convention version
+                _BASIS_SIGN_VERSION,
                 basis.total_variance,
             )
         )
@@ -228,15 +237,11 @@ def write_basis(path, basis: LogEuclideanBasis) -> None:
 def read_basis(path) -> LogEuclideanBasis:
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < _BASIS_HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than basis header")
-    magic, version, h, w, dim, sym, sign_version, total_var = _BASIS_HEADER.unpack_from(
-        data
+    h, w, dim, sym, sign_version, total_var = _header(
+        data, _BASIS_HEADER, _BASIS_MAGIC, _BASIS_VERSION, path, "basis"
     )
-    if magic != _BASIS_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != _BASIS_VERSION or sign_version != 1:
-        raise BadVersionError(f"{path}: unsupported version {version}")
+    if sign_version != _BASIS_SIGN_VERSION:
+        raise BadVersionError(f"{path}: unsupported sign-convention version {sign_version}")
     n_field = h * w * 2
     flat = _payload(data[_BASIS_HEADER.size :], n_field * (1 + dim) + dim, h, w, path)
     if dim < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RankError, ShapeError, check_integer, check_power_of_two
-from .fields import DisplacementField, Grid, LogField
+from .fields import DisplacementField, Grid, LogField, _check_same_grid
 from .lie import exp_field
 
 
@@ -75,14 +75,9 @@ def fit_basis(
         raise DomainError("need at least 2 log fields to fit a basis")
     grid = logfields[0].grid
     for lf in logfields:
-        if lf.grid != grid:
-            raise ShapeError("all log fields must share one grid")
-    check_integer("latent dimension", dim)
-    if dim < 1:
-        raise DomainError("latent dimension must be >= 1")
+        _check_same_grid(logfields[0], lf)
     n = len(logfields) * (2 if symmetrize else 1)
-    if dim > n:
-        raise DomainError(f"dimension {dim} exceeds sample count {n}")
+    check_integer("latent dimension", dim, 1, n)
 
     x = np.stack([lf.v.ravel() for lf in logfields])
     if symmetrize:
@@ -117,8 +112,7 @@ def fit_basis(
 
 def encode(basis: LogEuclideanBasis, v: LogField) -> np.ndarray:
     """Latent code: projections of v - mean onto the components."""
-    if v.grid != basis.grid:
-        raise ShapeError("log field grid does not match basis grid")
+    _check_same_grid(v, basis)
     centered = (v.v - basis.mean.v).ravel()
     return basis.components.reshape(basis.dim, -1) @ centered
 
@@ -146,9 +140,7 @@ def pca_mode_field(
     basis: LogEuclideanBasis, k: int, c: float, exp_depth: int = 6
 ) -> DisplacementField:
     """Deformation at c standard deviations along mode k (1-based)."""
-    check_integer("mode index", k)
-    if not (1 <= k <= basis.dim):
-        raise DomainError(f"mode index {k} out of range 1..{basis.dim}")
+    check_integer("mode index", k, 1, basis.dim)
     v = basis.mean.v + c * basis.singular_values[k - 1] * basis.components[k - 1]
     return exp_field(LogField(basis.grid, v), exp_depth)
 

@@ -54,10 +54,9 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DomainError,
-    ShapeError,
     check_depth,
+    check_integer,
     require_finite,
-    require_integer,
 )
 from .fields import (
     DisplacedGrid,
@@ -65,6 +64,7 @@ from .fields import (
     LogField,
     Stencil,
     _Band,
+    _check_same_grid,
     _sq_lengths,
     field_rms_diff,
     self_compose_m,
@@ -95,11 +95,9 @@ class SolverConfig:
 
     def __post_init__(self):
         require_finite(self, "tolerance", "damping")
-        require_integer(self, "max_iterations")
+        check_integer("max_iterations", self.max_iterations, 1)
         if not (self.tolerance > 0):
             raise DomainError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
         if not (0 < self.damping <= 1):
             raise DomainError("damping must be in (0, 1]")
 
@@ -139,8 +137,7 @@ class RootChain:
         the chain's source, of root n self-composed 2^(n+1) times."""
         rms = []
         for n, root in enumerate(self.roots):
-            if root.grid != field.grid:
-                raise ShapeError("chain grid does not match field grid")
+            _check_same_grid(root, field)
             rms.append(field_rms_diff(self_compose_m(root, 2 ** (n + 1)), field))
         return rms
 
@@ -169,26 +166,17 @@ def _newton_step(gap, d_row, d_col, damping, out):
     np.multiply(-damping, gap, out=out, where=~newton)
 
 
-def _band_gap(band, u, w, gap, grad):
-    """F = w + u(x + w) into ``gap``, and dF/dw - I, the derivatives of u
-    along rows and columns, into ``grad``, at x + w on one band's rows of
-    the ``(2, H, W)`` arrays ``w`` and ``gap`` and the ``(2, 2, H, W)``
-    ``grad``."""
-    rows = band.rows
-    band.stencil(w).sample_grad(u, gap[:, rows], grad[:, :, rows])
-    gap[:, rows] += w[:, rows]
-
-
 def _newton_move(band, u, w, f_w, grad, damping, step, w_new, gap, tol_sq):
     """On one band's rows: the step from w, where F is ``f_w`` and grad u
-    is ``grad``, and its squares; then w_new = w + step, and F and grad u
-    at w_new into ``gap`` and ``grad``; then :func:`_halve_steps`."""
+    is ``grad``, and its squares; then w_new = w + step, and F = w_new +
+    u(x + w_new) and grad u there, dF/dw - I, into ``gap`` and ``grad``;
+    then :func:`_halve_steps`."""
     rows = band.rows
     d_row, d_col = grad[:, :, rows]
     _newton_step(f_w[:, rows], d_row, d_col, damping, step[:, rows])
     band.square(step)
     np.add(w[:, rows], step[:, rows], out=w_new[:, rows])
-    _band_gap(band, u, w_new, gap, grad)
+    band.composed(u, w_new, gap, grad)
     _halve_steps(band, u, w, w_new, step, f_w, gap, grad, tol_sq, damping)
 
 
@@ -230,7 +218,7 @@ def invert(field: DisplacementField, cfg: SolverConfig = SolverConfig()) -> Fiel
     grad = np.empty((2,) + u.shape)
     iterations = None
     with DisplacedGrid(grid, squares) as displaced:
-        displaced.run(_band_gap, u, w, f_w, grad)
+        displaced.run(_Band.composed, u, w, f_w, grad)
         for it in range(1, cfg.max_iterations + 1):
             displaced.run(_newton_move, u, w, f_w, grad, cfg.damping, step, w_new, gap, tol_sq)
             w, w_new = w_new, w
@@ -299,7 +287,7 @@ def _picard_step(band, u, w, damping, step, w_next):
     """On one band's rows: step = damping * (u - (w + w(x + w))), formed
     in place, its squares, and w_next = w + step."""
     rows = band.rows
-    composed = band.self_composed(w, out=step)
+    composed = band.composed(w, w, step)
     np.subtract(u[:, rows], composed, out=composed)
     composed *= damping
     band.square(step)
@@ -309,7 +297,7 @@ def _picard_step(band, u, w, damping, step, w_next):
 def _composition_gap(band, u, w, out):
     """F(w) - u = w + w(x + w) - u on one band's rows, into ``out``, and
     its squares."""
-    composed = band.self_composed(w, out=out)
+    composed = band.composed(w, w, out)
     composed -= u[:, band.rows]
     band.square(out)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, require_finite
-from .fields import DisplacementField, LabelImage, compose
+from .fields import DisplacementField, LabelImage, _check_same_grid, compose
 from .lie import RootChain
 from .registration import _mean_sq_displacement
 
@@ -89,8 +89,7 @@ def secondary_loss(weights: LossWeights, rec: float, inv: float, linv: float) ->
 
 def dice(a: LabelImage, b: LabelImage, label: int) -> float:
     """Dice overlap 2|X n Y| / (|X| + |Y|) for one label; both-empty is 1.0."""
-    if a.grid != b.grid:
-        raise ShapeError("label images must share a grid")
+    _check_same_grid(a, b)
     x = a.labels == label
     y = b.labels == label
     denom = int(x.sum()) + int(y.sum())
@@ -104,8 +103,7 @@ def dice_report(warped: LabelImage, target: LabelImage):
 
     Returns (per_label, mean) where per_label maps label -> score.
     """
-    if warped.grid != target.grid:
-        raise ShapeError("label images must share a grid")
+    _check_same_grid(warped, target)
     labels = sorted((set(warped.label_set()) | set(target.label_set())) - {0})
     per_label = {lab: dice(warped, target, lab) for lab in labels}
     mean = float(np.mean(list(per_label.values()))) if per_label else 1.0

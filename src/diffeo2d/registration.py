@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import correlate1d, gaussian_filter
 
-from .errors import ConvergenceError, DomainError, require_finite, require_integer
+from .errors import ConvergenceError, DomainError, check_integer, require_finite
 from .fields import (
     DisplacementField,
     ScalarImage,
@@ -71,11 +71,10 @@ class RegistrationConfig:
             self, "lambda_sim", "lambda_reg", "step_size",
             "update_smoothing_sigma", "field_smoothing_sigma",
         )
-        require_integer(self, "pyramid_levels", "iterations_per_level")
+        check_integer("pyramid_levels", self.pyramid_levels, 1)
+        check_integer("iterations_per_level", self.iterations_per_level, 1)
         if self.lambda_sim < 0 or self.lambda_reg < 0:
             raise DomainError("loss weights must be >= 0")
-        if self.pyramid_levels < 1 or self.iterations_per_level < 1:
-            raise DomainError("pyramid_levels and iterations_per_level must be >= 1")
         if not (self.step_size > 0):
             raise DomainError("step_size must be > 0")
         if self.update_smoothing_sigma < 0 or self.field_smoothing_sigma < 0:

@@ -17,10 +17,9 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import (
     DomainError,
-    ShapeError,
+    check_integer,
     check_seed,
     require_finite,
-    require_integer,
 )
 from .fields import (
     DisplacementField,
@@ -28,6 +27,7 @@ from .fields import (
     LabelImage,
     LogField,
     ScalarImage,
+    _check_same_grid,
     grid_coords,
     warp_image,
     warp_labels,
@@ -42,7 +42,9 @@ class PhantomSpec:
     """Geometry of a deterministic test image.
 
     ``ring_radius`` defaults to a quarter of the smaller grid dimension.
-    Angles are radians; lengths are pixels.
+    Angles are radians; lengths are pixels. Every length and width is
+    positive, and ``blob_count`` is at least 1: a zero or negative one
+    draws an empty or all-zero phantom, through divisions by zero.
     """
 
     kind: str
@@ -60,13 +62,14 @@ class PhantomSpec:
         if self.kind not in PHANTOM_KINDS:
             raise DomainError(f"unknown phantom kind {self.kind!r}")
         check_seed(self.seed)
-        require_finite(
-            self, "ring_thickness", "bump_angle", "bump_amplitude", "bump_width",
-            "blob_sigma",
-        )
+        positive = ("ring_thickness", "bump_width", "blob_sigma")
         if self.ring_radius is not None:
-            require_finite(self, "ring_radius")
-        require_integer(self, "blob_count")
+            positive += ("ring_radius",)
+        require_finite(self, "bump_angle", "bump_amplitude", *positive)
+        for name in positive:
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
+        check_integer("blob_count", self.blob_count, 1)
         half = min(self.grid.height, self.grid.width) / 2.0
         if self.radius + abs(self.bump_amplitude) + self.ring_thickness > half - 4.0:
             raise DomainError(
@@ -224,7 +227,7 @@ def make_subject(
 ) -> Subject:
     """Warp a phantom by exp(v); returns warped data plus the exact ground truth."""
     image, labels = phantom
-    if image.grid != v.grid or labels.grid != v.grid:
-        raise ShapeError("phantom and log field grids must match")
+    _check_same_grid(image, v)
+    _check_same_grid(labels, v)
     phi = exp_field(v, n_levels)
     return Subject(warp_image(image, phi), warp_labels(labels, phi), phi, v)

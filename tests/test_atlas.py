@@ -23,7 +23,7 @@ from diffeo2d import (
 )
 from diffeo2d import atlas as atlas_module
 from diffeo2d import fields as fields_module
-from diffeo2d.errors import ConvergenceError, DomainError
+from diffeo2d.errors import ConvergenceError, DomainError, ShapeError
 from diffeo2d.lie import SolverConfig, log_field
 
 from conftest import GRID64, constant_field, record_svd_shapes
@@ -69,8 +69,10 @@ class TestPixelwiseMean:
     def test_grid_mismatch(self):
         a = ScalarImage(GRID64, np.zeros((64, 64)))
         b = ScalarImage(Grid(32, 32), np.zeros((32, 32)))
-        with pytest.raises(DomainError):
+        with pytest.raises(ShapeError) as info:
             pixelwise_mean_atlas([a, b])
+        assert str(info.value) == (
+            "grid mismatch: Grid(height=64, width=64) vs Grid(height=32, width=32)")
 
 
 class TestAtlasStep:
@@ -91,8 +93,10 @@ class TestAtlasStep:
     def test_grid_mismatch(self):
         img = blob_image()
         small = ScalarImage(Grid(32, 32), img.values[:32, :32])
-        with pytest.raises(DomainError, match="^all images must share the atlas grid$"):
+        with pytest.raises(ShapeError) as info:
             atlas_step(AtlasState(atlas=img), [img, small], FAST_ATLAS_CFG)
+        assert str(info.value) == (
+            "grid mismatch: Grid(height=64, width=64) vs Grid(height=32, width=32)")
 
     def test_zero_norm_atlas_rejected(self):
         img = blob_image()
@@ -178,8 +182,8 @@ def test_atlas_config_rejects_non_finite_epsilon(bad):
 @pytest.mark.parametrize("kwargs, message", [
     ({"epsilon": 0.0}, "epsilon must be > 0"),
     ({"epsilon": -1e-3}, "epsilon must be > 0"),
-    ({"max_outer_iterations": 0}, "max_outer_iterations must be >= 1"),
-    ({"basis_dim": 0}, "basis_dim must be >= 1"),
+    ({"max_outer_iterations": 0}, "max_outer_iterations must be >= 1, got 0"),
+    ({"basis_dim": 0}, "basis_dim must be >= 1, got 0"),
     ({"root_depth": -1}, "root_depth must be >= 1, got -1"),
     # errors.check_depth's range: a depth n scales by 2.0 ** n.
     ({"root_depth": 1024}, "root_depth must be <= 1023, got 1024"),

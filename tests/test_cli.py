@@ -10,16 +10,19 @@ import pytest
 from diffeo2d import (
     DisplacementField,
     Grid,
+    LogField,
     RandomFieldSpec,
     cli,
     decode_root,
     fields,
+    fit_basis,
     lie,
     random_log_field,
     read_basis,
     read_field,
     read_pgm,
     warp_image,
+    write_basis,
     write_field,
     write_pgm,
 )
@@ -537,10 +540,15 @@ def test_chain_commands_report_every_root_level(tmp_path, small_inputs, command,
      "argument --mode: must be <= 1 (the basis dimension), got 2"),
     ("atlas --images {d}/images --init 2 --out-dir {out}/a",
      "argument --init: must be <= 1 (2 images), got 2"),
+    ("fit-basis --logs {d}/subject_000_log.mfld {d}/subject_001_log.mfld --dim 5 "
+     "--out {out}/b.mleb", "argument --dim: must be <= 4 (2 logs, symmetrized), got 5"),
+    ("fit-basis --logs {d}/subject_000_log.mfld {d}/subject_001_log.mfld --dim 3 "
+     "--no-symmetrize --out {out}/b.mleb", "argument --dim: must be <= 2 (2 logs), got 3"),
 ])
 def test_index_bounds_from_the_inputs_name_the_flag(tmp_path, small_inputs, argv, error, capsys):
-    # The upper bounds of --mode (the basis dimension) and --init (the image
-    # count) are checked once the inputs are read, before any output.
+    # The upper bounds of --mode (the basis dimension), --init (the image
+    # count) and --dim (the sample count) are checked once the inputs are
+    # read, before any output.
     out = tmp_path / "out"
     argv = argv.format(d=small_inputs, out=out).split()
     capsys.readouterr()
@@ -661,6 +669,27 @@ def test_inputs_that_do_not_fit_are_refused_before_any_output(
     assert run(*argv, "--json-summary", out / "run.json") == code
     assert capsys.readouterr().err == f"{error}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("basis, code, error", [
+    ("{t}/missing.mleb", 2, "io error: [Errno 2] No such file or directory: '{t}/missing.mleb'"),
+    ("{t}/small.mleb", 1, "usage error: argument --basis: grid Grid(height=16, width=16) "
+                          "does not match --phi-ab's Grid(height=32, width=32)"),
+], ids=["missing", "grid"])
+def test_losses_checks_its_basis_before_the_root_chains(
+    tmp_path, small_inputs, monkeypatch, basis, code, error, capsys
+):
+    logs = [LogField(Grid(16, 16), np.full((16, 16, 2), value)) for value in (0.5, -0.25)]
+    write_basis(tmp_path / "small.mleb", fit_basis(logs, 1))
+    chains = []
+    monkeypatch.setattr(cli, "root_chain", lambda *args: chains.append(args))
+    d = small_inputs
+    capsys.readouterr()
+    assert run("losses", "--phi-ab", d / "subject_000_field.mfld",
+               "--phi-ba", d / "subject_001_field.mfld", "--n", 2,
+               "--basis", basis.format(t=tmp_path)) == code
+    assert capsys.readouterr().err == error.format(t=tmp_path) + "\n"
+    assert chains == []
 
 
 def test_synth_refuses_a_subject_depth_above_1023(tmp_path, capsys):

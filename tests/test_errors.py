@@ -1,9 +1,33 @@
 import inspect
 import pickle
 
+import numpy as np
 import pytest
 
-from diffeo2d import errors
+from diffeo2d import (
+    AtlasState,
+    DisplacementField,
+    Grid,
+    LabelImage,
+    LogField,
+    RootChain,
+    ScalarImage,
+    atlas_step,
+    compose,
+    dice,
+    dice_report,
+    encode,
+    errors,
+    field_rms_diff,
+    fit_basis,
+    icon_loss,
+    make_subject,
+    pixelwise_mean_atlas,
+    register_pair,
+    sim_loss,
+    warp_image,
+    warp_labels,
+)
 
 EXCEPTIONS = sorted(
     (cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -47,3 +71,66 @@ def test_convergence_error_within_keeps_its_numbers(index):
     copy = pickle.loads(pickle.dumps(outer))
     assert (str(copy), copy.residual, copy.iterations, copy.index) == (
         str(outer), 0.5, 7, index)
+
+
+@pytest.mark.parametrize("name, value, minimum, maximum, message", [
+    ("n", 0, 1, None, "n must be >= 1, got 0"),
+    ("n", np.int64(-2), 0, 5, "n must be >= 0, got -2"),
+    ("n", 6, None, 5, "n must be <= 5, got 6"),
+    ("n", 2.5, 1, None, "n must be an integer, got 2.5"),
+    ("n", np.float64(3.0), None, None, f"n must be an integer, got {np.float64(3.0)!r}"),
+    # Unnamed, as the CLI's parser types check a flag it names itself.
+    (None, 1100, 1, 1023, "must be <= 1023, got 1100"),
+])
+def test_check_integer_names_the_bound_and_the_value(name, value, minimum, maximum, message):
+    with pytest.raises(errors.DomainError) as info:
+        errors.check_integer(name, value, minimum, maximum)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, minimum, maximum", [
+    (1, 1, None), (5, 0, 5), (np.int32(-7), None, None), (0, 0, 0),
+])
+def test_check_integer_accepts_its_range(value, minimum, maximum):
+    errors.check_integer("n", value, minimum, maximum)
+
+
+# Two grids and a field, an image, a label map and a log on each.
+A, B = Grid(8, 8), Grid(8, 6)
+
+
+def _on(grid, value=0.5):
+    shape = grid.shape
+    return (DisplacementField(grid, np.full(shape + (2,), value)),
+            ScalarImage(grid, np.linspace(0.0, 1.0, grid.n_pixels).reshape(shape)),
+            LabelImage(grid, np.ones(shape, dtype=np.int64)),
+            LogField(grid, np.full(shape + (2,), value)))
+
+
+(FA, IA, LA, VA), (FB, IB, LB, VB) = _on(A), _on(B)
+BASIS_A = fit_basis([VA, _on(A, -0.25)[3]], 1)
+MISMATCHES = {
+    "compose": lambda: compose(FA, FB),
+    "warp_image": lambda: warp_image(IA, FB),
+    "warp_labels": lambda: warp_labels(LA, FB),
+    "field_rms_diff": lambda: field_rms_diff(FA, FB),
+    "icon_loss": lambda: icon_loss(FA, FB),
+    "sim_loss": lambda: sim_loss(IA, IB, FA, FA),
+    "register_pair": lambda: register_pair(IA, IB),
+    "atlas_step": lambda: atlas_step(AtlasState(IA), [IA, IB]),
+    "pixelwise_mean_atlas": lambda: pixelwise_mean_atlas([IA, IB]),
+    "fit_basis": lambda: fit_basis([VA, VB], 1),
+    "encode": lambda: encode(BASIS_A, VB),
+    "reconstruction_rms": lambda: RootChain([FA]).reconstruction_rms(FB),
+    "dice": lambda: dice(LA, LB, 1),
+    "dice_report": lambda: dice_report(LA, LB),
+    "make_subject": lambda: make_subject((IA, LA), VB),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_every_grid_mismatch_is_one_shape_error(call):
+    # Each goes through fields._check_same_grid, in either order.
+    with pytest.raises(errors.ShapeError) as info:
+        call()
+    assert str(info.value) in (f"grid mismatch: {A} vs {B}", f"grid mismatch: {B} vs {A}")

@@ -331,7 +331,7 @@ class TestBasisFile:
     @pytest.mark.parametrize("magic, version, sign_version, error, message", [
         (b"XLEB", 1, 1, BadMagicError, "bad magic b'XLEB'"),
         (b"MLEB", 2, 1, BadVersionError, "unsupported version 2"),
-        (b"MLEB", 1, 2, BadVersionError, "unsupported version 1"),
+        (b"MLEB", 1, 2, BadVersionError, "unsupported sign-convention version 2"),
     ])
     def test_bad_magic_and_version(self, tmp_path, magic, version, sign_version, error,
                                    message):

@@ -68,9 +68,10 @@ def test_basis_argument_checks(components, singular_values, error, message):
 @pytest.mark.parametrize("logs, dim, error, message", [
     ([unit_log(1)], 1, DomainError, "need at least 2 log fields to fit a basis"),
     ([unit_log(1), unit_log(2, Grid(32, 32))], 1, ShapeError,
-     "all log fields must share one grid"),
-    ([unit_log(1), unit_log(2)], 0, DomainError, "latent dimension must be >= 1"),
-    ([unit_log(1), unit_log(2)], 5, DomainError, "dimension 5 exceeds sample count 4"),
+     "grid mismatch: Grid(height=64, width=64) vs Grid(height=32, width=32)"),
+    ([unit_log(1), unit_log(2)], 0, DomainError, "latent dimension must be >= 1, got 0"),
+    # Symmetrized, 2 logs are 4 samples.
+    ([unit_log(1), unit_log(2)], 5, DomainError, "latent dimension must be <= 4, got 5"),
 ])
 def test_fit_basis_argument_checks(logs, dim, error, message):
     with pytest.raises(error) as info:

@@ -273,7 +273,7 @@ def test_solver_config_rejects_non_finite(name, bad):
 @pytest.mark.parametrize("kwargs, message", [
     ({"tolerance": 0.0}, "tolerance must be > 0"),
     ({"tolerance": -1e-6}, "tolerance must be > 0"),
-    ({"max_iterations": 0}, "max_iterations must be >= 1"),
+    ({"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
     ({"damping": 0.0}, "damping must be in (0, 1]"),
     ({"damping": 1.5}, "damping must be in (0, 1]"),
 ])
@@ -358,13 +358,13 @@ class TestBands:
     def test_threads_are_joined_after_every_solve(self, monkeypatch):
         banded(monkeypatch, 2)
         seen = []
-        place = fields_module._Band.stencil
+        place = fields_module._Band.composed
 
-        def counted(band, w):
+        def counted(band, *args):
             seen.append(threading.active_count())
-            return place(band, w)
+            return place(band, *args)
 
-        monkeypatch.setattr(fields_module._Band, "stencil", counted)
+        monkeypatch.setattr(fields_module._Band, "composed", counted)
         _, phi = suite_field(0)
         one_iteration = SolverConfig(max_iterations=1)
         solves = [

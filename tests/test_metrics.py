@@ -203,8 +203,10 @@ class TestDiceReport:
     def test_grid_mismatch(self):
         a = LabelImage(Grid(8, 8), np.zeros((8, 8), dtype=np.int64))
         b = LabelImage(Grid(8, 6), np.zeros((8, 6), dtype=np.int64))
-        with pytest.raises(ShapeError, match="^label images must share a grid$"):
+        with pytest.raises(ShapeError) as info:
             dice_report(a, b)
+        assert str(info.value) == (
+            "grid mismatch: Grid(height=8, width=8) vs Grid(height=8, width=6)")
 
     def test_half_matched(self):
         g = Grid(8, 8)

@@ -334,12 +334,26 @@ def _reference_sqrt(field, cfg):
     return root, field_rms_diff(compose(root, root), field), iterations
 
 
-@given(reaching_fields())
-def test_self_composed_is_compose(field):
+@given(reaching_fields(), st.data())
+def test_self_composed_is_compose(field, data):
+    # _Band.composed(v, w) is w + v(x + w). With v = w it is the
+    # displacement of compose(f, f), as sqrt_field forms it.
     planar = field.u.transpose(2, 0, 1).copy()
     out = np.empty_like(planar)
-    DisplacedGrid(field.grid, np.empty(field.u.shape)).run(_Band.self_composed, planar, out)
+    displaced = DisplacedGrid(field.grid, np.empty(field.u.shape))
+    displaced.run(_Band.composed, planar, planar, out)
     assert _bits(out.transpose(1, 2, 0)) == _bits(compose(field, field).u)
+    # With another v, and v's derivative at x + w, as invert forms F and
+    # grad u: compose(g, f) and sample_values_grad's derivatives.
+    element = st.floats(-4.0, 4.0, allow_nan=False)
+    outer = DisplacementField(field.grid, data.draw(arrays(np.float64, field.u.shape,
+                                                           elements=element)))
+    grad = np.empty((2,) + planar.shape)
+    displaced.run(_Band.composed, outer.u.transpose(2, 0, 1).copy(), planar, out, grad)
+    assert _bits(out.transpose(1, 2, 0)) == _bits(compose(outer, field).u)
+    _, d_row, d_col = sample_values_grad(outer.u, grid_coords(field.grid) + field.u)
+    assert _bits(grad[0].transpose(1, 2, 0)) == _bits(d_row)
+    assert _bits(grad[1].transpose(1, 2, 0)) == _bits(d_col)
 
 
 @st.composite

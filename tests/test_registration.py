@@ -444,8 +444,8 @@ def test_config_rejects_non_finite(name, bad):
 @pytest.mark.parametrize("kwargs, message", [
     ({"lambda_sim": -1.0}, "loss weights must be >= 0"),
     ({"lambda_reg": -1e-9}, "loss weights must be >= 0"),
-    ({"pyramid_levels": 0}, "pyramid_levels and iterations_per_level must be >= 1"),
-    ({"iterations_per_level": -3}, "pyramid_levels and iterations_per_level must be >= 1"),
+    ({"pyramid_levels": 0}, "pyramid_levels must be >= 1, got 0"),
+    ({"iterations_per_level": -3}, "iterations_per_level must be >= 1, got -3"),
     ({"step_size": 0.0}, "step_size must be > 0"),
     ({"update_smoothing_sigma": -0.5}, "smoothing sigmas must be >= 0"),
     ({"field_smoothing_sigma": -0.5}, "smoothing sigmas must be >= 0"),

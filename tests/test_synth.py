@@ -109,6 +109,24 @@ def test_phantom_spec_rejects_non_integer_blob_count(bad):
     assert PhantomSpec(kind="gaussian_blobs", grid=GRID64, blob_count=np.int64(2)).blob_count == 2
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"ring_radius": 0.0}, "ring_radius must be > 0, got 0.0"),
+    ({"ring_radius": -3.0}, "ring_radius must be > 0, got -3.0"),
+    ({"ring_thickness": 0.0}, "ring_thickness must be > 0, got 0.0"),
+    ({"bump_width": -0.5}, "bump_width must be > 0, got -0.5"),
+    ({"blob_sigma": 0.0}, "blob_sigma must be > 0, got 0.0"),
+    ({"blob_count": 0}, "blob_count must be >= 1, got 0"),
+    ({"blob_count": -1}, "blob_count must be >= 1, got -1"),
+])
+@pytest.mark.parametrize("kind", ["ring_with_bump", "gaussian_blobs"])
+def test_phantom_spec_rejects_degenerate_geometry(kind, kwargs, message):
+    # Each would draw an empty or all-zero phantom through a division by
+    # zero or, for a negative blob count, fail inside numpy.
+    with pytest.raises(DomainError) as info:
+        PhantomSpec(kind=kind, grid=GRID64, **kwargs)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name", ["smoothing_sigma", "amplitude"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_random_field_spec_rejects_non_finite(name, bad):
@@ -234,7 +252,7 @@ def _four_label_by_loops(spec):
 
 @pytest.mark.parametrize("shape, ring_radius", [
     ((64, 64), None), ((32, 32), None), ((33, 47), None), ((40, 24), 5.0),
-    ((64, 64), 20.0), ((64, 64), 11.5), ((31, 30), 0.0), ((48, 48), -3.0),
+    ((64, 64), 20.0), ((64, 64), 11.5), ((31, 30), 0.5),
 ])
 def test_four_label_shells_match_the_shell_loops(shape, ring_radius):
     spec = PhantomSpec(kind="four_label_phantom", grid=Grid(*shape), ring_radius=ring_radius)

@@ -2,6 +2,7 @@
 and that the package's knobs change only on purpose."""
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -160,3 +161,37 @@ def test_every_depth_flag_has_the_one_depth_type():
                 cli._depth(str(value))
         else:
             assert cli._depth(str(value)) == value
+
+
+def _grid_comparisons(path):
+    """(function, line) of every comparison in a module that has a
+    ``.grid`` attribute on either side, the function being the innermost
+    one that makes it."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Attribute) and side.attr == "grid"
+            for side in (node.left, *node.comparators)
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_grids_are_compared_in_one_place():
+    # A library grid mismatch is fields._check_same_grid's ShapeError,
+    # "grid mismatch: A vs B"; the CLI's own check, cli._same_grid, names
+    # the flags the two inputs came from.
+    allowed = {("fields", "_check_same_grid"), ("cli", "_same_grid")}
+    seen = set()
+    for path in sorted((ROOT / "src" / "diffeo2d").glob("*.py")):
+        for function, line in _grid_comparisons(path):
+            assert (path.stem, function) in allowed, f"{path.name}:{line} in {function}"
+            seen.add((path.stem, function))
+    assert seen == allowed
