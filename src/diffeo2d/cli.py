@@ -490,6 +490,8 @@ def _cmd_jacobian(args):
 
 
 def _cmd_fit_basis(args):
+    if len(args.logs) < 2:
+        raise UsageError(f"argument --logs: must name at least 2 log fields, got {len(args.logs)}")
     logs = [_read_field(p, as_log=True) for p in args.logs]
     symmetrize = not args.no_symmetrize
     # fit_basis's sample count: each log counts twice when symmetrized.
@@ -508,7 +510,9 @@ def _cmd_fit_basis(args):
 
 def _cmd_encode(args):
     basis = read_basis(args.basis)
-    z = encode(basis, _read_field(args.log, as_log=True))
+    log = _read_field(args.log, as_log=True)
+    _same_grid("--log", log, "--basis", basis)
+    z = encode(basis, log)
     line = ",".join(repr(float(v)) for v in z)
     print(line)
     if args.out_csv:
@@ -518,6 +522,9 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     basis = read_basis(args.basis)
+    if len(args.z) != basis.dim:
+        raise UsageError(f"argument --z: must have {basis.dim} values (the basis dimension), "
+                         f"got {len(args.z)}")
     z = np.array(args.z)
     if args.m is not None:
         write_field(args.out, decode_root(basis, z, args.m))

@@ -41,6 +41,7 @@ from .fields import (
     ScalarImage,
     Stencil,
     _check_same_grid,
+    _grid_array,
     _sq_lengths,
     compose,
     field_rms,
@@ -147,27 +148,29 @@ def frozen_loss_and_grad(
     x + u_var, frozen at the linearization point; pass the value computed at
     the base point when finite-differencing, otherwise it is computed here.
 
-    Returns (loss, grad) with grad of shape (H, W, 2). Raises DomainError
-    if either field is not finite. This is the first half-step of
-    :func:`register_pairs`, on one pair, without the descent.
+    Returns (loss, grad) with grad of shape (H, W, 2). The images must share
+    a grid, and ``u_var``, ``u_other`` and ``cross`` are (H, W, 2) arrays on
+    it: ShapeError otherwise, and DomainError if one is not finite. This is
+    the first half-step of :func:`register_pairs`, on a one-pair level,
+    without the descent.
     """
-    if not (np.isfinite(u_var).all() and np.isfinite(u_other).all()):
-        raise DomainError("displacement fields must be finite")
-    x = np.indices(a.grid.shape, dtype=np.float64)
-    var, other = _Side(a.values, x), _Side(b.values, x)
-    for side, u in ((var, u_var), (other, u_other)):
-        side.u[...] = np.moveaxis(u, -1, 0)
+    _check_same_grid(a, b)
+    shape = a.grid.shape + (2,)
+    var, other, work = _level(a.values[None], b.values[None])
+    for side, u, name in ((var, u_var, "u_var"), (other, u_other, "u_other")):
+        side.u[:, 0] = np.moveaxis(_grid_array(u, shape, name), -1, 0)
         side.displace()
-    work = np.empty((_WORK_PLANES,) + a.grid.shape)
-    _sample_partner(var, other, work, image=True)
+    _evaluate(var, other, work, image=True)
+    # The partner's sample reads var.var, never var.at, so the frozen cross
+    # sample may replace the one just taken.
     if cross is not None:
-        np.add(var.u, np.moveaxis(cross, -1, 0), out=var.at[:2])
-    _sample_partner(other, var, work, image=True)
+        cross = np.moveaxis(_grid_array(cross, shape, "cross"), -1, 0)
+        np.add(var.u[:, 0], cross, out=var.at[:2, 0])
     # The partner's similarity term is constant; it is included so that the
     # value is the full loss.
-    loss = float(_pair_terms(lambda_sim, lambda_reg, var, other, work)[2])
+    loss = float(_pair_terms(lambda_sim, lambda_reg, var, other, work)[2][0])
     grad = _gradient(var, other, lambda_sim, lambda_reg, work)
-    return loss, np.moveaxis(grad, 0, -1)
+    return loss, np.moveaxis(grad[:, 0], 0, -1)
 
 
 # The optimizer works on planar fields: a (2, ...) array of the row and the
@@ -196,7 +199,7 @@ class _Side:
     (plane 2), so that the partner's stencil gathers both with one take.
     ``stencil`` is the stencil of x + u, placed by :meth:`displace` whenever
     u moves. ``at`` holds what this side reads at x + u (see
-    :func:`_sample_partner`) and ``d_image`` the clamped derivative of the
+    :func:`_evaluate`) and ``d_image`` the clamped derivative of the
     partner's image there.
 
     For the side of u_AB (image A; partner u_BA, image B), ``at[2]`` is the
@@ -231,20 +234,13 @@ class _Side:
         self.displace()
 
 
-def _sample_partner(side: _Side, partner: _Side, work: np.ndarray, image: bool):
-    """Sample the partner at the side's points x + u, one gather.
-
-    ``at[:2]`` becomes u + u_partner(x + u). With ``image`` the partner's
-    image is gathered too: ``at[2]`` becomes the similarity residual
-    image_partner(x + u) - image and ``d_image`` its derivative. The
-    arithmetic is that of ``Stencil.sample`` and ``Stencil.sample_grad``.
-    """
-    if image:
-        side.stencil.sample(partner.var, out=side.at, grad=side.d_image, work=work)
-        side.at[2] -= side.image
-    else:
-        side.stencil.sample(partner.u, out=side.at[:2], work=work)
-    side.at[:2] += side.u
+def _level(va: np.ndarray, vb: np.ndarray):
+    """The workspace of one pyramid level of (N, H, W) image stacks: the
+    sides of u_AB (image A) and u_BA (image B) on one coordinate grid, and
+    the scratch block they share. The images are copied into the sides, so
+    the caller's may go."""
+    x = np.indices(va.shape[1:], dtype=np.float64)[:, None]
+    return _Side(va, x), _Side(vb, x), np.empty((_WORK_PLANES,) + va.shape)
 
 
 def _gradient(side: _Side, partner: _Side, lambda_sim, lambda_reg, work: np.ndarray):
@@ -393,61 +389,68 @@ def _history_terms(cfg, ab, ba, work, iteration, level):
 
 
 def _evaluate(ab: _Side, ba: _Side, work: np.ndarray, image: bool):
-    """Sample each side's partner at the side's points, both sides."""
-    _sample_partner(ab, ba, work, image)
-    _sample_partner(ba, ab, work, image)
+    """Sample each side's partner at the side's points x + u, one gather a
+    side.
+
+    ``at[:2]`` becomes u + u_partner(x + u). With ``image`` the partner's
+    image is gathered too: ``at[2]`` becomes the similarity residual
+    image_partner(x + u) - image and ``d_image`` its derivative. The
+    arithmetic is that of ``Stencil.sample`` and ``Stencil.sample_grad``.
+    """
+    for side, partner in ((ab, ba), (ba, ab)):
+        if image:
+            side.stencil.sample(partner.var, out=side.at, grad=side.d_image, work=work)
+            side.at[2] -= side.image
+        else:
+            side.stencil.sample(partner.u, out=side.at[:2], work=work)
+        side.at[:2] += side.u
 
 
 def _descend_pyramid(pyramid, cfg):
     """The loop of :func:`register_pairs` over the image pyramid, finest
     level first in ``pyramid`` (which it empties): the final planar fields
     u_AB and u_BA, their consistency residuals u_AB + u_BA(x + u_AB) and
-    u_BA + u_AB(x + u_BA), and the iteration numbers and terms of the
-    history."""
+    u_BA + u_AB(x + u_BA), and the terms of each iteration's history row.
+
+    Each level places both sides and evaluates them once; each iteration
+    then steps u_AB, re-reads the consistency residuals, steps u_BA and
+    evaluates both sides in full. That last evaluation gives the
+    iteration's history row, and the next half-step steps from it, so no
+    pass is made for the history alone. The loop variable is the global
+    iteration number that divergence reports carry.
+    """
     fields = None  # the previous level's (u_AB, u_BA, residuals)
-    iterations: list[int] = []
     terms: list[tuple] = []
-    global_it = 0
+    n = cfg.iterations_per_level
 
     for level in range(len(pyramid)):
-        va, vb = pyramid.pop()  # coarse -> fine
-        x = np.indices(va.shape[1:], dtype=np.float64)[:, None]
-        diagonal = np.hypot(va.shape[1] - 1, va.shape[2] - 1)
-        ab, ba = _Side(va, x), _Side(vb, x)
-        work = np.empty((_WORK_PLANES,) + va.shape)
-        del va, vb
-        if fields is None:
-            ab.u[...] = 0.0
-            ba.u[...] = 0.0
+        ab, ba, work = _level(*pyramid.pop())  # coarse -> fine
+        h, w = ab.image.shape[-2:]
+        diagonal = np.hypot(h - 1, w - 1)
+        step = cfg.step_size * (h * w)
+        if fields is None:  # the first level starts from zero
+            ab.u[...] = ba.u[...] = 0.0
         else:
             _upsample_field(fields[0], ab.u, work)
             _upsample_field(fields[1], ba.u, work)
             fields = None
-        ab.place(diagonal, work[:2], global_it, level)
-        ba.place(diagonal, work[:2], global_it, level)
-        step = cfg.step_size * (x.shape[-2] * x.shape[-1])
-        for i in range(cfg.iterations_per_level):
-            # Both sides read their partners: the similarity residuals and
-            # image derivatives of both half-steps, and the consistency
-            # residuals of this one, which are also the loss terms of the
-            # fields after the previous iteration.
-            _evaluate(ab, ba, work, image=True)
-            if i > 0:
-                iterations.append(global_it - 1)
-                terms.append(_history_terms(cfg, ab, ba, work, global_it - 1, level))
-            _half_step(ab, ba, step, cfg, work, diagonal, global_it, level)
+        ab.place(diagonal, work[:2], level * n, level)
+        ba.place(diagonal, work[:2], level * n, level)
+        _evaluate(ab, ba, work, image=True)
+        for it in range(level * n, (level + 1) * n):
+            _half_step(ab, ba, step, cfg, work, diagonal, it, level)
             # Step u_BA against the new u_AB: only the consistency residuals
             # moved, and A(x + u_BA) with its derivative still holds.
             _evaluate(ab, ba, work, image=False)
-            _half_step(ba, ab, step, cfg, work, diagonal, global_it, level)
-            global_it += 1
-        _evaluate(ab, ba, work, image=True)
-        iterations.append(global_it - 1)
-        terms.append(_history_terms(cfg, ab, ba, work, global_it - 1, level))
+            _half_step(ba, ab, step, cfg, work, diagonal, it, level)
+            # Both sides read their partners in full: this iteration's loss
+            # terms, and what the next iteration's half-steps step from.
+            _evaluate(ab, ba, work, image=True)
+            terms.append(_history_terms(cfg, ab, ba, work, it, level))
         fields = (ab.u, ba.u, ab.at[:2], ba.at[:2])
         del ab, ba, work
 
-    return (*fields, iterations, terms)
+    return (*fields, terms)
 
 
 def register_pairs(
@@ -470,9 +473,9 @@ def register_pairs(
     Coarse-to-fine alternating descent on both direction fields: each
     iteration steps u_AB, then u_BA, on the frozen-partner objective.
     ``loss_history`` row ``it`` holds (it, l_sim, l_reg, l_p) at the fields
-    after iteration ``it``. Those are the terms the next iteration's first
-    half-step computes anyway, so they are taken from there; the last row
-    of each level is evaluated once at the end of the level.
+    after iteration ``it``, evaluated at the end of that iteration. The
+    next half-step steps from that evaluation, so the history costs no
+    extra loss pass.
 
     Raises ConvergenceError, with ``index`` set to the pair, when a stepped
     field has a displacement longer than the grid diagonal or a loss is not
@@ -489,7 +492,7 @@ def register_pairs(
             break
         pyramid.append(tuple(_downsample(v) for v in pyramid[-1]))
     with np.errstate(over="ignore"):  # overflow is divergence; see _check_length
-        u_ab, u_ba, r_ab, r_ba, iterations, terms = _descend_pyramid(pyramid, cfg)
+        u_ab, u_ba, r_ab, r_ba, terms = _descend_pyramid(pyramid, cfg)
 
     grid = fixed[0].grid
 
@@ -501,7 +504,7 @@ def register_pairs(
     for n, rows in enumerate(per_pair):
         phi_ab, phi_ba = field(u_ab, n), field(u_ba, n)
         final_ic = max(field_rms(field(r_ba, n)), field_rms(field(r_ab, n)))
-        history = [(it, *row) for it, row in zip(iterations, rows)]
+        history = [(it, *row) for it, row in enumerate(rows)]
         results.append(RegistrationResult(phi_ab, phi_ba, history, final_ic))
     return results
 

@@ -544,13 +544,22 @@ def test_chain_commands_report_every_root_level(tmp_path, small_inputs, command,
      "--out {out}/b.mleb", "argument --dim: must be <= 4 (2 logs, symmetrized), got 5"),
     ("fit-basis --logs {d}/subject_000_log.mfld {d}/subject_001_log.mfld --dim 3 "
      "--no-symmetrize --out {out}/b.mleb", "argument --dim: must be <= 2 (2 logs), got 3"),
+    ("fit-basis --logs {d}/subject_000_log.mfld --dim 8 --out {out}/b.mleb",
+     "argument --logs: must name at least 2 log fields, got 1"),
+    ("decode --basis {d}/basis.mleb --z 1,2 --out {out}/v.mfld",
+     "argument --z: must have 1 values (the basis dimension), got 2"),
+    ("encode --basis {d}/basis.mleb --log {tmp}/log16.mfld --out-csv {out}/z.csv",
+     "argument --log: grid Grid(height=16, width=16) does not match --basis's "
+     "Grid(height=32, width=32)"),
 ])
 def test_index_bounds_from_the_inputs_name_the_flag(tmp_path, small_inputs, argv, error, capsys):
     # The upper bounds of --mode (the basis dimension), --init (the image
-    # count) and --dim (the sample count) are checked once the inputs are
-    # read, before any output.
+    # count) and --dim (the sample count), the count of --logs, the length
+    # of --z and the grid of --log are checked once the inputs are read,
+    # before any output.
+    write_field(tmp_path / "log16.mfld", LogField(Grid(16, 16), np.zeros((16, 16, 2))))
     out = tmp_path / "out"
-    argv = argv.format(d=small_inputs, out=out).split()
+    argv = argv.format(d=small_inputs, out=out, tmp=tmp_path).split()
     capsys.readouterr()
     assert run(*argv, "--json-summary", out / "run.json") == 1
     assert capsys.readouterr().err == f"usage error: {error}\n"

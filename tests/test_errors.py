@@ -28,6 +28,7 @@ from diffeo2d import (
     warp_image,
     warp_labels,
 )
+from diffeo2d.registration import frozen_loss_and_grad
 
 EXCEPTIONS = sorted(
     (cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -125,6 +126,7 @@ MISMATCHES = {
     "dice": lambda: dice(LA, LB, 1),
     "dice_report": lambda: dice_report(LA, LB),
     "make_subject": lambda: make_subject((IA, LA), VB),
+    "frozen_loss_and_grad": lambda: frozen_loss_and_grad(IA, IB, FA.u, FA.u, 1.0, 1.0),
 }
 
 

@@ -68,6 +68,7 @@ from diffeo2d import atlas as atlas_module
 from diffeo2d import cli
 from diffeo2d import fields as fields_module
 from diffeo2d.registration import frozen_loss_and_grad
+from diffeo2d.synth import PHANTOM_KINDS
 
 GOLDEN = Path(__file__).with_name("golden.json")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py --regenerate"
@@ -207,8 +208,9 @@ def registration_case(side, n, cfg):
 
 def divergence():
     # A step of 0.52 for the default's 0.45 blows pair 0 up on the finer
-    # level, at iteration 40; an image of 1e155, whose squared difference from 0 overflows, gives
-    # pair 1 a non-finite loss after its first iteration.
+    # level, at iteration 40; an image of 1e155, whose squared difference
+    # from 0 overflows, gives pair 1 a non-finite loss after its first
+    # iteration.
     (image, _), subs = subjects(32, 2, 7132)
     cfg = RegistrationConfig(pyramid_levels=2, iterations_per_level=30, step_size=0.52)
     zero, huge = (ScalarImage(image.grid, np.full(image.grid.shape, v)) for v in (0.0, 1e155))
@@ -291,14 +293,14 @@ CASES = {
     "encode": lambda: [encode(basis(True), v) for v in logs()],
     "decode_root": lambda: [decode_root(basis(True), np.array([0.5, -1.0, 0.25]), m)
                             for m in (1, 4)],
-    **{f"make_phantom/{kind}": phantom_case(kind)
-       for kind in ("ring_with_bump", "four_label_phantom", "gaussian_blobs")},
+    **{f"make_phantom/{kind}": phantom_case(kind) for kind in PHANTOM_KINDS},
     "make_subject": lambda: subjects(32, 1, 7600)[1],
     "write_field": lambda: [written(lambda p: write_field(p, f))
                             for f in (field_input(32), logs()[0])],
     "write_basis": lambda: written(lambda p: write_basis(p, basis(True))),
-    "write_pgm": lambda: [written(lambda p: write_pgm(p, img))
-                          for img in make_phantom(PhantomSpec("four_label_phantom", Grid(32, 28)))],
+    "write_pgm": lambda: [
+        written(lambda p: write_pgm(p, img))
+        for img in make_phantom(PhantomSpec("four_label_phantom", Grid(32, 28)))],
     "write_csv": lambda: written(lambda p: write_csv(
         p, ["a", "b"], [(1, 0.1), (2, np.float64(1 / 3)), (3, -2.5e-300)])),
     "cli/log_manifest": cli_manifest,

@@ -153,6 +153,28 @@ class TestFrozenGradient:
                 frozen_loss_and_grad(a, a, u_var, u_other, 1.0, 1.0)
 
 
+    @pytest.mark.parametrize("name, shape", [
+        ("u_var", (31, 32, 2)), ("u_other", (32, 32)), ("cross", (32, 32, 3)),
+    ])
+    def test_field_shapes_are_checked(self, name, shape):
+        # Each field is checked against the images' grid, as every other
+        # entry point checks its fields: an (H, W) partner is not broadcast.
+        grid = Grid(32, 32)
+        a = ScalarImage(grid, np.zeros((32, 32)))
+        args = {"u_var": np.zeros((32, 32, 2)), "u_other": np.zeros((32, 32, 2)),
+                "cross": np.zeros((32, 32, 2)), name: np.zeros(shape)}
+        with pytest.raises(ShapeError, match=rf"^{name} shape \({shape[0]}, "):
+            frozen_loss_and_grad(a, a, args["u_var"], args["u_other"], 1.0, 1.0, args["cross"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cross_rejected(self, bad):
+        grid = Grid(6, 6)
+        a = ScalarImage(grid, np.zeros((6, 6)))
+        cross = np.zeros((6, 6, 2))
+        cross[1, 4, 0] = bad
+        with pytest.raises(DomainError, match="^cross contains non-finite values$"):
+            frozen_loss_and_grad(a, a, np.zeros((6, 6, 2)), np.zeros((6, 6, 2)), 1.0, 1.0, cross)
+
     def test_loss_is_primary_loss_bit_for_bit(self):
         # With the partner's sample computed here, the frozen objective at
         # the base point is primary_loss, summed in the same order.
