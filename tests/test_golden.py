@@ -1,13 +1,14 @@
 """Golden digests: a SHA-256 of each of a fixed set of library and CLI
 outputs, checked against the committed ``tests/golden.json``.
 
-A change that claims byte-identical outputs is checked here: the algebra's
-solvers at three sizes and three band counts, registrations with their
-histories and divergence reports, an atlas step at one and two workers,
-the basis fit, the phantoms and subjects, the file writers and one CLI
-manifest. Floats are hashed by their bits, arrays by dtype, shape and bytes,
-errors by type, message and numbers. Every input comes from a seed in
-7000-7999, which neither the rest of the suite nor perfbench uses.
+A change that claims byte-identical outputs is checked here: the one-shot
+samplers, the algebra's solvers at three sizes and three band counts,
+registrations with their histories and divergence reports, an atlas step
+at one and two workers, the basis fit, the phantoms and subjects, the file
+writers and one CLI manifest. Floats are hashed by their bits, arrays by
+dtype, shape and bytes, errors by type, message and numbers. Every input
+comes from a seed in 7000-7999, which neither the rest of the suite nor
+perfbench uses.
 
 A change that alters outputs on purpose regenerates the file with
 
@@ -41,6 +42,7 @@ from diffeo2d import (
     AtlasConfig,
     AtlasState,
     ConvergenceError,
+    DisplacementField,
     Grid,
     PhantomSpec,
     RandomFieldSpec,
@@ -48,6 +50,7 @@ from diffeo2d import (
     ScalarImage,
     SolverConfig,
     atlas_step,
+    compose,
     decode_root,
     encode,
     exp_field,
@@ -58,7 +61,9 @@ from diffeo2d import (
     random_log_field,
     register_pairs,
     root_chain,
+    sample_field,
     sqrt_field,
+    warp_image,
     write_basis,
     write_csv,
     write_field,
@@ -67,6 +72,7 @@ from diffeo2d import (
 from diffeo2d import atlas as atlas_module
 from diffeo2d import cli
 from diffeo2d import fields as fields_module
+from diffeo2d.fields import sample_values, sample_values_grad, splat_values
 from diffeo2d.registration import frozen_loss_and_grad
 from diffeo2d.synth import PHANTOM_KINDS
 
@@ -141,6 +147,47 @@ def raised(call):
 def bands(count):
     """Every DisplacedGrid made inside gets ``count`` row bands."""
     return mock.patch.multiple(fields_module, _BAND_PIXELS=1, _usable_cpus=lambda: count)
+
+
+def samplers():
+    """The one-shot samplers on a 6x5 grid at points on every edge, beyond
+    every edge and inside, as a (3, 7) set and as one point. The values
+    are -0.0 at the four corners of the cell of the point (-0.0, -0.0), so
+    the sample there is -0.0 only if the point's signs are kept."""
+    rng = np.random.default_rng(7700)
+    grid = Grid(6, 5)
+    h, w = grid.shape
+    scalar, two, three = (rng.standard_normal(grid.shape + c) for c in ((), (2,), (3,)))
+    for values in (scalar, two, three):
+        values[:2, :2] = -0.0
+    points = np.concatenate([
+        [[-0.0, -0.0], [0.0, 0.0], [-0.0, 2.5], [3.25, 0.0], [h - 1.0, w - 1.0],
+         [h - 1.0, 1.5], [2.5, w - 1.0], [-1.5, 2.0], [h + 0.5, 2.0], [2.0, -2.25],
+         [3.0, w + 1.75], [-3.0, w + 4.0], [h + 2.0, -1.0]],
+        rng.uniform(-1.0, [h, w], (8, 2)),
+    ]).reshape(3, 7, 2)
+    corner = np.array([-0.0, -0.0])
+    # Fields that reach past every edge: out of the top row and the left
+    # column, beyond the bottom row and the right column.
+    inner, outer = 1.5 * rng.standard_normal((2,) + grid.shape + (2,))
+    for u in (inner, outer):
+        u[0, :, 0], u[-1, :, 0], u[:, 0, 1], u[:, -1, 1] = -2.0, 2.0, -2.5, 2.5
+    weights = rng.standard_normal(points.shape[:-1] + (2,))
+    return {
+        "sample_values": [sample_values(v, p) for v in (scalar, two, three)
+                          for p in (points, corner)],
+        "sample_values_grad": [sample_values_grad(scalar, points),
+                               sample_values_grad(scalar, corner[None]),
+                               sample_values_grad(three, points),
+                               sample_values_grad(three, corner)],
+        "splat_values": [splat_values(points, weights[..., 0], grid.shape),
+                         splat_values(points, weights, grid.shape),
+                         splat_values(corner[None], np.array([-1.25]), grid.shape)],
+        "sample_field": [sample_field(DisplacementField(grid, two), p)
+                         for p in (corner, (h + 1.0, 2.5), (1.75, -0.5))],
+        "compose": compose(DisplacementField(grid, outer), DisplacementField(grid, inner)),
+        "warp_image": warp_image(ScalarImage(grid, scalar), DisplacementField(grid, inner)),
+    }
 
 
 # The algebra: exp, sqrt, invert and a root chain of a sharp field (smoothing
@@ -275,6 +322,7 @@ def phantom_case(kind):
 
 
 CASES = {
+    "samplers": samplers,
     **{f"{solver}/{side}/bands{count}": algebra_case(solver, side, count)
        for solver in SOLVERS for side in SIZES for count in BAND_COUNTS},
     "solver_errors": solver_errors,
