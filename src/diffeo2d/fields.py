@@ -44,12 +44,14 @@ also carry a leading subject axis, ``(N, H, W)``: N point sets on N grids
 of one shape, indexed into one flattened stack, so that a batch of
 registrations costs one gather and one splat per plane, not N.
 
-A stencil has one placement routine, which clamps the coordinates in the
-stencil's own arrays, takes the clamp masks and forms the corner indices.
-The constructor copies a point set there; a loop that moves its points every
-iteration keeps one stencil instead and re-places it with
-:meth:`Stencil.displace`, at the points x + u of planar fields, without any
-point array. One buffer policy serves every gather: ``sample`` gathers into
+A stencil is made one way: ``Stencil(points, shape)`` allocates it for
+point sets of shape ``points``, and :meth:`Stencil.displace` alone places
+it. That writes the points x + u of planar arrays into the stencil's own
+coordinate arrays, clamps them there, takes the clamp masks and forms the
+corner indices. ``displace(x)`` places it at x exactly, as the one-shot
+wrappers do with their points; a loop that moves its points every
+iteration keeps one stencil and re-places it at x + u, without any point
+array. One buffer policy serves every gather: ``sample`` gathers into
 the caller's ``work`` or, without it, into a buffer the stencil owns, and
 writes into the caller's ``out`` if given; ``splat`` takes ``out`` and
 ``work`` too. With ``grad=...``, ``sample`` also returns the derivative of
@@ -224,12 +226,12 @@ class Stencil:
     every plane, ``fr`` and ``fc`` broadcast over the leading axes, and the
     splat runs one ``np.bincount`` per leading plane into one output array.
 
-    One routine places a stencil: it clamps the coordinates written in the
-    stencil's own arrays, takes the masks and forms ``k4``. The constructor
-    copies the points there; :meth:`displace` writes the points x + u of
-    planar fields u there, so a loop keeps one stencil, made by
-    :meth:`empty`, and re-places it. A re-placed stencil is bit for
-    bit a fresh one, and keeps no reference to the caller's arrays.
+    The constructor allocates the stencil for point sets of shape
+    ``points``; only :meth:`displace` places it. That writes the points
+    x + u into the stencil's own arrays, clamps them there, takes the masks
+    and forms ``k4``, so a loop keeps one stencil and re-places it. A
+    re-placed stencil is bit for bit a fresh one placed at the same points,
+    and keeps no reference to the caller's arrays.
     ``sample`` gathers into the caller's ``work`` if given, otherwise into a
     buffer the stencil owns; ``sample`` and ``splat`` write into the
     caller's ``out`` if given. So a loop that samples and splats every
@@ -239,21 +241,7 @@ class Stencil:
     module docstring for where that check lives).
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
-        self._allocate(rows.shape, shape)
-        self.fr[...] = rows
-        self.fc[...] = cols
-        self._place()
-
-    @classmethod
-    def empty(cls, points, shape) -> "Stencil":
-        """A stencil for point sets of shape ``points``, allocated but not
-        placed: call :meth:`displace` before using it."""
-        stencil = cls.__new__(cls)
-        stencil._allocate(points, shape)
-        return stencil
-
-    def _allocate(self, points, shape):
+    def __init__(self, points, shape):
         self.shape = tuple(shape)
         h, w = self.shape[-2:]
         self._size = int(np.prod(self.shape))
@@ -275,14 +263,15 @@ class Stencil:
         self._last = (Ellipsis, -1) + (slice(None),) * len(points)
         self._work = None
 
-    def displace(self, x: np.ndarray, u: np.ndarray) -> "Stencil":
+    def displace(self, x: np.ndarray, u: np.ndarray | float = -0.0) -> "Stencil":
         """Place the stencil at the points x + u of planar ``(2, *points)``
-        fields u; ``x`` broadcasts against ``u``.
+        arrays; ``x`` and ``u`` broadcast against the points.
 
         The sum is written into the stencil's own coordinate arrays, so a
         loop that moves its points every iteration keeps one stencil and
-        allocates nothing. Bit for bit the stencil
-        ``Stencil(x[0] + u[0], x[1] + u[1], shape)``. Returns the stencil.
+        allocates nothing. With ``x`` alone the stencil is placed at x
+        exactly: adding -0.0 keeps every coordinate's bits, -0.0 included.
+        Returns the stencil.
         """
         np.add(x, u, out=self._frc)
         return self._place()
@@ -529,7 +518,7 @@ class _Band:
         self.rows = rows
         self.x = x[:, rows]
         self._finite = np.empty(self.x.shape, dtype=bool)
-        self._stencil = Stencil.empty(self.x.shape[1:], x.shape[1:])
+        self._stencil = Stencil(self.x.shape[1:], x.shape[1:])
         self._squares = squares.transpose(2, 0, 1)[:, rows]
 
     def square(self, a: np.ndarray):
@@ -659,9 +648,11 @@ def _sq_lengths(u: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
 
 def _point_stencil(points: np.ndarray, shape) -> Stencil:
     """Stencil of (..., 2) points on the grid of an (H, W[, C]) array."""
+    if points.shape[-1:] != (2,):
+        raise ShapeError(f"points must be (..., 2) coordinates, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise DomainError("sample points must be finite")
-    return Stencil(points[..., 0], points[..., 1], shape[:2])
+    return Stencil(points.shape[:-1], shape[:2]).displace(np.moveaxis(points, -1, 0))
 
 
 def _channels_first(values: np.ndarray, channels: bool) -> np.ndarray:

@@ -269,7 +269,7 @@ def _halve_steps(band, u, w, w_new, step, f_w, gap, grad, tol_sq, damping):
     steps[:, -1] = -damping * f_w[:, retry]
     moved = w[:, None, retry] + steps
     x = band.x.reshape(2, -1)[:, None, retry]
-    stencil = Stencil.empty(moved.shape[1:], u.shape[1:]).displace(x, moved)
+    stencil = Stencil(moved.shape[1:], u.shape[1:]).displace(x, moved)
     g, g_grad = np.empty_like(moved), np.empty((2,) + moved.shape)
     stencil.sample_grad(u, g, g_grad)
     g += moved

@@ -224,7 +224,7 @@ class _Side:
         the level's fields are upsampled, so that the upsampling's stencil
         and these are not live at once."""
         if self.stencil is None:
-            self.stencil = Stencil.empty(self.u.shape[1:], self.image.shape)
+            self.stencil = Stencil(self.u.shape[1:], self.image.shape)
         self.stencil.displace(self.x, self.u)
 
     def place(self, diagonal, sq, iteration, level):
@@ -305,11 +305,8 @@ def _downsample(values: np.ndarray) -> np.ndarray:
 def _upsample_field(u: np.ndarray, out: np.ndarray, work: np.ndarray):
     """Bilinear upsample of planar fields into ``out``, (2, N, H, W) grids
     twice as fine, displacements x2; ``work`` holds the gather."""
-    _, _, h, w = out.shape
-    shape = out.shape[1:]
-    rows = np.broadcast_to((np.arange(h, dtype=np.float64) / 2.0)[:, None], shape)
-    cols = np.broadcast_to(np.arange(w, dtype=np.float64) / 2.0, shape)
-    Stencil(rows, cols, u.shape[1:]).sample(u, out=out, work=work)
+    x = np.indices(out.shape[-2:], dtype=np.float64)[:, None] / 2.0
+    Stencil(out.shape[1:], u.shape[1:]).displace(x).sample(u, out=out, work=work)
     out *= 2.0
 
 

@@ -292,6 +292,23 @@ def test_non_finite_points_rejected(call, bad):
             call(u, p)
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (3, 3), (1,), ()])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, p: sample_values(u, p),
+        lambda u, p: sample_values_grad(u, p),
+        lambda u, p: splat_values(p, np.ones(p.shape[:-1] + (2,)), u.shape[:2]),
+    ],
+    ids=["sample_values", "sample_values_grad", "splat_values"],
+)
+def test_points_must_end_in_a_coordinate_pair(call, shape):
+    # A stencil is placed by broadcasting the coordinate axis, so a last
+    # axis of 1 would put both coordinates at one value without this check.
+    with pytest.raises(ShapeError, match=r"^points must be \(\.\.\., 2\) coordinates"):
+        call(np.zeros((4, 5, 2)), np.full(shape, 1.5))
+
+
 def test_sampling_exact_on_linear_fields():
     g = Grid(6, 6)
     rows = np.arange(6.0)[:, None] * np.ones(6)

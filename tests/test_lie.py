@@ -474,7 +474,8 @@ def sequential_halve_steps(band, u, w, w_new, step, f_w, gap, grad, tol_sq, damp
     def move(idx, new_step):
         step[:, idx] = new_step
         w_new[:, idx] = w[:, idx] + new_step
-        stencil = Stencil(rows[idx] + w_new[0, idx], cols[idx] + w_new[1, idx], u.shape[1:])
+        points = np.stack([rows[idx] + w_new[0, idx], cols[idx] + w_new[1, idx]])
+        stencil = Stencil(idx.shape, u.shape[1:]).displace(points)
         g, g_grad = np.empty((2, idx.size)), np.empty((2, 2, idx.size))
         stencil.sample_grad(u, g, g_grad)
         g += w_new[:, idx]
@@ -526,11 +527,11 @@ class TestSafeguard:
         # One stencil over all candidates of all retrying pixels, where the
         # loop built one a round: up to 7 a call on these fields.
         built = []
-        allocate = Stencil._allocate
+        init = Stencil.__init__
 
         def counted(self, *args):
             built.append(self)
-            return allocate(self, *args)
+            return init(self, *args)
 
         per_call = []
         halve = lie_module._halve_steps
@@ -540,7 +541,7 @@ class TestSafeguard:
             halve(*args)
             per_call.append(len(built) - start)
 
-        monkeypatch.setattr(Stencil, "_allocate", counted)
+        monkeypatch.setattr(Stencil, "__init__", counted)
         monkeypatch.setattr(lie_module, "_halve_steps", recorded)
         sol = invert(sharp_field(32, 4.0, seed))
         assert len(per_call) == sol.iterations

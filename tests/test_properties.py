@@ -121,7 +121,7 @@ def test_sample_splat_adjoint(vp, data):
     # <sample(u, p), r> == <u, splat(p, r)> for every u and r.
     u, p = vp
     r = data.draw(arrays(np.float64, u.shape[:-2] + p.shape[:1], elements=finite))
-    stencil = Stencil(p[..., 0], p[..., 1], u.shape[-2:])
+    stencil = Stencil(p.shape[:1], u.shape[-2:]).displace(p.T)
     lhs = float(np.sum(stencil.sample(u) * r))
     rhs = float(np.sum(u * stencil.splat(r)))
     scale = float(np.sum(np.abs(r))) * max(float(np.max(np.abs(u))), 1.0)
@@ -163,9 +163,9 @@ def test_sample_grad_matches_central_differences(h, w, channels, data):
     p = np.minimum(cell, [h - 2, w - 2]) + frac
 
     def sample(q):
-        return Stencil(q[..., 0], q[..., 1], (h, w)).sample(u)
+        return Stencil(q.shape[:1], (h, w)).displace(q.T).sample(u)
 
-    val, d_row, d_col = Stencil(p[..., 0], p[..., 1], (h, w)).sample_grad(u)
+    val, d_row, d_col = Stencil(p.shape[:1], (h, w)).displace(p.T).sample_grad(u)
     assert np.array_equal(val, sample(p))
     eps = 1e-6
     for axis, analytic in ((0, d_row), (1, d_col)):
@@ -192,13 +192,13 @@ def test_subject_axis_matches_per_subject_stencils(n, h, w, channels, data):
     rows = data.draw(arrays(np.float64, (n, k), elements=coord))
     cols = data.draw(arrays(np.float64, (n, k), elements=coord))
     r = data.draw(arrays(np.float64, channels + (n, k), elements=finite))
-    batch = Stencil(rows, cols, (n, h, w))
+    batch = Stencil((n, k), (n, h, w)).displace(np.stack([rows, cols]))
     sampled = batch.sample(values)
     grads = batch.sample_grad(values)
     splatted = batch.splat(r)
     for c in np.ndindex(channels):
         for i in range(n):
-            one = Stencil(rows[i], cols[i], (h, w))
+            one = Stencil((k,), (h, w)).displace(np.stack([rows[i], cols[i]]))
             plane = c + (i,)
             assert np.array_equal(sampled[plane], one.sample(values[plane]))
             for got, want in zip(grads, one.sample_grad(values[plane])):
@@ -243,26 +243,27 @@ def test_rebuilt_stencil_matches_fresh(vp, data):
     )
     q = data.draw(arrays(np.float64, p.shape, elements=coord))
     x = data.draw(arrays(np.float64, (2, 1), elements=st.floats(0.0, 3.0)))
-    stencil = Stencil(p[:, 0].copy(), p[:, 1].copy(), (h, w))
+    stencil = Stencil(p.shape[:1], (h, w)).displace(p.T)
     out = np.empty(u.shape[:-2] + p.shape[:1])
     stencil.sample(u, out=out)  # the owned gather buffer now holds p's corners
     assert stencil.displace(x, q.T.copy()) is stencil
-    fresh = Stencil(x[0] + q[:, 0], x[1] + q[:, 1], (h, w))
+    fresh = Stencil(q.shape[:1], (h, w)).displace(np.stack([x[0] + q[:, 0], x[1] + q[:, 1]]))
     for name in ("fr", "fc", "k4", "outside"):
         assert _bits(getattr(stencil, name)) == _bits(getattr(fresh, name))
     assert stencil.sample(u, out=out) is out
     assert _bits(out) == _bits(fresh.sample(u))
     for got, want in zip(stencil.sample_grad(u), fresh.sample_grad(u)):
         assert _bits(got) == _bits(want)
-    # Constructed or displaced, a stencil's clamp masks are those of its
-    # unclamped points: on or beyond an edge, -0.0 included. Adding -0.0
-    # keeps every coordinate's bits, so the displaced stencil sees q itself.
+    # Placed at x + q, at q alone or at -0.0 + q, a stencil's clamp masks
+    # are those of its unclamped points: on or beyond an edge, -0.0
+    # included. Adding -0.0 keeps every coordinate's bits, so the last two
+    # stencils see q itself.
     edge = np.array([[h - 1.0], [w - 1.0]])
     zero = np.full((2, 1), -0.0)
     placed = [
         (fresh, x + q.T),
-        (Stencil(q[:, 0].copy(), q[:, 1].copy(), (h, w)), q.T),
-        (Stencil.empty(q.shape[:1], (h, w)).displace(zero, q.T.copy()), q.T),
+        (Stencil(q.shape[:1], (h, w)).displace(q.T), q.T),
+        (Stencil(q.shape[:1], (h, w)).displace(zero, q.T.copy()), q.T),
     ]
     for placed_stencil, points in placed:
         assert np.array_equal(placed_stencil.outside, (points <= 0.0) | (points >= edge))
@@ -276,7 +277,7 @@ def test_sample_grad_into_buffers_is_its_fresh_result(vp, data):
     # Stencil.sample gives with a unit axis after the component axis.
     u, p = vp
     h, w = u.shape[-2:]
-    stencil = Stencil(p[:, 0].copy(), p[:, 1].copy(), (h, w))
+    stencil = Stencil(p.shape[:1], (h, w)).displace(p.T)
     fresh = stencil.sample_grad(u)
     shape = u.shape[:-2] + p.shape[:1]
     out = np.full(shape + (3,), np.nan)[..., 1]

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 import shutil
@@ -195,3 +196,20 @@ def test_grids_are_compared_in_one_place():
             assert (path.stem, function) in allowed, f"{path.name}:{line} in {function}"
             seen.add((path.stem, function))
     assert seen == allowed
+
+
+def test_stencils_are_made_one_way():
+    # Stencil(points, shape) allocates a stencil and displace alone places
+    # it: no second constructor, and every call in the library passes the
+    # point shape and the grid shape.
+    assert not hasattr(fields.Stencil, "empty")
+    assert list(inspect.signature(fields.Stencil).parameters) == ["points", "shape"]
+    seen = set()
+    for path in sorted((ROOT / "src" / "diffeo2d").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "Stencil" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                assert len(node.args) + len(node.keywords) == 2, f"{path.name}:{node.lineno}"
+                seen.add(path.stem)
+    assert seen == {"fields", "lie", "registration"}
