@@ -42,9 +42,9 @@ from .errors import (
     DomainError,
     RankError,
     check_depth,
+    check_float,
     check_integer,
     check_seed,
-    require_finite,
 )
 from .fields import ScalarImage, _check_same_grid, _chunks, _workers, warp_image
 from .latent import decode_root, encode, fit_basis
@@ -62,11 +62,9 @@ class AtlasConfig:
     root_depth: int = 6
 
     def __post_init__(self):
-        require_finite(self, "epsilon")
+        check_float("epsilon", self.epsilon, 0, exclusive=True)
         check_integer("max_outer_iterations", self.max_outer_iterations, 1)
         check_integer("basis_dim", self.basis_dim, 1)
-        if not (self.epsilon > 0):
-            raise DomainError("epsilon must be > 0")
         check_depth("root_depth", self.root_depth)
 
 

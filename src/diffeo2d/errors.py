@@ -1,8 +1,9 @@
-"""Exception types shared across the package, the checks that every config
-runs on its float fields, the one integer check, :func:`check_integer`,
-which every bound on an integer argument or config field goes through
-(depths, counts, indices, dimensions), the depth and power-of-two checks
-built on it, and the check of seeds.
+"""Exception types shared across the package and the checks of scalars: the
+one float check, :func:`check_float`, which every float config field goes
+through, the one integer check, :func:`check_integer`, which every bound on
+an integer argument or config field goes through (depths, counts, indices,
+dimensions), the depth and power-of-two checks built on it, and the check
+of seeds.
 
 Every exception here survives ``pickle`` with its type, message and
 attributes, so that one raised in a worker process reaches the caller as
@@ -16,14 +17,23 @@ class DomainError(ValueError):
     """An argument is outside the operation's admissible domain."""
 
 
-def require_finite(config, *names):
-    """Raise DomainError unless each named float field of ``config`` is
-    finite. Range checks alone let NaN or inf through, since NaN compares
-    false and inf passes a lower bound."""
-    for name in names:
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+def check_float(name, value, minimum=None, maximum=None, *, exclusive=False):
+    """Raise DomainError unless ``value`` is a finite real number from
+    ``minimum`` to ``maximum``, each bound omitted when None and the lower
+    one strict when ``exclusive``: ``"{name} must be a real number, got
+    {value!r}"``, then ``"{name} must be finite, got {value}"``, then
+    ``"{name} must be >= {minimum}, got {value}"`` (``>`` when exclusive)
+    or ``"{name} must be <= {maximum}, got {value}"``.
+    Range checks alone let NaN or inf through, since NaN compares false and
+    inf passes a lower bound; a string would fail them with a TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    if minimum is not None and (value <= minimum if exclusive else value < minimum):
+        raise DomainError(f"{name} must be {'>' if exclusive else '>='} {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be <= {maximum}, got {value}")
 
 
 def check_integer(name, value, minimum=None, maximum=None):

@@ -368,7 +368,8 @@ class Stencil:
         # from the last plane's corners before they are overwritten.
         if grad is not None:
             last = self._last
-            d_row, d_col = grad
+            # [i, ...] views stay arrays for one point given as 0-d.
+            d_row, d_col = grad[0, ...], grad[1, ...]
             np.subtract(v11[last], v01[last], out=d_col)
             d_col *= fr
             d_col += v01[last]
@@ -441,13 +442,14 @@ class Stencil:
         # The weights (1-fr)(1-fc), (1-fr) fc, fr (1-fc) and fr fc of the
         # corners, with 1-fr and 1-fc held in rows 0 and 2 until they are
         # used: no temporaries, which at a batch of 64^2 fields are large
-        # enough to cost page faults on every call.
-        np.subtract(1, fr, out=w4[0])
-        np.multiply(w4[0], fc, out=w4[1])
-        np.subtract(1, fc, out=w4[2])
-        np.multiply(w4[0], w4[2], out=w4[0])
-        np.multiply(fr, w4[2], out=w4[2])
-        np.multiply(fr, fc, out=w4[3])
+        # enough to cost page faults on every call. The rows are [i, ...]
+        # views, so that they stay arrays for one point given as 0-d.
+        np.subtract(1, fr, out=w4[0, ...])
+        np.multiply(w4[0, ...], fc, out=w4[1, ...])
+        np.subtract(1, fc, out=w4[2, ...])
+        np.multiply(w4[0, ...], w4[2, ...], out=w4[0, ...])
+        np.multiply(fr, w4[2, ...], out=w4[2, ...])
+        np.multiply(fr, fc, out=w4[3, ...])
         idx = self.k4.ravel()
         size = self._size
         lead = values.shape[: values.ndim - fr.ndim]

@@ -55,8 +55,8 @@ from .errors import (
     ConvergenceError,
     DomainError,
     check_depth,
+    check_float,
     check_integer,
-    require_finite,
 )
 from .fields import (
     DisplacedGrid,
@@ -94,12 +94,9 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        require_finite(self, "tolerance", "damping")
+        check_float("tolerance", self.tolerance, 0, exclusive=True)
         check_integer("max_iterations", self.max_iterations, 1)
-        if not (self.tolerance > 0):
-            raise DomainError("tolerance must be > 0")
-        if not (0 < self.damping <= 1):
-            raise DomainError("damping must be in (0, 1]")
+        check_float("damping", self.damping, 0, 1, exclusive=True)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, require_finite
+from .errors import ShapeError, check_float
 from .fields import DisplacementField, LabelImage, _check_same_grid, compose
 from .lie import RootChain
 from .registration import _mean_sq_displacement
@@ -26,9 +26,9 @@ class LossWeights:
     alpha_linv: float = 1.0
 
     def __post_init__(self):
-        require_finite(self, "alpha_rec", "alpha_inv", "alpha_linv")
-        if self.alpha_rec < 0 or self.alpha_inv < 0 or self.alpha_linv < 0:
-            raise DomainError("weights must be non-negative")
+        check_float("alpha_rec", self.alpha_rec, 0)
+        check_float("alpha_inv", self.alpha_inv, 0)
+        check_float("alpha_linv", self.alpha_linv, 0)
 
 
 def rec_loss(

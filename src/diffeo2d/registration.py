@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import correlate1d, gaussian_filter
 
-from .errors import ConvergenceError, DomainError, check_integer, require_finite
+from .errors import ConvergenceError, DomainError, check_float, check_integer
 from .fields import (
     DisplacementField,
     ScalarImage,
@@ -68,18 +68,13 @@ class RegistrationConfig:
     field_smoothing_sigma: float = 0.0
 
     def __post_init__(self):
-        require_finite(
-            self, "lambda_sim", "lambda_reg", "step_size",
-            "update_smoothing_sigma", "field_smoothing_sigma",
-        )
+        check_float("lambda_sim", self.lambda_sim, 0)
+        check_float("lambda_reg", self.lambda_reg, 0)
         check_integer("pyramid_levels", self.pyramid_levels, 1)
         check_integer("iterations_per_level", self.iterations_per_level, 1)
-        if self.lambda_sim < 0 or self.lambda_reg < 0:
-            raise DomainError("loss weights must be >= 0")
-        if not (self.step_size > 0):
-            raise DomainError("step_size must be > 0")
-        if self.update_smoothing_sigma < 0 or self.field_smoothing_sigma < 0:
-            raise DomainError("smoothing sigmas must be >= 0")
+        check_float("step_size", self.step_size, 0, exclusive=True)
+        check_float("update_smoothing_sigma", self.update_smoothing_sigma, 0)
+        check_float("field_smoothing_sigma", self.field_smoothing_sigma, 0)
 
 
 @dataclass
@@ -148,12 +143,15 @@ def frozen_loss_and_grad(
     x + u_var, frozen at the linearization point; pass the value computed at
     the base point when finite-differencing, otherwise it is computed here.
 
-    Returns (loss, grad) with grad of shape (H, W, 2). The images must share
-    a grid, and ``u_var``, ``u_other`` and ``cross`` are (H, W, 2) arrays on
-    it: ShapeError otherwise, and DomainError if one is not finite. This is
-    the first half-step of :func:`register_pairs`, on a one-pair level,
-    without the descent.
+    Returns (loss, grad) with grad of shape (H, W, 2). The weights are
+    finite and non-negative, as in :class:`RegistrationConfig`, the images
+    share a grid, and ``u_var``, ``u_other`` and ``cross`` are (H, W, 2)
+    arrays on it: DomainError if a weight is out of range or an array is not
+    finite, ShapeError if a shape differs. This is the first half-step of
+    :func:`register_pairs`, on a one-pair level, without the descent.
     """
+    check_float("lambda_sim", lambda_sim, 0)
+    check_float("lambda_reg", lambda_reg, 0)
     _check_same_grid(a, b)
     shape = a.grid.shape + (2,)
     var, other, work = _level(a.values[None], b.values[None])

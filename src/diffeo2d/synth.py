@@ -17,9 +17,9 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import (
     DomainError,
+    check_float,
     check_integer,
     check_seed,
-    require_finite,
 )
 from .fields import (
     DisplacementField,
@@ -62,14 +62,14 @@ class PhantomSpec:
         if self.kind not in PHANTOM_KINDS:
             raise DomainError(f"unknown phantom kind {self.kind!r}")
         check_seed(self.seed)
-        positive = ("ring_thickness", "bump_width", "blob_sigma")
-        if self.ring_radius is not None:
-            positive += ("ring_radius",)
-        require_finite(self, "bump_angle", "bump_amplitude", *positive)
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
+        # A ring_radius of None reads as the default radius, which passes.
+        check_float("ring_radius", self.radius, 0, exclusive=True)
+        check_float("ring_thickness", self.ring_thickness, 0, exclusive=True)
+        check_float("bump_angle", self.bump_angle)
+        check_float("bump_amplitude", self.bump_amplitude)
+        check_float("bump_width", self.bump_width, 0, exclusive=True)
         check_integer("blob_count", self.blob_count, 1)
+        check_float("blob_sigma", self.blob_sigma, 0, exclusive=True)
         half = min(self.grid.height, self.grid.width) / 2.0
         if self.radius + abs(self.bump_amplitude) + self.ring_thickness > half - 4.0:
             raise DomainError(
@@ -98,11 +98,8 @@ class RandomFieldSpec:
 
     def __post_init__(self):
         check_seed(self.seed)
-        require_finite(self, "smoothing_sigma", "amplitude")
-        if not (self.smoothing_sigma > 0):
-            raise DomainError("smoothing_sigma must be > 0")
-        if self.amplitude < 0:
-            raise DomainError("amplitude must be >= 0")
+        check_float("smoothing_sigma", self.smoothing_sigma, 0, exclusive=True)
+        check_float("amplitude", self.amplitude, 0)
         if self.amplitude > min(self.grid.height, self.grid.width) / 8.0:
             raise DomainError(
                 "amplitude exceeds min(grid)/8; the diffeomorphism guarantee "

@@ -179,9 +179,12 @@ def test_atlas_config_rejects_non_finite_epsilon(bad):
         AtlasConfig(epsilon=bad)
 
 
+# A case's id names the rule it breaks, where its message names the value.
 @pytest.mark.parametrize("kwargs, message", [
-    ({"epsilon": 0.0}, "epsilon must be > 0"),
-    ({"epsilon": -1e-3}, "epsilon must be > 0"),
+    pytest.param({"epsilon": 0.0}, "epsilon must be > 0, got 0.0",
+                 id="kwargs0-epsilon must be > 0"),
+    pytest.param({"epsilon": -1e-3}, "epsilon must be > 0, got -0.001",
+                 id="kwargs1-epsilon must be > 0"),
     ({"max_outer_iterations": 0}, "max_outer_iterations must be >= 1, got 0"),
     ({"basis_dim": 0}, "basis_dim must be >= 1, got 0"),
     ({"root_depth": -1}, "root_depth must be >= 1, got -1"),

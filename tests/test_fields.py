@@ -309,6 +309,21 @@ def test_points_must_end_in_a_coordinate_pair(call, shape):
         call(np.zeros((4, 5, 2)), np.full(shape, 1.5))
 
 
+def test_a_0d_point_reads_as_a_one_point_set():
+    # A (2,) point gives element [0] of what the (1, 2) set of it gives:
+    # the value and both derivatives, of one and of two channels, and the
+    # splat of one value or of two.
+    image = np.random.default_rng(5).random((4, 5, 2))
+    for point in (np.array([1.3, 2.6]), np.array([-0.5, 4.0])):
+        for values in (image[..., 0], image):
+            one = sample_values_grad(values, point)
+            for got, expected in zip(one, sample_values_grad(values, point[None])):
+                assert np.array_equal(got, expected[0])
+        for v in (np.float64(0.7), np.array([0.7, -1.2])):
+            got = splat_values(point, v, (4, 5))
+            assert np.array_equal(got, splat_values(point[None], v[None], (4, 5)))
+
+
 def test_sampling_exact_on_linear_fields():
     g = Grid(6, 6)
     rows = np.arange(6.0)[:, None] * np.ones(6)

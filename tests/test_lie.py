@@ -270,12 +270,17 @@ def test_solver_config_rejects_non_finite(name, bad):
         SolverConfig(**{name: bad})
 
 
+# A case's id names the rule it breaks, where its message names the value.
 @pytest.mark.parametrize("kwargs, message", [
-    ({"tolerance": 0.0}, "tolerance must be > 0"),
-    ({"tolerance": -1e-6}, "tolerance must be > 0"),
+    pytest.param({"tolerance": 0.0}, "tolerance must be > 0, got 0.0",
+                 id="kwargs0-tolerance must be > 0"),
+    pytest.param({"tolerance": -1e-6}, "tolerance must be > 0, got -1e-06",
+                 id="kwargs1-tolerance must be > 0"),
     ({"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
-    ({"damping": 0.0}, "damping must be in (0, 1]"),
-    ({"damping": 1.5}, "damping must be in (0, 1]"),
+    pytest.param({"damping": 0.0}, "damping must be > 0, got 0.0",
+                 id="kwargs3-damping must be in (0, 1]"),
+    pytest.param({"damping": 1.5}, "damping must be <= 1, got 1.5",
+                 id="kwargs4-damping must be in (0, 1]"),
 ])
 def test_solver_config_range_checks(kwargs, message):
     with pytest.raises(DomainError) as info:

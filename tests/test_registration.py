@@ -175,6 +175,21 @@ class TestFrozenGradient:
         with pytest.raises(DomainError, match="^cross contains non-finite values$"):
             frozen_loss_and_grad(a, a, np.zeros((6, 6, 2)), np.zeros((6, 6, 2)), 1.0, 1.0, cross)
 
+    @pytest.mark.parametrize("name", ["lambda_sim", "lambda_reg"])
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "must be finite, got nan"),
+        (np.inf, "must be finite, got inf"),
+        (-1.0, "must be >= 0, got -1.0"),
+    ])
+    def test_weights_are_checked(self, name, bad, message):
+        # The weights RegistrationConfig rejects: a NaN or infinite one
+        # would give a NaN or infinite loss.
+        a = ScalarImage(Grid(6, 6), np.zeros((6, 6)))
+        weights = {"lambda_sim": 1.0, "lambda_reg": 1.0, name: bad}
+        with pytest.raises(DomainError) as info:
+            frozen_loss_and_grad(a, a, np.zeros((6, 6, 2)), np.zeros((6, 6, 2)), **weights)
+        assert str(info.value) == f"{name} {message}"
+
     def test_loss_is_primary_loss_bit_for_bit(self):
         # With the partner's sample computed here, the frozen objective at
         # the base point is primary_loss, summed in the same order.
@@ -463,14 +478,20 @@ def test_config_rejects_non_finite(name, bad):
         RegistrationConfig(**{name: bad})
 
 
+# A case's id names the rule it breaks, where its message names the value.
 @pytest.mark.parametrize("kwargs, message", [
-    ({"lambda_sim": -1.0}, "loss weights must be >= 0"),
-    ({"lambda_reg": -1e-9}, "loss weights must be >= 0"),
+    pytest.param({"lambda_sim": -1.0}, "lambda_sim must be >= 0, got -1.0",
+                 id="kwargs0-loss weights must be >= 0"),
+    pytest.param({"lambda_reg": -1e-9}, "lambda_reg must be >= 0, got -1e-09",
+                 id="kwargs1-loss weights must be >= 0"),
     ({"pyramid_levels": 0}, "pyramid_levels must be >= 1, got 0"),
     ({"iterations_per_level": -3}, "iterations_per_level must be >= 1, got -3"),
-    ({"step_size": 0.0}, "step_size must be > 0"),
-    ({"update_smoothing_sigma": -0.5}, "smoothing sigmas must be >= 0"),
-    ({"field_smoothing_sigma": -0.5}, "smoothing sigmas must be >= 0"),
+    pytest.param({"step_size": 0.0}, "step_size must be > 0, got 0.0",
+                 id="kwargs4-step_size must be > 0"),
+    pytest.param({"update_smoothing_sigma": -0.5}, "update_smoothing_sigma must be >= 0, got -0.5",
+                 id="kwargs5-smoothing sigmas must be >= 0"),
+    pytest.param({"field_smoothing_sigma": -0.5}, "field_smoothing_sigma must be >= 0, got -0.5",
+                 id="kwargs6-smoothing sigmas must be >= 0"),
 ])
 def test_config_range_checks(kwargs, message):
     with pytest.raises(DomainError) as info:

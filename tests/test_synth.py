@@ -134,9 +134,12 @@ def test_random_field_spec_rejects_non_finite(name, bad):
         RandomFieldSpec(GRID64, seed=0, **{name: bad})
 
 
+# A case's id names the rule it breaks, where its message names the value.
 @pytest.mark.parametrize("kwargs, message", [
-    ({"smoothing_sigma": 0.0}, "smoothing_sigma must be > 0"),
-    ({"amplitude": -0.5}, "amplitude must be >= 0"),
+    pytest.param({"smoothing_sigma": 0.0}, "smoothing_sigma must be > 0, got 0.0",
+                 id="kwargs0-smoothing_sigma must be > 0"),
+    pytest.param({"amplitude": -0.5}, "amplitude must be >= 0, got -0.5",
+                 id="kwargs1-amplitude must be >= 0"),
     ({"amplitude": 8.5}, "amplitude exceeds min(grid)/8; the diffeomorphism guarantee "
                          "requires small deformations"),
 ])

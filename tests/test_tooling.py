@@ -12,12 +12,14 @@ import re
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 from diffeo2d import (
     AtlasConfig,
+    Grid,
     PhantomSpec,
     RandomFieldSpec,
     RegistrationConfig,
@@ -25,7 +27,7 @@ from diffeo2d import (
     fields,
     lie,
 )
-from diffeo2d import cli
+from diffeo2d import cli, errors
 from diffeo2d.cli import build_parser
 from diffeo2d.errors import DomainError, check_depth
 from diffeo2d.metrics import LossWeights
@@ -142,6 +144,26 @@ def test_knob_inventory():
         assert not re.search(r"\b(environb?|getenvb?)\b", path.read_text()), path.name
 
 
+def test_every_float_field_is_checked_by_name():
+    # errors.check_float runs on each float field: NaN is not finite and a
+    # string is not a real number, and either message names the field.
+    required = {PhantomSpec: {"kind": "gaussian_blobs", "grid": Grid(64, 64)},
+                RandomFieldSpec: {"grid": Grid(64, 64), "seed": 0}}
+    checked = 0
+    for cls, names in CONFIG_FIELDS.items():
+        hints = typing.get_type_hints(cls)
+        for name in names:
+            if float not in (hints[name], *typing.get_args(hints[name])):
+                continue
+            checked += 1
+            for bad, message in ((float("nan"), "must be finite, got nan"),
+                                 ("x", "must be a real number, got 'x'")):
+                with pytest.raises(DomainError) as info:
+                    cls(**required.get(cls, {}), **{name: bad})
+                assert str(info.value) == f"{name} {message}", cls.__name__
+    assert checked == 19
+
+
 def test_every_depth_flag_has_the_one_depth_type():
     # --n and --depth are depths wherever they appear; each is parsed by the
     # one type that checks errors.check_depth's range, so a new depth flag
@@ -196,6 +218,50 @@ def test_grids_are_compared_in_one_place():
             assert (path.stem, function) in allowed, f"{path.name}:{line} in {function}"
             seen.add((path.stem, function))
     assert seen == allowed
+
+
+def _post_init_raises(path):
+    """(class, message) of every raise in a ``__post_init__`` of a module,
+    each formatted field of the message written ``{}``."""
+    found = set()
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name == "__post_init__"):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Raise):
+                    (message,) = node.exc.args
+                    parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                    found.add((cls.name, "".join(
+                        p.value if isinstance(p, ast.Constant) else "{}" for p in parts
+                    )))
+    return found
+
+
+def test_float_bounds_are_checked_in_one_place():
+    # Every bound on one float config field is an errors.check_float call;
+    # a __post_init__ raises only for what spans several fields or is not
+    # a float.
+    allowed = {
+        ("Grid", "grid must be at least 2x2, got {}x{}"),
+        ("LabelImage", "labels must be an integer array"),
+        ("LabelImage", "label shape {} != grid {}"),
+        ("LabelImage", "labels must be non-negative"),
+        ("LogEuclideanBasis", "components must have shape (d, H, W, 2)"),
+        ("LogEuclideanBasis", "one singular value per component required"),
+        ("LogEuclideanBasis", "singular values must be descending"),
+        ("PhantomSpec", "unknown phantom kind {}"),
+        ("PhantomSpec", "phantom geometry does not fit the grid with a 4 px margin"),
+        ("RandomFieldSpec", "amplitude exceeds min(grid)/8; the diffeomorphism guarantee "
+                            "requires small deformations"),
+    }
+    found = set()
+    for path in sorted((ROOT / "src" / "diffeo2d").glob("*.py")):
+        found |= _post_init_raises(path)
+    assert found == allowed
+    assert not [name for name in vars(errors) if name.startswith("require_")]
 
 
 def test_stencils_are_made_one_way():
