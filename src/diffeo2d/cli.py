@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -367,14 +367,17 @@ def build_parser() -> _Parser:
 def _cmd_synth(args):
     grid = Grid(args.height, args.width)
     spec = PhantomSpec(kind=args.kind, grid=grid, seed=args.seed)
+    # The population's field spec is checked before anything is drawn, so
+    # --smoothing and --amplitude are refused with no subject too; each
+    # subject's spec differs from it only in its seed.
+    population = RandomFieldSpec(grid, seed=args.seed, smoothing_sigma=args.smoothing,
+                                 amplitude=args.amplitude)
     image, labels = make_phantom(spec)
     # Every subject is made before anything is written, so a subject that
     # fails leaves no output behind.
-    specs = [RandomFieldSpec(grid, seed=seed, smoothing_sigma=args.smoothing,
-                             amplitude=args.amplitude)
-             for seed in _subject_seeds(args.seed, args.subjects)]
-    subjects = [make_subject((image, labels), random_log_field(spec), args.depth)
-                for spec in specs]
+    subjects = [make_subject((image, labels), random_log_field(replace(population, seed=seed)),
+                             args.depth)
+                for seed in _subject_seeds(args.seed, args.subjects)]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(args.out_dir / "image.pgm", image)
     write_pgm(args.out_dir / "labels.pgm", labels)

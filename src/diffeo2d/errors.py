@@ -28,7 +28,11 @@ def check_float(name, value, minimum=None, maximum=None, *, exclusive=False):
     inf passes a lower bound; a string would fail them with a TypeError."""
     if not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise DomainError(f"{name} must be finite, got {value}")
     if minimum is not None and (value <= minimum if exclusive else value < minimum):
         raise DomainError(f"{name} must be {'>' if exclusive else '>='} {minimum}, got {value}")

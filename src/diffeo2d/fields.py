@@ -76,6 +76,12 @@ sizes both the bands and ``atlas_step``'s pool of forked workers, so a
 child of that pool, or of any other, solves on one band and starts no pool
 of its own; ``_chunks`` splits the rows into bands and the subjects among
 the workers.
+
+The package has one Gaussian blur, ``_blur``: the registration's smoothed
+steps and its pyramid, and ``synth``'s random log fields and phantom, all
+blur through it. It is ``gaussian_filter`` over the last two axes, bit for
+bit, with the kernel cached per sigma, and the package's only call into
+``scipy.ndimage``.
 """
 
 from __future__ import annotations
@@ -85,8 +91,10 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.ndimage import correlate1d
 
 from .errors import DomainError, ShapeError, check_integer, check_power_of_two
 
@@ -747,6 +755,35 @@ def warp_labels(labels: LabelImage, field: DisplacementField) -> LabelImage:
     i = np.clip(np.round(p[..., 0]), 0, field.grid.height - 1).astype(np.intp)
     j = np.clip(np.round(p[..., 1]), 0, field.grid.width - 1).astype(np.intp)
     return LabelImage(labels.grid, labels.labels[i, j])
+
+
+def _blur(values: np.ndarray, sigma: float, tmp=None, out=None) -> np.ndarray:
+    """Gaussian blur of ``sigma`` px over the last two axes of ``values``,
+    each leading index blurred on its own, into ``out`` by way of ``tmp``
+    (fresh arrays when None); ``out`` may be ``values``.
+
+    The two passes of ``gaussian_filter(values, (0, ..., sigma, sigma),
+    mode="nearest")``, rows and then columns, with the kernel computed once
+    per sigma, so bit for bit its result. Like ``gaussian_filter``, it leaves
+    the array as it is (and returns ``values``) for sigma up to 1e-15.
+    """
+    if sigma <= 1e-15:
+        return values
+    weights = _gaussian_weights(sigma)
+    tmp = correlate1d(values, weights, axis=-2, output=tmp, mode="nearest")
+    return correlate1d(tmp, weights, axis=-1, output=out, mode="nearest")
+
+
+@lru_cache(maxsize=8)
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """Correlation weights of scipy's Gaussian kernel of ``sigma``, truncated
+    at 4 sigma: the weights ``gaussian_filter`` computes on every call."""
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = (phi / phi.sum())[::-1].copy()
+    weights.flags.writeable = False  # the cache hands one array to every call
+    return weights
 
 
 def jacobian_determinant(field: DisplacementField) -> ScalarImage:

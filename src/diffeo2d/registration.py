@@ -30,16 +30,20 @@ image size are ``np.bincount``'s results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import correlate1d, gaussian_filter
+
+# registration blurs through fields._blur and calls no scipy filter. The
+# name stays bound, as before, for code that reaches or wraps it as
+# registration.gaussian_filter, such as perfbench's tracer targets.
+from scipy.ndimage import gaussian_filter  # noqa: F401
 
 from .errors import ConvergenceError, DomainError, check_float, check_integer
 from .fields import (
     DisplacementField,
     ScalarImage,
     Stencil,
+    _blur,
     _check_same_grid,
     _grid_array,
     _sq_lengths,
@@ -267,37 +271,16 @@ def _gradient(side: _Side, partner: _Side, lambda_sim, lambda_reg, work: np.ndar
     return grad
 
 
-def _smooth(u: np.ndarray, sigma: float, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gaussian blur of each plane of a planar (2, ..., H, W) field into
-    ``out``, by way of ``tmp``; ``out`` may be ``u``.
-
-    The two passes of ``gaussian_filter(u, (0, ..., sigma, sigma),
-    mode="nearest")``, rows and then columns, with the kernel computed once
-    per sigma. Like ``gaussian_filter``, it leaves the field as it is (and
-    returns ``u``) for sigma up to 1e-15.
-    """
-    if sigma <= 1e-15:
-        return u
-    weights = _gaussian_weights(sigma)
-    correlate1d(u, weights, axis=-2, output=tmp, mode="nearest")
-    return correlate1d(tmp, weights, axis=-1, output=out, mode="nearest")
-
-
 def _half_step(side, partner, step, cfg, work, diagonal, iteration, level):
     """One smoothed gradient step of the side's field with the partner
     frozen, then the side's length check and stencil at the new points
     x + u (see :meth:`_Side.place`)."""
     grad = _gradient(side, partner, cfg.lambda_sim, cfg.lambda_reg, work)
-    update = _smooth(grad, cfg.update_smoothing_sigma, work[2:4], grad)
+    update = _blur(grad, cfg.update_smoothing_sigma, work[2:4], grad)
     update *= step
     side.u -= update
-    _smooth(side.u, cfg.field_smoothing_sigma, work[2:4], side.u)
+    _blur(side.u, cfg.field_smoothing_sigma, work[2:4], side.u)
     side.place(diagonal, work[:2], iteration, level)
-
-
-def _downsample(values: np.ndarray) -> np.ndarray:
-    """Halve a stack of (N, H, W) images after a σ=1 blur of each."""
-    return gaussian_filter(values, (0.0, 1.0, 1.0), mode="nearest")[:, ::2, ::2]
 
 
 def _upsample_field(u: np.ndarray, out: np.ndarray, work: np.ndarray):
@@ -306,18 +289,6 @@ def _upsample_field(u: np.ndarray, out: np.ndarray, work: np.ndarray):
     x = np.indices(out.shape[-2:], dtype=np.float64)[:, None] / 2.0
     Stencil(out.shape[1:], u.shape[1:]).displace(x).sample(u, out=out, work=work)
     out *= 2.0
-
-
-@lru_cache(maxsize=8)
-def _gaussian_weights(sigma: float) -> np.ndarray:
-    """Correlation weights of scipy's Gaussian kernel of ``sigma``, truncated
-    at 4 sigma: the weights ``gaussian_filter`` computes on every call."""
-    r = int(4.0 * sigma + 0.5)
-    x = np.arange(-r, r + 1)
-    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
-    weights = (phi / phi.sum())[::-1].copy()
-    weights.flags.writeable = False  # the cache hands one array to every call
-    return weights
 
 
 def _diverged(index, residual, reason, iteration, level):
@@ -485,7 +456,7 @@ def register_pairs(
     for _ in range(cfg.pyramid_levels - 1):
         if min(pyramid[-1][0].shape[1:]) < 8:
             break
-        pyramid.append(tuple(_downsample(v) for v in pyramid[-1]))
+        pyramid.append(tuple(_blur(v, 1.0)[:, ::2, ::2] for v in pyramid[-1]))
     with np.errstate(over="ignore"):  # overflow is divergence; see _check_length
         u_ab, u_ba, r_ab, r_ba, terms = _descend_pyramid(pyramid, cfg)
 

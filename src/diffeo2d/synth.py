@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import (
     DomainError,
@@ -27,6 +27,7 @@ from .fields import (
     LabelImage,
     LogField,
     ScalarImage,
+    _blur,
     _check_same_grid,
     grid_coords,
     warp_image,
@@ -178,7 +179,7 @@ def make_phantom(spec: PhantomSpec) -> tuple[ScalarImage, LabelImage]:
     elif spec.kind == "four_label_phantom":
         labels = np.array([4, 3, 2, 1, 0], dtype=np.int64)[_four_label_shell(spec, coords)]
         # Slight blur gives SSD registration usable gradients at boundaries.
-        intensity = np.clip(gaussian_filter(intensity, 1.0, mode="nearest"), 0.0, 1.0)
+        intensity = np.clip(_blur(intensity, 1.0), 0.0, 1.0)
     else:
         labels = (intensity >= 0.5).astype(np.int64)
     return ScalarImage(grid, intensity), LabelImage(grid, labels)
@@ -190,15 +191,18 @@ def random_log_field(spec: RandomFieldSpec) -> LogField:
     grid = spec.grid
     rng = np.random.default_rng(spec.seed)
     noise = rng.standard_normal((grid.height, grid.width, 2))
-    sigma = spec.smoothing_sigma
-    smooth = gaussian_filter(noise, (sigma, sigma, 0.0), mode="nearest")
-    smooth *= _border_taper(grid)[..., None]
-    max_norm = float(np.max(np.hypot(smooth[..., 0], smooth[..., 1])))
+    # The noise is blurred, tapered and scaled in place, as two planes.
+    planes = np.moveaxis(noise, -1, 0)
+    _blur(planes, spec.smoothing_sigma, out=planes)
+    planes *= _border_taper(grid)
+    max_norm = float(np.max(np.hypot(planes[0], planes[1])))
     if spec.amplitude == 0.0 or max_norm == 0.0:
-        return LogField(grid, np.zeros_like(smooth))
-    return LogField(grid, smooth * (spec.amplitude / max_norm))
+        return LogField(grid, np.zeros_like(noise))
+    planes *= spec.amplitude / max_norm
+    return LogField(grid, noise)
 
 
+@lru_cache(maxsize=8)
 def _border_taper(grid: Grid) -> np.ndarray:
     """Window that is 0 within 2 px of the border and eases up to 1."""
     i = np.arange(grid.height, dtype=np.float64)
@@ -207,7 +211,9 @@ def _border_taper(grid: Grid) -> np.ndarray:
     dj = np.minimum(j, grid.width - 1 - j)
     d = np.minimum(di[:, None], dj[None, :])
     t = np.clip((d - 2.0) / 4.0, 0.0, 1.0)
-    return 0.5 - 0.5 * np.cos(math.pi * t)
+    taper = 0.5 - 0.5 * np.cos(math.pi * t)
+    taper.flags.writeable = False  # the cache hands one array to every call
+    return taper
 
 
 class Subject(NamedTuple):

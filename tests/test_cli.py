@@ -719,3 +719,21 @@ def test_synth_writes_nothing_when_a_subject_fails(tmp_path, capsys):
                "--out-dir", out, "--json-summary", out / "run.json") == 1
     assert capsys.readouterr().err.startswith("usage error: amplitude exceeds min(grid)/8")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, error", [
+    ("--smoothing nan", "smoothing_sigma must be finite, got nan"),
+    ("--amplitude -1", "amplitude must be >= 0, got -1.0"),
+    ("--height 40 --width 40 --amplitude 6", "amplitude exceeds min(grid)/8; the "
+                                             "diffeomorphism guarantee requires small deformations"),
+], ids=["smoothing-nan", "amplitude-negative", "amplitude-above-grid"])
+def test_synth_checks_its_field_flags_with_no_subject(tmp_path, flags, error, capsys):
+    # The population's RandomFieldSpec is built before anything is drawn or
+    # written, so the default --subjects 0 refuses a bad flag too.
+    summary = tmp_path / "s.json"
+    capsys.readouterr()
+    assert run("synth", "--height", 32, "--width", 32, *flags.split(), "--out-dir", tmp_path / "d",
+               "--json-summary", summary) == 1
+    assert capsys.readouterr().err == f"usage error: {error}\n"
+    assert not summary.exists()
+    assert not (tmp_path / "d").exists()

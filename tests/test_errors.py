@@ -12,6 +12,7 @@ from diffeo2d import (
     LogField,
     RootChain,
     ScalarImage,
+    SolverConfig,
     atlas_step,
     compose,
     dice,
@@ -94,6 +95,14 @@ def test_check_integer_names_the_bound_and_the_value(name, value, minimum, maxim
 ])
 def test_check_integer_accepts_its_range(value, minimum, maximum):
     errors.check_integer("n", value, minimum, maximum)
+
+
+def test_check_float_refuses_an_int_beyond_the_float_range():
+    # math.isfinite cannot convert 10**400 to a float and raises
+    # OverflowError; the check reads that as not finite.
+    with pytest.raises(errors.DomainError) as info:
+        SolverConfig(tolerance=10**400)
+    assert str(info.value) == f"tolerance must be finite, got {10**400}"
 
 
 # Two grids and a field, an image, a label map and a log on each.

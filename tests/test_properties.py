@@ -40,13 +40,13 @@ from diffeo2d.fields import (
     DisplacedGrid,
     Stencil,
     _Band,
+    _blur,
     field_rms,
     grid_coords,
     sample_values,
     sample_values_grad,
     splat_values,
 )
-from diffeo2d.registration import _smooth
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -207,22 +207,37 @@ def test_subject_axis_matches_per_subject_stencils(n, h, w, channels, data):
 
 
 @given(
+    st.sampled_from(["planar", "image", "channels-last"]),
     st.integers(1, 3),
     st.integers(2, 12),
     st.integers(2, 12),
     st.floats(0.3, 3.0),
     st.data(),
 )
-def test_smooth_field_is_scipy_gaussian_filter(n, h, w, sigma, data):
-    # The registration smoother keeps its kernel across calls and writes
-    # into the caller's arrays; it must give bit for bit what scipy's
-    # gaussian_filter gives on each plane, in place too.
-    u = data.draw(arrays(np.float64, (2, n, h, w), elements=finite))
-    expected = gaussian_filter(u, (0.0, 0.0, sigma, sigma), mode="nearest")
+def test_smooth_field_is_scipy_gaussian_filter(layout, n, h, w, sigma, data):
+    # The package's one blur keeps its kernel across calls and writes into
+    # fresh arrays or the caller's; it must give bit for bit what scipy's
+    # gaussian_filter gives on each plane, in place too. It blurs planar
+    # (2, N, H, W) fields in registration, (H, W) images in the pyramid
+    # and the phantom, and the planar view of an (H, W, 2) random field.
+    if layout == "planar":
+        u = data.draw(arrays(np.float64, (2, n, h, w), elements=finite))
+        expected = gaussian_filter(u, (0.0, 0.0, sigma, sigma), mode="nearest")
+    elif layout == "image":
+        u = data.draw(arrays(np.float64, (h, w), elements=finite))
+        expected = gaussian_filter(u, sigma, mode="nearest")
+    else:
+        last = data.draw(arrays(np.float64, (h, w, 2), elements=finite))
+        u = np.moveaxis(last, -1, 0)
+        expected = np.moveaxis(gaussian_filter(last, (sigma, sigma, 0.0), mode="nearest"), -1, 0)
+    before = _bits(u)
+    assert _bits(_blur(u, sigma)) == _bits(expected)
+    assert _bits(u) == before
     tmp = np.empty_like(u)
-    assert np.array_equal(_smooth(u, sigma, tmp, np.empty_like(u)), expected)
-    assert _smooth(u, sigma, tmp, u) is u
-    assert np.array_equal(u, expected)
+    assert _bits(_blur(u, sigma, tmp, np.empty_like(u))) == _bits(expected)
+    assert _blur(u, sigma, tmp, u) is u
+    assert _bits(u) == _bits(expected)
+    assert _blur(u, 1e-16) is u
 
 
 def _bits(a) -> bytes:

@@ -186,25 +186,30 @@ def test_every_depth_flag_has_the_one_depth_type():
             assert cli._depth(str(value)) == value
 
 
-def _grid_comparisons(path):
-    """(function, line) of every comparison in a module that has a
-    ``.grid`` attribute on either side, the function being the innermost
-    one that makes it."""
+def _nodes_by_function(path, match):
+    """(function, line) of every node of a module that ``match`` accepts,
+    the function being the innermost one that holds it."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Compare) and any(
-            isinstance(side, ast.Attribute) and side.attr == "grid"
-            for side in (node.left, *node.comparators)
-        ):
+        if match(node):
             found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(path.read_text()), None)
     return found
+
+
+def _grid_comparisons(path):
+    """(function, line) of every comparison in a module that has a
+    ``.grid`` attribute on either side."""
+    return _nodes_by_function(path, lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Attribute) and side.attr == "grid"
+        for side in (node.left, *node.comparators)
+    ))
 
 
 def test_grids_are_compared_in_one_place():
@@ -218,6 +223,30 @@ def test_grids_are_compared_in_one_place():
             assert (path.stem, function) in allowed, f"{path.name}:{line} in {function}"
             seen.add((path.stem, function))
     assert seen == allowed
+
+
+def _calls_to(path, names):
+    """(function, line) of every call in a module to a function bound as
+    one of ``names``."""
+    return _nodes_by_function(path, lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names
+    ))
+
+
+def test_images_are_blurred_in_one_place():
+    # fields._blur is the package's one Gaussian blur and its only call
+    # into a scipy filter; synth blurs its fields and phantom through it.
+    seen = set()
+    for path in sorted((ROOT / "src" / "diffeo2d").glob("*.py")):
+        for function, line in _calls_to(path, {"correlate1d", "gaussian_filter"}):
+            assert (path.stem, function) == ("fields", "_blur"), f"{path.name}:{line} in {function}"
+            seen.add((path.stem, function))
+    assert seen == {("fields", "_blur")}
+    synth = ast.parse((ROOT / "src" / "diffeo2d" / "synth.py").read_text())
+    imported = [alias.name for node in ast.walk(synth) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(synth) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name and name.split(".")[0] == "scipy"]
 
 
 def _post_init_raises(path):
