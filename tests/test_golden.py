@@ -5,10 +5,10 @@ A change that claims byte-identical outputs is checked here: the one-shot
 samplers, the algebra's solvers at three sizes and three band counts,
 registrations with their histories and divergence reports, an atlas step
 at one and two workers, the basis fit, the phantoms and subjects, the file
-writers and one CLI manifest. Floats are hashed by their bits, arrays by
-dtype, shape and bytes, errors by type, message and numbers. Every input
-comes from a seed in 7000-7999, which neither the rest of the suite nor
-perfbench uses.
+writers, one CLI manifest and every subcommand at its defaults. Floats are
+hashed by their bits, arrays by dtype, shape and bytes, errors by type,
+message and numbers. Every input comes from a seed in 7000-7999, which
+neither the rest of the suite nor perfbench uses.
 
 A change that alters outputs on purpose regenerates the file with
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import platform
 import sys
@@ -317,6 +318,86 @@ def cli_manifest():
         return Path("run.json").read_bytes(), Path("v.mfld").read_bytes()
 
 
+def cli_inputs():
+    """The inputs of ``CLI_RUNS``, written to the current directory: eight
+    32x32 logs, the fields of two of them, a phantom and a subject, and a
+    16x16 texture with its warp by a small field."""
+    grid = Grid(32, 32)
+    logs = [random_log_field(RandomFieldSpec(grid, seed=7800 + k)) for k in range(8)]
+    for k, v in enumerate(logs):
+        write_field(f"log{k}.mfld", v)
+    for k in range(2):
+        write_field(f"phi{k}.mfld", exp_field(logs[k]))
+    (image, labels), (subject,) = subjects(32, 1, 7900)
+    write_pgm("a.pgm", image)
+    write_pgm("b.pgm", subject.image)
+    write_pgm("a_labels.pgm", labels)
+    write_pgm("b_labels.pgm", subject.labels)
+    write_field("gt.mfld", subject.field)
+    small = Grid(16, 16)
+    texture = ScalarImage(small, fields_module._blur(np.random.default_rng(7950).random((16, 16)),
+                                                     1.5))
+    warp = exp_field(random_log_field(RandomFieldSpec(small, seed=7951, amplitude=0.5)))
+    Path("images").mkdir()
+    write_pgm("images/t0.pgm", texture)
+    write_pgm("images/t1.pgm", warp_image(texture, warp))
+
+
+CLI_LOGS = [f"log{k}.mfld" for k in range(8)]
+CLI_RUNS = (
+    ["synth", "--subjects", "1", "--out-dir", "synth"],
+    ["register", "--a", "a.pgm", "--b", "b.pgm", "--gt-field", "gt.mfld", "--out-ab", "ab.mfld",
+     "--out-ba", "ba.mfld", "--loss-csv", "register.csv"],
+    ["invert", "--field", "phi0.mfld", "--out", "invert.mfld"],
+    ["sqrt", "--field", "phi0.mfld", "--out", "sqrt.mfld"],
+    ["log", "--field", "phi0.mfld", "--out", "log.mfld"],
+    ["exp", "--log", "log0.mfld", "--out", "exp.mfld"],
+    ["compose", "--outer", "phi0.mfld", "--inner", "phi1.mfld", "--out", "compose.mfld"],
+    ["roots", "--field", "phi0.mfld", "--out-dir", "roots", "--residual-csv", "roots.csv"],
+    ["jacobian", "--field", "phi0.mfld", "--out", "jacobian.mfld"],
+    ["fit-basis", "--logs", *CLI_LOGS, "--out", "basis.mleb", "--variance-csv", "variance.csv"],
+    ["encode", "--basis", "basis.mleb", "--log", "log0.mfld", "--out-csv", "encode.csv"],
+    ["decode", "--basis", "basis.mleb", "--z", "0.5,-1,0.25,0,0,0,0,2", "--out", "decode.mfld"],
+    ["decode", "--basis", "basis.mleb", "--z", "0.5,-1,0.25,0,0,0,0,2", "--m", "4",
+     "--out", "decode_root.mfld"],
+    ["modes", "--basis", "basis.mleb", "--mode", "1", "--out", "modes.mfld"],
+    ["losses", "--phi-ab", "ab.mfld", "--phi-ba", "ba.mfld", "--a", "a.pgm", "--b", "b.pgm",
+     "--basis", "basis.mleb", "--out-csv", "losses.csv"],
+    ["atlas", "--images", "images", "--out-dir", "atlas"],
+    ["warp", "--image", "a.pgm", "--field", "phi0.mfld", "--out", "warp.pgm"],
+    ["warp", "--image", "a_labels.pgm", "--field", "phi0.mfld", "--labels",
+     "--out", "warp_labels.pgm"],
+    ["dice", "--a", "a_labels.pgm", "--b", "b_labels.pgm", "--out-csv", "dice.csv"],
+    ["validate", "--out-csv", "validate.csv"],
+)
+
+
+def cli_defaults():
+    """Every subcommand run through ``cli.main``, on relative paths in a
+    temporary directory, with every config flag at its default: the stdout
+    of each run and every file the directory ends with (inputs, outputs and
+    one ``--json-summary`` manifest a run). Beyond inputs and outputs the
+    runs pass ``synth --subjects 1``, so that synth's field spec and depth
+    reach a subject; ``modes --mode 1``, which has no default; ``decode
+    --z``, one value a mode, once alone and once with ``--m 4``, which
+    reaches the exp depth of ``decode_root``; and ``warp --labels`` in a
+    second warp. The logs are eight, the fewest that ``fit-basis``'s
+    default ``--dim 8`` can fit; ``atlas`` runs on a texture and its warp
+    by a small field, which converge in two steps."""
+    (commands,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, cli.argparse._SubParsersAction)]
+    assert sorted({argv[0] for argv in CLI_RUNS}) == sorted(commands)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        cli_inputs()
+        stdout = []
+        for k, argv in enumerate(CLI_RUNS):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main([*argv, "--json-summary", f"{k:02d}_{argv[0]}.json"]) == 0, argv
+            stdout.append(out.getvalue())
+        files = {str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()}
+        return stdout, files
+
+
 def phantom_case(kind):
     return lambda: make_phantom(PhantomSpec(kind, Grid(40, 36), seed=7500, bump_amplitude=2.0))
 
@@ -352,6 +433,7 @@ CASES = {
     "write_csv": lambda: written(lambda p: write_csv(
         p, ["a", "b"], [(1, 0.1), (2, np.float64(1 / 3)), (3, -2.5e-300)])),
     "cli/log_manifest": cli_manifest,
+    "cli/defaults": cli_defaults,
 }
 
 
