@@ -38,6 +38,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import (
+    DEFAULT_DEPTH,
     ConvergenceError,
     DomainError,
     RankError,
@@ -59,7 +60,7 @@ class AtlasConfig:
     reg_config: RegistrationConfig = dc_field(default_factory=RegistrationConfig)
     solver: SolverConfig = dc_field(default_factory=SolverConfig)
     basis_dim: int = 8
-    root_depth: int = 6
+    root_depth: int = DEFAULT_DEPTH
 
     def __post_init__(self):
         check_float("epsilon", self.epsilon, 0, exclusive=True)

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .atlas import AtlasConfig, estimate_atlas, pixelwise_mean_atlas
 from .errors import (
+    DEFAULT_DEPTH,
     MAX_DEPTH,
     ConvergenceError,
     DomainError,
@@ -56,7 +57,8 @@ from .latent import decode, decode_root, encode, explained_variance, fit_basis, 
 from .lie import SolverConfig, exp_field, invert, log_field, root_chain, sqrt_field
 from .metrics import dice_report, inv_loss, latent_inv_loss, rec_loss
 from .registration import RegistrationConfig, icon_loss, register_pair, sim_loss
-from .synth import PhantomSpec, RandomFieldSpec, make_phantom, make_subject, random_log_field
+from .synth import (PHANTOM_KINDS, PhantomSpec, RandomFieldSpec, make_phantom, make_subject,
+                    random_log_field)
 
 
 class UsageError(Exception):
@@ -89,19 +91,14 @@ _ATLAS_FLAGS = (
     ("--epsilon", "epsilon"),
     ("--max-iter", "max_outer_iterations"),
     ("--basis-dim", "basis_dim"),
-    ("--depth", "root_depth"),
 )
 
 
 def _add_flags(p, cls, table):
-    """Every int field of a config is a count of at least 1, but the one
-    of ``--depth``, a depth."""
-    defaults = cls()
+    """Every int field in a table is a count of at least 1."""
     for flag, name in table:
-        default = getattr(defaults, name)
+        default = getattr(cls, name)
         kind = _at_least(1) if isinstance(default, int) else type(default)
-        if flag == "--depth":
-            kind = _depth
         p.add_argument(flag, type=kind, default=default)
 
 
@@ -212,15 +209,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate phantom images and deformed subjects")
-    p.add_argument("--kind", default="ring_with_bump",
-                   choices=["ring_with_bump", "four_label_phantom", "gaussian_blobs"])
+    p.add_argument("--kind", choices=PHANTOM_KINDS, default=PHANTOM_KINDS[0])
     p.add_argument("--height", type=_at_least(2), default=64)
     p.add_argument("--width", type=_at_least(2), default=64)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--subjects", type=_at_least(0), default=0)
-    p.add_argument("--amplitude", type=float, default=3.0)
-    p.add_argument("--smoothing", type=float, default=4.0)
-    p.add_argument("--depth", type=_depth, default=6)
+    p.add_argument("--amplitude", type=float, default=RandomFieldSpec.amplitude)
+    p.add_argument("--smoothing", type=float, default=RandomFieldSpec.smoothing_sigma)
+    p.add_argument("--depth", type=_depth, default=DEFAULT_DEPTH)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_common(p, _cmd_synth)
 
@@ -250,14 +246,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("log", help="logarithm map via inverse scaling and squaring")
     p.add_argument("--field", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n", type=_depth, default=6)
+    p.add_argument("--n", type=_depth, default=DEFAULT_DEPTH)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_log)
 
     p = sub.add_parser("exp", help="exponential map via scaling and squaring")
     p.add_argument("--log", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n", type=_depth, default=6)
+    p.add_argument("--n", type=_depth, default=DEFAULT_DEPTH)
     _add_common(p, _cmd_exp)
 
     p = sub.add_parser("compose", help="compose two fields (outer o inner)")
@@ -268,7 +264,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("roots", help="chain of successive square roots")
     p.add_argument("--field", type=Path, required=True)
-    p.add_argument("--n", type=_depth, default=6)
+    p.add_argument("--n", type=_depth, default=DEFAULT_DEPTH)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--residual-csv", type=Path, default=None)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
@@ -305,7 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument("--basis", type=Path, required=True)
     p.add_argument("--mode", type=_at_least(1), required=True)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--n", type=_depth, default=6)
+    p.add_argument("--n", type=_depth, default=DEFAULT_DEPTH)
     p.add_argument("--out", type=Path, required=True)
     _add_common(p, _cmd_modes)
 
@@ -315,7 +311,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=Path, default=None)
     p.add_argument("--b", type=Path, default=None)
     p.add_argument("--basis", type=Path, default=None)
-    p.add_argument("--n", type=_depth, default=6)
+    p.add_argument("--n", type=_depth, default=DEFAULT_DEPTH)
     p.add_argument("--out-csv", type=Path, default=None)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
     _add_common(p, _cmd_losses)
@@ -327,6 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--init", type=_at_least(0), default=None)
     p.add_argument("--seed", type=_seed, default=0)
     _add_flags(p, AtlasConfig, _ATLAS_FLAGS[2:])
+    p.add_argument("--depth", type=_depth, default=DEFAULT_DEPTH)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_flags(p, RegistrationConfig, _REG_FLAGS)
     _add_common(p, _cmd_atlas)
@@ -349,8 +346,8 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=_at_least(2), default=4)
     p.add_argument("--height", type=_at_least(2), default=64)
     p.add_argument("--width", type=_at_least(2), default=64)
-    p.add_argument("--amplitude", type=float, default=3.0)
-    p.add_argument("--n", type=_depth, default=6)
+    p.add_argument("--amplitude", type=float, default=RandomFieldSpec.amplitude)
+    p.add_argument("--n", type=_depth, default=DEFAULT_DEPTH)
     p.add_argument("--basis-dim", type=_at_least(1), default=4)
     p.add_argument("--out-csv", type=Path, required=True)
     _add_flags(p, SolverConfig, _SOLVER_FLAGS)
@@ -586,7 +583,7 @@ def _cmd_atlas(args):
     if args.init is not None:
         _at_most("--init", args.init, len(images) - 1, f"{len(images)} images")
     reg_config = _config(args, RegistrationConfig, _REG_FLAGS)
-    cfg = _config(args, AtlasConfig, _ATLAS_FLAGS, reg_config=reg_config)
+    cfg = _config(args, AtlasConfig, _ATLAS_FLAGS, reg_config=reg_config, root_depth=args.depth)
     atlas, history = estimate_atlas(images, cfg, init_index=args.init, seed=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(args.out_dir / "atlas.pgm", atlas)

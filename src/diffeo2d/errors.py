@@ -58,8 +58,10 @@ def check_integer(name, value, minimum=None, maximum=None):
 
 
 # The deepest depth: a depth n scales by 2.0 ** n, which overflows from
-# n = 1024.
+# n = 1024. The default depth of every root chain, exp and log, in the
+# library and the CLI, is DEFAULT_DEPTH.
 MAX_DEPTH = 1023
+DEFAULT_DEPTH = 6
 
 
 def check_depth(name, value):

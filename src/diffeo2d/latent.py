@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeError, check_integer, check_power_of_two
+from .errors import (DEFAULT_DEPTH, DomainError, RankError, ShapeError, check_integer,
+                     check_power_of_two)
 from .fields import DisplacementField, Grid, LogField, _check_same_grid
 from .lie import exp_field
 
@@ -128,7 +129,7 @@ def decode(basis: LogEuclideanBasis, z: np.ndarray) -> LogField:
 
 
 def decode_root(
-    basis: LogEuclideanBasis, z: np.ndarray, m: int, exp_depth: int = 6
+    basis: LogEuclideanBasis, z: np.ndarray, m: int, exp_depth: int = DEFAULT_DEPTH
 ) -> DisplacementField:
     """Decode the m-th root deformation exp(decode(z)/m) for m a power of two."""
     check_power_of_two("m", m)
@@ -137,7 +138,7 @@ def decode_root(
 
 
 def pca_mode_field(
-    basis: LogEuclideanBasis, k: int, c: float, exp_depth: int = 6
+    basis: LogEuclideanBasis, k: int, c: float, exp_depth: int = DEFAULT_DEPTH
 ) -> DisplacementField:
     """Deformation at c standard deviations along mode k (1-based)."""
     check_integer("mode index", k, 1, basis.dim)

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import (
+    DEFAULT_DEPTH,
     ConvergenceError,
     DomainError,
     check_depth,
@@ -354,14 +355,14 @@ def root_chain(
 
 
 def log_field(
-    field: DisplacementField, n_levels: int = 6, cfg: SolverConfig = SolverConfig()
+    field: DisplacementField, n_levels: int = DEFAULT_DEPTH, cfg: SolverConfig = SolverConfig()
 ) -> LogField:
     """Logarithm by inverse scaling and squaring: :meth:`RootChain.log` of
     the field's chain of ``n_levels`` roots."""
     return root_chain(field, n_levels, cfg).log()
 
 
-def exp_field(v: LogField, n_levels: int = 6) -> DisplacementField:
+def exp_field(v: LogField, n_levels: int = DEFAULT_DEPTH) -> DisplacementField:
     """Exponential by scaling and squaring: halve v dyadically, then square N
     times."""
     check_depth("exp depth", n_levels)

@@ -15,12 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    check_float,
-    check_integer,
-    check_seed,
-)
+from .errors import DEFAULT_DEPTH, DomainError, check_float, check_integer, check_seed
 from .fields import (
     DisplacementField,
     Grid,
@@ -226,7 +221,7 @@ class Subject(NamedTuple):
 
 
 def make_subject(
-    phantom: tuple[ScalarImage, LabelImage], v: LogField, n_levels: int = 6
+    phantom: tuple[ScalarImage, LabelImage], v: LogField, n_levels: int = DEFAULT_DEPTH
 ) -> Subject:
     """Warp a phantom by exp(v); returns warped data plus the exact ground truth."""
     image, labels = phantom
