@@ -3,7 +3,7 @@ one float check, :func:`check_float`, which every float config field goes
 through, the one integer check, :func:`check_integer`, which every bound on
 an integer argument or config field goes through (depths, counts, indices,
 dimensions), the depth and power-of-two checks built on it, and the check
-of seeds.
+of seeds. Each shows the value it refuses through :func:`_shown`.
 
 Every exception here survives ``pickle`` with its type, message and
 attributes, so that one raised in a worker process reaches the caller as
@@ -17,6 +17,21 @@ class DomainError(ValueError):
     """An argument is outside the operation's admissible domain."""
 
 
+def _shown(value, convert=str):
+    """``convert(value)``, as a check's message shows a value; but an int
+    that Python refuses to print, of more than
+    ``sys.get_int_max_str_digits()`` digits (4300 by default), shows as its
+    sign and digit count: ``"<int of 5001 digits>"``, ``"-<int of ...>"``."""
+    try:
+        return convert(value)
+    except ValueError:  # raised by str and repr only for such an int
+        magnitude = abs(value)
+        digits = int(magnitude.bit_length() * math.log10(2)) + 1
+        if magnitude < 10 ** (digits - 1):  # the estimate is one too many
+            digits -= 1
+        return f"{'-' if value < 0 else ''}<int of {digits} digits>"
+
+
 def check_float(name, value, minimum=None, maximum=None, *, exclusive=False):
     """Raise DomainError unless ``value`` is a finite real number from
     ``minimum`` to ``maximum``, each bound omitted when None and the lower
@@ -27,17 +42,18 @@ def check_float(name, value, minimum=None, maximum=None, *, exclusive=False):
     Range checks alone let NaN or inf through, since NaN compares false and
     inf passes a lower bound; a string would fail them with a TypeError."""
     if not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+        raise DomainError(f"{name} must be a real number, got {_shown(value, repr)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
-        raise DomainError(f"{name} must be finite, got {value}")
+        raise DomainError(f"{name} must be finite, got {_shown(value)}")
     if minimum is not None and (value <= minimum if exclusive else value < minimum):
-        raise DomainError(f"{name} must be {'>' if exclusive else '>='} {minimum}, got {value}")
+        raise DomainError(
+            f"{name} must be {'>' if exclusive else '>='} {minimum}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise DomainError(f"{name} must be <= {maximum}, got {value}")
+        raise DomainError(f"{name} must be <= {maximum}, got {_shown(value)}")
 
 
 def check_integer(name, value, minimum=None, maximum=None):
@@ -50,11 +66,11 @@ def check_integer(name, value, minimum=None, maximum=None):
     in ``range`` or ``&`` is a TypeError) instead of as a domain error."""
     must = "must" if name is None else f"{name} must"
     if not isinstance(value, numbers.Integral):
-        raise DomainError(f"{must} be an integer, got {value!r}")
+        raise DomainError(f"{must} be an integer, got {_shown(value, repr)}")
     if minimum is not None and value < minimum:
-        raise DomainError(f"{must} be >= {minimum}, got {value}")
+        raise DomainError(f"{must} be >= {minimum}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise DomainError(f"{must} be <= {maximum}, got {value}")
+        raise DomainError(f"{must} be <= {maximum}, got {_shown(value)}")
 
 
 # The deepest depth: a depth n scales by 2.0 ** n, which overflows from
@@ -74,7 +90,7 @@ def check_power_of_two(name, value):
     """Raise DomainError unless ``value`` is an integer power of two, 1 included."""
     check_integer(name, value)
     if value < 1 or (value & (value - 1)) != 0:
-        raise DomainError(f"{name} must be a positive power of two, got {value}")
+        raise DomainError(f"{name} must be a positive power of two, got {_shown(value)}")
 
 
 def check_seed(seed):
@@ -82,7 +98,7 @@ def check_seed(seed):
     the seeds ``np.random.default_rng`` takes, which raises a bare
     ValueError on a negative one."""
     if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+        raise DomainError(f"seed must be a non-negative integer, got {_shown(seed, repr)}")
 
 
 class ShapeError(ValueError):

@@ -96,7 +96,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .errors import DomainError, ShapeError, check_integer, check_power_of_two
+from .errors import DomainError, ShapeError, _shown, check_integer, check_power_of_two
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class Grid:
         check_integer("width", self.width)
         if self.height < 2 or self.width < 2:
             raise DomainError(
-                f"grid must be at least 2x2, got {self.height}x{self.width}"
+                f"grid must be at least 2x2, got {_shown(self.height)}x{_shown(self.width)}"
             )
 
     @property

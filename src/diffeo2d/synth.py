@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DEFAULT_DEPTH, DomainError, check_float, check_integer, check_seed
+from .errors import DEFAULT_DEPTH, DomainError, _shown, check_float, check_integer, check_seed
 from .fields import (
     DisplacementField,
     Grid,
@@ -56,7 +56,7 @@ class PhantomSpec:
 
     def __post_init__(self):
         if self.kind not in PHANTOM_KINDS:
-            raise DomainError(f"unknown phantom kind {self.kind!r}")
+            raise DomainError(f"unknown phantom kind {_shown(self.kind, repr)}")
         check_seed(self.seed)
         # A ring_radius of None reads as the default radius, which passes.
         check_float("ring_radius", self.radius, 0, exclusive=True)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from diffeo2d import (
+    AtlasConfig,
     AtlasState,
     DisplacementField,
     Grid,
     LabelImage,
     LogField,
+    PhantomSpec,
     RootChain,
     ScalarImage,
     SolverConfig,
@@ -103,6 +105,33 @@ def test_check_float_refuses_an_int_beyond_the_float_range():
     with pytest.raises(errors.DomainError) as info:
         SolverConfig(tolerance=10**400)
     assert str(info.value) == f"tolerance must be finite, got {10**400}"
+
+
+# Python refuses to print an int of more than 4300 digits (its default
+# sys.get_int_max_str_digits()), so every check shows one by its digit count.
+HUGE = {
+    "check_float": (lambda: SolverConfig(tolerance=10**5000),
+                    "tolerance must be finite, got <int of 5001 digits>"),
+    "check_depth": (lambda: errors.check_depth("depth", 10**5000),
+                    "depth must be <= 1023, got <int of 5001 digits>"),
+    "check_power_of_two": (lambda: errors.check_power_of_two("m", 3 * 10**5000),
+                           "m must be a positive power of two, got <int of 5001 digits>"),
+    "check_seed": (lambda: errors.check_seed(-10**5000),
+                   "seed must be a non-negative integer, got -<int of 5001 digits>"),
+    "check_integer": (lambda: AtlasConfig(basis_dim=-(10**5000 - 1)),
+                      "basis_dim must be >= 1, got -<int of 5000 digits>"),
+    "grid": (lambda: Grid(1, 10**4300),
+             "grid must be at least 2x2, got 1x<int of 4301 digits>"),
+    "phantom_kind": (lambda: PhantomSpec(kind=10**5000, grid=Grid(64, 64)),
+                     "unknown phantom kind <int of 5001 digits>"),
+}
+
+
+@pytest.mark.parametrize("call, message", HUGE.values(), ids=HUGE.keys())
+def test_every_check_shows_an_int_too_long_to_print(call, message):
+    with pytest.raises(errors.DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # Two grids and a field, an image, a label map and a log on each.
