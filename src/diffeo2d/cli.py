@@ -153,8 +153,8 @@ _depth = _at_least(1, MAX_DEPTH)
 
 def _at_most(flag, value, maximum, what):
     """Raise UsageError unless ``value`` <= ``maximum``: the upper bound of
-    a flag that depends on the inputs, checked once they are read, in the
-    words of a parser error."""
+    a flag that depends on the inputs, checked once they are read (or, for
+    ``fit-basis --dim``, counted), in the words of a parser error."""
     if value > maximum:
         raise UsageError(f"argument {flag}: must be <= {maximum} ({what}), got {value}")
 
@@ -490,13 +490,14 @@ def _cmd_jacobian(args):
 
 
 def _cmd_fit_basis(args):
-    if len(args.logs) < 2:
-        raise UsageError(f"argument --logs: must name at least 2 log fields, got {len(args.logs)}")
-    logs = [_read_field(p, as_log=True) for p in args.logs]
+    n = len(args.logs)
+    if n < 2:
+        raise UsageError(f"argument --logs: must name at least 2 log fields, got {n}")
     symmetrize = not args.no_symmetrize
-    # fit_basis's sample count: each log counts twice when symmetrized.
-    what = f"{len(logs)} logs" + (", symmetrized" if symmetrize else "")
-    _at_most("--dim", args.dim, len(logs) * (2 if symmetrize else 1), what)
+    # The most components n logs can span: n symmetrized, n - 1 centred.
+    what = f"{n} logs" + (", symmetrized" if symmetrize else "")
+    _at_most("--dim", args.dim, n if symmetrize else n - 1, what)
+    logs = [_read_field(p, as_log=True) for p in args.logs]
     basis = fit_basis(logs, args.dim, symmetrize=symmetrize)
     write_basis(args.out, basis)
     ev = explained_variance(basis)

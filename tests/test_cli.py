@@ -540,10 +540,10 @@ def test_chain_commands_report_every_root_level(tmp_path, small_inputs, command,
      "argument --mode: must be <= 1 (the basis dimension), got 2"),
     ("atlas --images {d}/images --init 2 --out-dir {out}/a",
      "argument --init: must be <= 1 (2 images), got 2"),
-    ("fit-basis --logs {d}/subject_000_log.mfld {d}/subject_001_log.mfld --dim 5 "
-     "--out {out}/b.mleb", "argument --dim: must be <= 4 (2 logs, symmetrized), got 5"),
     ("fit-basis --logs {d}/subject_000_log.mfld {d}/subject_001_log.mfld --dim 3 "
-     "--no-symmetrize --out {out}/b.mleb", "argument --dim: must be <= 2 (2 logs), got 3"),
+     "--out {out}/b.mleb", "argument --dim: must be <= 2 (2 logs, symmetrized), got 3"),
+    ("fit-basis --logs {d}/subject_000_log.mfld {d}/subject_001_log.mfld --dim 2 "
+     "--no-symmetrize --out {out}/b.mleb", "argument --dim: must be <= 1 (2 logs), got 2"),
     ("fit-basis --logs {d}/subject_000_log.mfld --dim 8 --out {out}/b.mleb",
      "argument --logs: must name at least 2 log fields, got 1"),
     ("decode --basis {d}/basis.mleb --z 1,2 --out {out}/v.mfld",
@@ -554,9 +554,9 @@ def test_chain_commands_report_every_root_level(tmp_path, small_inputs, command,
 ])
 def test_index_bounds_from_the_inputs_name_the_flag(tmp_path, small_inputs, argv, error, capsys):
     # The upper bounds of --mode (the basis dimension), --init (the image
-    # count) and --dim (the sample count), the count of --logs, the length
-    # of --z and the grid of --log are checked once the inputs are read,
-    # before any output.
+    # count) and --dim (the rank the logs can span), the count of --logs,
+    # the length of --z and the grid of --log are checked once the inputs
+    # are read (--dim's once they are counted), before any output.
     write_field(tmp_path / "log16.mfld", LogField(Grid(16, 16), np.zeros((16, 16, 2))))
     out = tmp_path / "out"
     argv = argv.format(d=small_inputs, out=out, tmp=tmp_path).split()
@@ -564,6 +564,24 @@ def test_index_bounds_from_the_inputs_name_the_flag(tmp_path, small_inputs, argv
     assert run(*argv, "--json-summary", out / "run.json") == 1
     assert capsys.readouterr().err == f"usage error: {error}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dim, flags", [(2, []), (1, ["--no-symmetrize"])])
+def test_fit_basis_dim_reaches_the_rank_of_its_logs(tmp_path, small_inputs, dim, flags):
+    # n symmetrized logs span rank n and n centred plain ones rank n - 1, so
+    # the largest --dim that fit-basis accepts can be fitted.
+    logs = [small_inputs / f"subject_{i:03d}_log.mfld" for i in range(2)]
+    out = tmp_path / "b.mleb"
+    assert run("fit-basis", "--logs", *logs, "--dim", dim, *flags, "--out", out) == 0
+    assert read_basis(out).dim == dim
+
+
+def test_fit_basis_dim_is_checked_before_the_logs_are_read(tmp_path, capsys):
+    missing = [tmp_path / "a.mfld", tmp_path / "b.mfld"]
+    capsys.readouterr()
+    assert run("fit-basis", "--logs", *missing, "--dim", 3, "--out", tmp_path / "b.mleb") == 1
+    assert capsys.readouterr().err == (
+        "usage error: argument --dim: must be <= 2 (2 logs, symmetrized), got 3\n")
 
 
 def test_atlas_needs_two_images(tmp_path, small_inputs, capsys):
