@@ -577,6 +577,8 @@ def _cmd_losses(args):
 
 
 def _cmd_atlas(args):
+    if not args.images.is_dir():  # an error of the input, as a missing file is
+        raise NotADirectoryError(f"argument --images: not a directory: {args.images}")
     paths = sorted(args.images.glob("*.pgm"))
     if len(paths) < 2:
         raise UsageError(f"need at least 2 PGM images in {args.images}")

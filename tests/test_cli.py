@@ -596,6 +596,20 @@ def test_atlas_needs_two_images(tmp_path, small_inputs, capsys):
     assert not summary.exists() and not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("images", ["missing", "image.pgm"])
+def test_atlas_images_must_be_a_directory(tmp_path, small_inputs, images, capsys):
+    # A path that names no directory is an I/O error, as a missing input
+    # file is, raised before anything is written.
+    images = (tmp_path if images == "missing" else small_inputs) / images
+    summary = tmp_path / "run.json"
+    capsys.readouterr()
+    assert run("atlas", "--images", images, "--out-dir", tmp_path / "a",
+               "--json-summary", summary) == 2
+    assert capsys.readouterr().err == (
+        f"io error: argument --images: not a directory: {images}\n")
+    assert not summary.exists() and not (tmp_path / "a").exists()
+
+
 def test_jacobian_out_is_the_determinant_map(tmp_path, small_inputs):
     field = small_inputs / "subject_000_field.mfld"
     out = tmp_path / "det.mfld"
