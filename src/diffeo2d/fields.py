@@ -748,12 +748,16 @@ def warp_image(image: ScalarImage, field: DisplacementField) -> ScalarImage:
 
 
 def warp_labels(labels: LabelImage, field: DisplacementField) -> LabelImage:
-    """Nearest-neighbor warp of a label map."""
+    """Nearest-neighbor warp of a label map. A point halfway between two
+    nodes takes the higher one (ties round half up, as ``write_pgm``
+    quantizes)."""
     _check_same_grid(labels, field)
-    x = grid_coords(field.grid)
-    p = x + field.u
-    i = np.clip(np.round(p[..., 0]), 0, field.grid.height - 1).astype(np.intp)
-    j = np.clip(np.round(p[..., 1]), 0, field.grid.width - 1).astype(np.intp)
+    p = grid_coords(field.grid) + field.u
+    # p - floor(p) is exact, where floor(p + 0.5) would round 0.5 - 2**-54 up.
+    nearest = np.floor(p)
+    nearest += p - nearest >= 0.5
+    i = np.clip(nearest[..., 0], 0, field.grid.height - 1).astype(np.intp)
+    j = np.clip(nearest[..., 1], 0, field.grid.width - 1).astype(np.intp)
     return LabelImage(labels.grid, labels.labels[i, j])
 
 

@@ -210,6 +210,18 @@ class TestWarpLabels:
         expected[:, 1] = 1
         assert np.array_equal(out.labels, expected)
 
+    @pytest.mark.parametrize("shift, rows", [
+        (0.5, [1, 2, 3, 4, 5, 5]),
+        # 0.5 - 2**-54 stays below a half on row 0; from row 1 on, row + it
+        # is the float row + 0.5.
+        (0.49999999999999994, [0, 2, 3, 4, 5, 5]),
+    ])
+    def test_ties_round_half_up(self, shift, rows):
+        g = Grid(6, 6)
+        labs = LabelImage(g, np.repeat(np.arange(6), 6).reshape(6, 6))
+        out = warp_labels(labs, constant_field(g, shift, 0.0))
+        assert np.array_equal(out.labels, np.array(rows)[:, None].repeat(6, axis=1))
+
     def test_roundtrip_recovers_most_pixels(self):
         spec = PhantomSpec(kind="four_label_phantom", grid=Grid(64, 64), seed=0)
         _, labs = make_phantom(spec)
