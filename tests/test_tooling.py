@@ -27,7 +27,7 @@ from diffeo2d import (
     fields,
     lie,
 )
-from diffeo2d import cli, errors
+from diffeo2d import cli, errors, synth
 from diffeo2d.cli import build_parser
 from diffeo2d.errors import DomainError, check_depth
 from diffeo2d.metrics import LossWeights
@@ -184,6 +184,59 @@ def test_every_depth_flag_has_the_one_depth_type():
                 cli._depth(str(value))
         else:
             assert cli._depth(str(value)) == value
+
+
+# The root-chain depth has one default, errors.DEFAULT_DEPTH: these
+# parameters and fields of the library, and every depth flag of the CLI,
+# name it.
+DEPTH_DEFAULTS = {("lie", "n_levels"): 2, ("latent", "exp_depth"): 2, ("synth", "n_levels"): 1,
+                  ("atlas", "root_depth"): 1, ("cli", "--n"): 6, ("cli", "--depth"): 2}
+
+
+def _depth_defaults(path):
+    """(name, default) of every default of a parameter or field named as a
+    depth in ``DEPTH_DEFAULTS``, and (flag, default) of every
+    ``add_argument`` call with ``type=_depth``; the default is None where
+    the call gives none."""
+    names = {name for _, name in DEPTH_DEFAULTS}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef):
+            params = node.args.posonlyargs + node.args.args
+            defaults = zip(params[len(params) - len(node.args.defaults):], node.args.defaults)
+            found += [(param.arg, default) for param, default in defaults if param.arg in names]
+        elif (isinstance(node, ast.AnnAssign) and node.value is not None
+              and getattr(node.target, "id", None) in names):
+            found.append((node.target.id, node.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            keywords = {k.arg: k.value for k in node.keywords}
+            if getattr(keywords.get("type"), "id", None) == "_depth":
+                found.append((node.args[0].value, keywords.get("default")))
+    return found
+
+
+def test_every_depth_default_is_one_constant():
+    seen = {}
+    for path in sorted((ROOT / "src" / "diffeo2d").glob("*.py")):
+        for name, default in _depth_defaults(path):
+            assert getattr(default, "id", None) == "DEFAULT_DEPTH", (path.name, name)
+            seen[path.stem, name] = seen.get((path.stem, name), 0) + 1
+    assert seen == DEPTH_DEFAULTS
+
+
+def test_field_flags_take_their_defaults_from_the_spec(monkeypatch):
+    # synth's and validate's field flags read RandomFieldSpec's defaults, and
+    # synth --kind the phantom kinds, when the parser is built.
+    monkeypatch.setattr(RandomFieldSpec, "amplitude", 2.5)
+    monkeypatch.setattr(RandomFieldSpec, "smoothing_sigma", 1.5)
+    parser = build_parser()
+    args = parser.parse_args(["synth", "--out-dir", "s"])
+    assert (args.amplitude, args.smoothing, args.kind) == (2.5, 1.5, synth.PHANTOM_KINDS[0])
+    assert parser.parse_args(["validate", "--out-csv", "v.csv"]).amplitude == 2.5
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in commands["synth"]._actions if "--kind" in a.option_strings]
+    assert kind.choices is synth.PHANTOM_KINDS
 
 
 def _nodes_by_function(path, match):
