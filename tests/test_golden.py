@@ -23,6 +23,7 @@ cannot expect to hold.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -385,7 +386,7 @@ def cli_defaults():
     default ``--dim 8`` can fit; ``atlas`` runs on a texture and its warp
     by a small field, which converge in two steps."""
     (commands,) = [a.choices for a in cli.build_parser()._actions
-                   if isinstance(a, cli.argparse._SubParsersAction)]
+                   if isinstance(a, argparse._SubParsersAction)]
     assert sorted({argv[0] for argv in CLI_RUNS}) == sorted(commands)
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         cli_inputs()
